@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -99,7 +98,6 @@ def _emit(argv, digest, result, t0) -> None:
         "result": result,
         "timing_s": round(time.perf_counter() - t0, 6),
         "version": __version__,
-        "threads": int(os.environ.get("DUALDEPTH_THREADS", "1")),
     }
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -245,13 +243,16 @@ def _run(args, argv) -> int:
         spec = instance_measure(inst)
         if spec is None:
             raise InputError("instance file has no measure stanza")
-        if args.point:
-            point = _parse_point(args.point)
-        else:
-            point = search_center_sampled(spec, args.samples)
-        rep = verify_dual_cpt_measure(
-            spec, [float(c) for c in point], args.samples, args.probes
-        )
+        try:
+            if args.point:
+                point = _parse_point(args.point)
+            else:
+                point = search_center_sampled(spec, args.samples)
+            rep = verify_dual_cpt_measure(
+                spec, [float(c) for c in point], args.samples, args.probes
+            )
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         result = _verification_json(rep)
         result["point"] = _point_json(point)
         _emit(argv, digest, result, t0)
@@ -268,9 +269,12 @@ def _run(args, argv) -> int:
             directions = [
                 [float(Fraction(str(v))) for v in row] for row in flat.get("directions", [])
             ]
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
             raise InputError(f"bad transversal spec: {exc}") from exc
-        rep = verify_dual_ctr(specs, point, directions, args.samples, args.probes)
+        try:
+            rep = verify_dual_ctr(specs, point, directions, args.samples, args.probes)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         _emit(argv, _digest(raw), _verification_json(rep), t0)
         return EXIT_OK if rep.passed else EXIT_NOT_FOUND
 

@@ -79,15 +79,28 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
         raise ParseError("unknown-field", f"unknown fields {sorted(unknown)}")
 
     try:
-        dim = int(obj["dim"])
+        raw_dim = obj["dim"]
         raw_planes = obj["hyperplanes"]
     except KeyError as exc:
         raise ParseError("malformed-json", f"missing field {exc}") from exc
+    try:
+        dim = int(raw_dim)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("bad-type", f"dim must be an integer, got {raw_dim!r}") from exc
     if dim < 1:
         raise ParseError("dimension-mismatch", f"dim must be positive, got {dim}")
+    if not isinstance(raw_planes, list):
+        raise ParseError("bad-type", "hyperplanes must be a list")
 
     hyperplanes = []
     for i, hp in enumerate(raw_planes):
+        if not isinstance(hp, dict):
+            raise ParseError("bad-type", f"hyperplane {i} must be an object")
+        missing = sorted({"normal", "offset"} - set(hp))
+        if missing:
+            raise ParseError("malformed-json", f"hyperplane {i} is missing {missing}")
+        if not isinstance(hp["normal"], list):
+            raise ParseError("bad-type", f"hyperplane {i} normal must be a list")
         normal = [parse_scalar(v) for v in hp["normal"]]
         if len(normal) != dim:
             raise ParseError(
@@ -101,19 +114,24 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
 
     colors = obj.get("colors")
     if colors is not None:
+        if not isinstance(colors, list):
+            raise ParseError("bad-color", "colors must be a list")
         if len(colors) != len(hyperplanes):
             raise ParseError("bad-color", "colors length differs from hyperplane count")
         for c in colors:
             if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c <= dim:
                 raise ParseError("bad-color", f"color {c!r} out of range [0, {dim}]")
 
-    metadata = dict(obj.get("metadata", {}))
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError("bad-type", "metadata must be an object")
+    metadata = dict(metadata)
     if unknown:
         metadata["_extra_fields"] = {k: obj[k] for k in sorted(unknown)}
     if "measure" in obj and obj["measure"] is not None:
         try:
             metadata["_measure"] = FlatMeasureSpec.from_json(obj["measure"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ParseError("malformed-json", f"bad measure stanza: {exc}") from exc
 
     inst = Instance(dim, hyperplanes, colors=colors, metadata=metadata)

@@ -101,7 +101,8 @@ def _solve_standard(c, A, b) -> LPResult:
             if basis[i] in art_cols:
                 obj = [a - p for a, p in zip(obj, rows[i] + [rhs[i]])]
         status = _run(rows, rhs, obj, basis, range(total))
-        assert status == OPTIMAL  # phase 1 is bounded below by 0
+        if status != OPTIMAL:
+            raise RuntimeError(f"phase 1 ended {status}, but it is bounded below by 0")
         if obj[-1] != 0:
             return LPResult(INFEASIBLE, None, None)
         # drive leftover artificials out of the basis

@@ -137,66 +137,103 @@ class VerificationReport:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _random_frame(rng, d: int, c: int) -> np.ndarray:
-    """Orthonormal c x d frame, rotation invariant (QR of a Gaussian)."""
-    g = rng.normal(size=(d, c))
+def _frames(g: np.ndarray) -> np.ndarray:
+    """Orthonormal (c, d) frames from a stack of (d, c) Gaussians, rotation
+    invariant (QR with the signs fixed so that diag(R) > 0)."""
     q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))[np.newaxis, :]
-    return q.T
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, np.newaxis, :]
+    return q.transpose(0, 2, 1)
 
 
-def sample_flats(spec: FlatMeasureSpec, N: int) -> list[Flat]:
-    """Draw N flats; bit-exact replayable for a fixed spec and seed."""
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # one dot product per row, the same as np.linalg.norm of each row alone
+    return np.sqrt((v[:, np.newaxis, :] @ v[:, :, np.newaxis])[:, 0, 0])
+
+
+def _sample_arrays(spec: FlatMeasureSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw N flats as stacked arrays: bases (N, c, d) and points (N, d).
+
+    Bit-exact replayable for a fixed spec and seed.  The random stream is
+    that of drawing the flats one at a time: each flat's raw draws are taken
+    in order (in a single call for gaussian-offset, whose draws are all
+    normals), and everything derived from them is computed for all flats at
+    once, with one stacked QR for the frames.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = np.random.default_rng(spec.seed)
     d, c = spec.dim, spec.codim
-    out = []
     if spec.kind == "uniform-angle-offset":
         radius = float(spec.params.get("radius", 1.0))
         center = np.asarray(spec.params.get("center", [0.0] * d), dtype=float)
-        for _ in range(N):
-            B = _random_frame(rng, d, c)
-            # uniform point in the c-ball of the normal space, shifted so the
-            # support surrounds the declared center
-            u = rng.normal(size=c)
-            u /= np.linalg.norm(u)
-            rad = radius * rng.random() ** (1.0 / c)
-            p = B.T @ (u * rad) + B.T @ (B @ center)
-            out.append(Flat(B, p))
-    elif spec.kind == "gaussian-offset":
+        raw = np.empty((N, d * c + c))
+        rad = np.empty(N)
+        for i in range(N):
+            raw[i] = rng.normal(size=d * c + c)
+            rad[i] = radius * rng.random() ** (1.0 / c)
+        B = _frames(raw[:, : d * c].reshape(N, d, c))
+        # uniform point in the c-ball of the normal space, shifted so the
+        # support surrounds the declared center
+        u = raw[:, d * c:]
+        u = u / _row_norms(u)[:, np.newaxis]
+        shift = (B @ center)[:, :, np.newaxis]
+        BT = B.transpose(0, 2, 1)
+        points = (BT @ (u * rad[:, np.newaxis])[:, :, np.newaxis]
+                  + BT @ shift)[:, :, 0]
+        return B, points
+    if spec.kind == "gaussian-offset":
         mean = float(spec.params.get("mean", 0.0))
         std = float(spec.params.get("std", 1.0))
-        for _ in range(N):
-            B = _random_frame(rng, d, c)
-            offsets = mean + std * rng.normal(size=c)
-            out.append(Flat(B, B.T @ offsets))
-    else:  # smoothed-points
-        sigma = float(spec.params.get("sigma", 0.0))
-        bases = spec.params["flats"]  # list of (normal, offset), codim 1 only
-        if c != 1:
-            raise ValueError("smoothed-points is defined for codimension 1")
-        weights = np.asarray(
-            spec.params.get("weights", [1.0] * len(bases)), dtype=float
-        )
-        weights = weights / weights.sum()
-        for _ in range(N):
-            i = int(rng.choice(len(bases), p=weights))
-            normal = np.asarray(bases[i][0], dtype=float)
-            normal = normal / np.linalg.norm(normal)
-            offset = float(bases[i][1])
-            if sigma > 0.0:
-                normal = normal + sigma * rng.normal(size=d)
-                normal = normal / np.linalg.norm(normal)
-                offset = offset + sigma * rng.normal()
-            B = normal[np.newaxis, :]
-            out.append(Flat(B, normal * offset))
-    return out
+        raw = rng.normal(size=(N, d * c + c))
+        B = _frames(raw[:, : d * c].reshape(N, d, c))
+        offsets = mean + std * raw[:, d * c:]
+        return B, (B.transpose(0, 2, 1) @ offsets[:, :, np.newaxis])[:, :, 0]
+    # smoothed-points
+    sigma = float(spec.params.get("sigma", 0.0))
+    bases = spec.params["flats"]  # list of (normal, offset), codim 1 only
+    if c != 1:
+        raise ValueError("smoothed-points is defined for codimension 1")
+    weights = np.asarray(spec.params.get("weights", [1.0] * len(bases)), dtype=float)
+    weights = weights / weights.sum()
+    if weights.shape != (len(bases),) or not np.all(weights >= 0.0):
+        raise ValueError("weights must be one nonnegative number per flat")
+    # the inverse-CDF draw of Generator.choice(len(bases), p=weights)
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    units = []
+    for normal, _ in bases:
+        normal = np.asarray(normal, dtype=float)
+        units.append(normal / np.linalg.norm(normal))
+    units = np.array(units)
+    offs = np.array([float(b[1]) for b in bases])
+    if sigma > 0.0:
+        pick = np.empty(N)
+        noise = np.empty((N, d + 1))
+        for i in range(N):
+            pick[i] = rng.random()
+            noise[i] = rng.normal(size=d + 1)
+    else:
+        pick = rng.random(N)
+    idx = cdf.searchsorted(pick, side="right")
+    normals = units[idx]
+    offsets = offs[idx]
+    if sigma > 0.0:
+        normals = normals + sigma * noise[:, :d]
+        normals = normals / _row_norms(normals)[:, np.newaxis]
+        offsets = offsets + sigma * noise[:, d]
+    return normals[:, np.newaxis, :], normals * offsets[:, np.newaxis]
 
 
-def _flats_as_arrays(flats: Sequence[Flat]):
-    normals = np.stack([f.basis[0] for f in flats])
-    offsets = np.einsum("ij,ij->i", normals, np.stack([f.point for f in flats]))
+def sample_flats(spec: FlatMeasureSpec, N: int) -> list[Flat]:
+    """Draw N flats; bit-exact replayable for a fixed spec and seed."""
+    bases, points = _sample_arrays(spec, N)
+    return [Flat(b, p) for b, p in zip(bases, points)]
+
+
+def _hyperplane_arrays(bases: np.ndarray, points: np.ndarray):
+    """Unit normals (N, d) and offsets (N,) of sampled codimension-1 flats."""
+    normals = np.ascontiguousarray(bases[:, 0, :])
+    offsets = np.einsum("ij,ij->i", normals, points)
     return normals, offsets
 
 
@@ -247,15 +284,25 @@ def sphere_covering(dim: int, count: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _ray_fractions(normals, offsets, x, dirs) -> np.ndarray:
-    """Fraction of sampled hyperplanes met by the ray from x, per direction."""
+# probe directions per block: bounds the (N, block) temporaries of the counts
+_BLOCK = 64
+
+
+def _ray_fractions(normals, offsets, x, dirs, block: int = _BLOCK) -> np.ndarray:
+    """Fraction of sampled hyperplanes met by the ray from x, per direction.
+
+    A hyperplane containing x is met by every ray.  Any other is met when
+    the direction has a positive projection on its normal flipped to point
+    from x towards it.
+    """
     r = offsets - normals @ x
-    contained = r == 0.0
-    s = np.sign(r)
-    proj = normals @ dirs.T  # (N, P)
-    hits = (proj * s[:, np.newaxis]) > 0.0
-    hits |= contained[:, np.newaxis]
-    return hits.mean(axis=0)
+    contained = np.count_nonzero(r == 0.0)
+    toward = normals * np.sign(r)[:, np.newaxis]  # zero rows for contained
+    hits = np.empty(len(dirs))
+    for lo in range(0, len(dirs), block):
+        proj = toward @ dirs[lo:lo + block].T
+        hits[lo:lo + block] = np.count_nonzero(proj > 0.0, axis=0)
+    return (hits + contained) / len(r)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +329,7 @@ def verify_dual_cpt_measure(
     if N < 1 or ray_probes < 1:
         raise ValueError("N and ray_probes must be >= 1")
     d = spec.dim
-    flats = sample_flats(spec, N)
-    normals, offsets = _flats_as_arrays(flats)
+    normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, N))
     xv = np.asarray([float(c) for c in x], dtype=float)
 
     dirs = sphere_covering(d, ray_probes)
@@ -337,30 +383,29 @@ def search_center_sampled(
     """
     if spec.codim != 1:
         raise DimensionMismatchError("center search needs codim 1")
-    flats = sample_flats(spec, N)
+    bases, points = _sample_arrays(spec, N)
     attempts = 0
     while True:
-        inst = _exact_instance(flats, min(exact_subsample, len(flats)))
+        inst = _exact_instance(bases, points, min(exact_subsample, N))
         if check_general_position(inst).ok:
             break
         attempts += 1
         if attempts > 8:
             raise RuntimeError("could not draw a general-position subsample")
-        flats = sample_flats(
+        bases, points = _sample_arrays(
             FlatMeasureSpec(spec.dim, spec.codim, spec.kind, spec.params,
                             seed=spec.seed + 1000 + attempts),
             N,
         )
     cert = max_depth_point(inst)
     point = cert.point
-    if len(flats) > inst.n and refine_iters > 0:
-        big = _exact_instance(flats, min(refine_subsample, len(flats)))
+    if N > inst.n and refine_iters > 0:
+        big = _exact_instance(bases, points, min(refine_subsample, N))
         point = center_fixed_point(big, point, max_iters=refine_iters).point
-    point = _polish_center(spec, flats, point)
-    return point
+    return _polish_center(spec, *_hyperplane_arrays(bases, points), point)
 
 
-def _polish_center(spec, flats, point, probes: int = 180, rounds: int = 40):
+def _polish_center(spec, normals, offsets, point, probes: int = 180, rounds: int = 40):
     """Pattern-search ascent of the sampled min-ray-fraction objective.
 
     The exact subsample stage can land far from the sampled optimum when
@@ -368,12 +413,23 @@ def _polish_center(spec, flats, point, probes: int = 180, rounds: int = 40):
     directly with a shrinking deterministic step pattern.
     """
     d = spec.dim
-    normals, offsets = _flats_as_arrays(flats)
+    N = len(normals)
     dirs = sphere_covering(d, probes)
     moves = sphere_covering(d, 4 * d)
+    # The probe directions stay fixed while the point moves, so the sign of
+    # every projection is taken once; a move only changes the side of each
+    # hyperplane the point lies on.  The hit counts are integers below 2**24,
+    # exact in float32.
+    proj = normals @ dirs.T
+    dtype = np.float32 if N < 2**24 else np.float64
+    ahead = (proj > 0.0).astype(dtype)
+    behind = (proj < 0.0).astype(dtype)
+    del proj
 
     def score(p):
-        return float(_ray_fractions(normals, offsets, p, dirs).min())
+        r = offsets - normals @ p
+        hits = (r > 0.0).astype(dtype) @ ahead + (r < 0.0).astype(dtype) @ behind
+        return (int(hits.min()) + int(np.count_nonzero(r == 0.0))) / N
 
     p = np.asarray([float(c) for c in point], dtype=float)
     best = score(p)
@@ -394,18 +450,19 @@ def _polish_center(spec, flats, point, probes: int = 180, rounds: int = 40):
     return tuple(Fraction(float(v)).limit_denominator(10**6) for v in p)
 
 
-def _exact_instance(flats: Sequence[Flat], count: int) -> Instance:
-    idx = np.linspace(0, len(flats) - 1, count).round().astype(int)
+def _exact_instance(bases: np.ndarray, points: np.ndarray, count: int) -> Instance:
+    idx = np.linspace(0, len(bases) - 1, count).round().astype(int)
     hps = []
     for i in sorted(set(int(v) for v in idx)):
-        n, c = flats[i].as_hyperplane()
+        n = bases[i, 0]
+        c = float(n @ points[i])
         hps.append(
             Hyperplane(
                 tuple(Fraction(float(v)).limit_denominator(1000) for v in n),
                 Fraction(float(c)).limit_denominator(1000),
             )
         )
-    return Instance(flats[0].dim, hps, metadata={"source": "sampled"})
+    return Instance(bases.shape[2], hps, metadata={"source": "sampled"})
 
 
 def verify_dual_ctr(
@@ -460,13 +517,13 @@ def verify_dual_ctr(
     per_measure = []
     overall = 1.0
     for spec in specs:
-        flats = sample_flats(spec, N)
+        bases, points = _sample_arrays(spec, N)
         if c == 1:
-            normals, offsets = _flats_as_arrays(flats)
+            normals, offsets = _hyperplane_arrays(bases, points)
             fracs = _ray_fractions(normals, offsets, l0, probe_dirs)
             m = float(fracs.min())
         else:
-            m = _halfflat_min_fraction(flats, l0, D, probe_dirs)
+            m = _halfflat_min_fraction(bases, points, l0, D, probe_dirs)
         per_measure.append(m)
         overall = min(overall, m)
 
@@ -481,26 +538,29 @@ def verify_dual_ctr(
     )
 
 
-def _halfflat_min_fraction(flats, l0, D, probe_dirs) -> float:
+def _halfflat_min_fraction(bases, points, l0, D, probe_dirs, block: int = _BLOCK) -> float:
     """Minimum over probes of the fraction of flats meeting the half-flat.
 
-    For each sampled flat G (codim c, basis B, point p) and half-flat
-    M = {l0 + D^T s + t w : t >= 0}, solve B (l0 + D^T s + t w) = B p for
-    (s, t); G meets M exactly when the system is solvable with t >= 0.
+    A sampled flat G (codim c, basis B, point p) meets the half-flat
+    M = {l0 + D^T s + t w : t >= 0} exactly when B (D^T s + t w) = B (p - l0)
+    is solvable with t >= 0.  Expanding det[B D^T | B w] along its last
+    column gives h . w with h = B^T cof, cof being that column's cofactors,
+    and Cramer's rule gives t = num / (h . w) with num = cof . B (p - l0).
+    So G meets M exactly when |h . w| > 1e-12 and num * (h . w) >= 0: one
+    matrix product per block of probes, with no solve per flat and probe.
     """
-    B_all = np.stack([f.basis for f in flats])  # (N, c, d)
-    p_all = np.stack([f.point for f in flats])  # (N, d)
-    rhs = np.einsum("ncd,nd->nc", B_all, p_all - l0[np.newaxis, :])  # (N, c)
+    c = bases.shape[1]
+    rhs = np.einsum("ncd,nd->nc", bases, points - l0[np.newaxis, :])  # (N, c)
+    BD = bases @ D.T  # (N, c, c-1)
+    cof = np.stack(
+        [(-1) ** (j + c - 1) * np.linalg.det(np.delete(BD, j, axis=1)) for j in range(c)],
+        axis=1,
+    )
+    h = np.einsum("nc,ncd->nd", cof, bases)
+    num = np.einsum("nc,nc->n", cof, rhs)
     best = 1.0
-    for w in probe_dirs:
-        cols = np.concatenate([D.T, w[:, np.newaxis]], axis=1)  # (d, c)
-        A = B_all @ cols  # (N, c, c)
-        dets = np.linalg.det(A)
-        ok = np.abs(dets) > 1e-12
-        sol = np.full((len(flats), cols.shape[1]), np.nan)
-        if ok.any():
-            sol[ok] = np.linalg.solve(A[ok], rhs[ok][..., np.newaxis])[..., 0]
-        hits = ok & (sol[:, -1] >= 0.0)
-        frac = float(hits.mean())
-        best = min(best, frac)
+    for lo in range(0, len(probe_dirs), block):
+        hw = h @ probe_dirs[lo:lo + block].T
+        hits = (np.abs(hw) > 1e-12) & (num[:, np.newaxis] * hw >= 0.0)
+        best = min(best, float(hits.mean(axis=0).min()))
     return best

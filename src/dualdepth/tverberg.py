@@ -113,7 +113,8 @@ def common_interior_point(simplices: Sequence[SimplexSpec]):
     A.append([Fraction(0)] * d + [Fraction(1)])
     b.append(Fraction(1))
     res = lp.maximize([Fraction(0)] * d + [Fraction(1)], A, b)
-    assert res.status == lp.OPTIMAL  # always feasible, objective capped
+    if res.status != lp.OPTIMAL:
+        raise RuntimeError(f"margin LP ended {res.status}, but it is always feasible and capped")
     margin = res.value
     if margin < 0:
         return None

@@ -121,6 +121,21 @@ class TestInstanceRoundTrip:
             parse_instance(data)
         assert exc.value.code == "general-position-violation"
 
+    @pytest.mark.parametrize("obj,code", [
+        ({"dim": 2, "hyperplanes": [{"normal": ["1", "0"]}]}, "malformed-json"),
+        ({"dim": "x", "hyperplanes": []}, "bad-type"),
+        ({"dim": 2, "hyperplanes": 5}, "bad-type"),
+        ({"dim": 2, "hyperplanes": [5]}, "bad-type"),
+        ({"dim": 2, "hyperplanes": [{"normal": "10", "offset": "0"}]}, "bad-type"),
+        ({"dim": 2, "hyperplanes": [], "metadata": 3}, "bad-type"),
+        ({"dim": 2, "hyperplanes": [], "colors": 3}, "bad-color"),
+        ({"dim": 2, "hyperplanes": [], "measure": 5}, "malformed-json"),
+    ])
+    def test_malformed_shapes_rejected(self, obj, code):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(obj))
+        assert exc.value.code == code
+
 
 class TestGenerators:
     def test_seeded_determinism(self):
@@ -303,6 +318,47 @@ class TestCli:
         path.write_text("{broken")
         code, _, err = run_cli(capsys, "depth", "--instance", str(path), "--point", "0,0")
         assert code == 2 and "malformed" in err
+
+    @pytest.mark.parametrize("obj", [
+        {"dim": 2, "hyperplanes": [{"normal": ["1", "0"]}]},
+        {"dim": "x", "hyperplanes": []},
+        {"dim": 2, "hyperplanes": 5},
+    ], ids=["missing-offset", "non-numeric-dim", "non-list-hyperplanes"])
+    def test_malformed_shape_exits_two(self, capsys, tmp_path, obj):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = run_cli(capsys, "center", "--instance", str(path))
+        assert code == 2 and report is None
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--samples", "--probes"])
+    @pytest.mark.parametrize("point", [True, False], ids=["at-point", "searched"])
+    def test_verify_measure_bad_counts_exit_two(self, capsys, tmp_path, triangle, flag, point):
+        triangle.metadata["_measure"] = FlatMeasureSpec(
+            2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=0
+        )
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(triangle))
+        argv = ["verify-measure", "--instance", str(path), flag, "0"]
+        if point:
+            argv += ["--point", "0,0"]
+        else:  # keep the center search small when it runs before the check
+            argv += ["--samples" if flag == "--probes" else "--probes", "50"]
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 2 and report is None
+        assert ">= 1" in err
+
+    @pytest.mark.parametrize("measures", [[], 5], ids=["empty", "not-a-list"])
+    def test_verify_transversal_bad_measures_exit_two(self, capsys, tmp_path, measures):
+        path = tmp_path / "ctr.json"
+        path.write_text(json.dumps({"measures": measures, "flat": {"point": [0, 0]}}))
+        code, report, err = run_cli(capsys, "verify-transversal", "--spec", str(path))
+        assert code == 2 and report is None
+        assert err.startswith("error: ")
+
+    def test_report_has_no_threads_field(self, capsys, tri_file):
+        code, report, _ = run_cli(capsys, "center", "--instance", tri_file)
+        assert code == 0 and "threads" not in report
 
     def test_bad_point_exits_two(self, capsys, tri_file):
         code, _, _ = run_cli(capsys, "depth", "--instance", tri_file, "--point", "x,y")

@@ -16,7 +16,14 @@ from dualdepth import (
     verify_dual_ctr,
 )
 from dualdepth.geometry import DimensionMismatchError
-from dualdepth.measures import Flat, sphere_covering
+from dualdepth.measures import (
+    Flat,
+    _halfflat_min_fraction,
+    _hyperplane_arrays,
+    _ray_fractions,
+    _sample_arrays,
+    sphere_covering,
+)
 
 
 def flats_equal(a, b):
@@ -72,6 +79,157 @@ class TestSampleFlats:
     def test_spec_json_round_trip(self):
         spec = FlatMeasureSpec(3, 1, "gaussian-offset", {"mean": 1.0}, seed=9)
         assert FlatMeasureSpec.from_json(spec.to_json()) == spec
+
+
+def per_flat_sample(spec, N):
+    """Reference sampler: one flat at a time, one QR per flat.
+
+    The vectorised sampler must reproduce this random stream exactly.
+    """
+    rng = np.random.default_rng(spec.seed)
+    d, c = spec.dim, spec.codim
+
+    def frame():
+        q, r = np.linalg.qr(rng.normal(size=(d, c)))
+        return (q * np.sign(np.diag(r))[np.newaxis, :]).T
+
+    out = []
+    if spec.kind == "uniform-angle-offset":
+        radius = float(spec.params.get("radius", 1.0))
+        center = np.asarray(spec.params.get("center", [0.0] * d), dtype=float)
+        for _ in range(N):
+            B = frame()
+            u = rng.normal(size=c)
+            u /= np.linalg.norm(u)
+            rad = radius * rng.random() ** (1.0 / c)
+            out.append(Flat(B, B.T @ (u * rad) + B.T @ (B @ center)))
+    elif spec.kind == "gaussian-offset":
+        mean = float(spec.params.get("mean", 0.0))
+        std = float(spec.params.get("std", 1.0))
+        for _ in range(N):
+            B = frame()
+            out.append(Flat(B, B.T @ (mean + std * rng.normal(size=c))))
+    else:
+        sigma = float(spec.params.get("sigma", 0.0))
+        bases = spec.params["flats"]
+        weights = np.asarray(spec.params.get("weights", [1.0] * len(bases)), dtype=float)
+        weights = weights / weights.sum()
+        for _ in range(N):
+            i = int(rng.choice(len(bases), p=weights))
+            normal = np.asarray(bases[i][0], dtype=float)
+            normal = normal / np.linalg.norm(normal)
+            offset = float(bases[i][1])
+            if sigma > 0.0:
+                normal = normal + sigma * rng.normal(size=d)
+                normal = normal / np.linalg.norm(normal)
+                offset = offset + sigma * rng.normal()
+            out.append(Flat(normal[np.newaxis, :], normal * offset))
+    return out
+
+
+def stream_specs(d, c, seed):
+    specs = [
+        FlatMeasureSpec(d, c, "uniform-angle-offset",
+                        {"radius": 1.7, "center": [0.3] * d}, seed=seed),
+        FlatMeasureSpec(d, c, "gaussian-offset", {"mean": 0.4, "std": 1.3}, seed=seed),
+    ]
+    if c == 1:
+        lines = [[[1.0] + [0.5] * (d - 1), 0.3], [[0.2] * (d - 1) + [-1.0], -0.7],
+                 [[0.0] * (d - 1) + [1.0], 1.1]]
+        specs += [
+            FlatMeasureSpec(d, 1, "smoothed-points",
+                            {"flats": lines, "sigma": 0.3, "weights": [1, 2, 3]}, seed=seed),
+            FlatMeasureSpec(d, 1, "smoothed-points", {"flats": lines, "sigma": 0.0}, seed=seed),
+        ]
+    return specs
+
+
+class TestSamplerStreamContract:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_codim_one_bit_identical(self, d):
+        for seed in (0, 5):
+            for spec in stream_specs(d, 1, seed):
+                got = sample_flats(spec, 2000)
+                ref = per_flat_sample(spec, 2000)
+                assert all(flats_equal(a, b) for a, b in zip(got, ref)), spec.kind
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_codim_two_bases_equal(self, d):
+        for spec in stream_specs(d, 2, 3):
+            got = sample_flats(spec, 2000)
+            ref = per_flat_sample(spec, 2000)
+            assert all(np.array_equal(a.basis, b.basis) for a, b in zip(got, ref))
+            assert max(np.abs(a.point - b.point).max() for a, b in zip(got, ref)) <= 1e-15
+
+    def test_arrays_match_flats(self):
+        spec = stream_specs(3, 2, 1)[0]
+        bases, points = _sample_arrays(spec, 50)
+        assert bases.shape == (50, 2, 3) and points.shape == (50, 3)
+        flats = sample_flats(spec, 50)
+        assert np.array_equal(np.stack([f.basis for f in flats]), bases)
+        assert np.array_equal(np.stack([f.point for f in flats]), points)
+
+    def test_bad_weights_rejected(self):
+        spec = FlatMeasureSpec(
+            2, 1, "smoothed-points",
+            {"flats": [[[1.0, 0.0], 0.0], [[0.0, 1.0], 0.0]], "weights": [1.0, -0.5]},
+        )
+        with pytest.raises(ValueError):
+            sample_flats(spec, 10)
+
+
+def halfflat_reference(bases, points, l0, D, probe_dirs):
+    """Per-probe hit fractions from one linear solve per flat and probe."""
+    fracs = []
+    for w in probe_dirs:
+        cols = np.concatenate([D.T, w[:, np.newaxis]], axis=1)
+        hits = 0
+        for B, p in zip(bases, points):
+            A = B @ cols
+            if abs(np.linalg.det(A)) > 1e-12:
+                hits += np.linalg.solve(A, B @ (p - l0))[-1] >= 0.0
+        fracs.append(hits / len(bases))
+    return fracs
+
+
+class TestHalfFlatClosedForm:
+    @pytest.mark.parametrize("d,c", [(3, 2), (4, 2), (4, 3)])
+    def test_matches_per_flat_solve(self, d, c):
+        rng = np.random.default_rng(d * 10 + c)
+        spec = FlatMeasureSpec(d, c, "uniform-angle-offset",
+                               {"radius": 1.0, "center": [0.2] * d}, seed=c)
+        bases, points = _sample_arrays(spec, 500)
+        l0 = rng.uniform(-0.5, 0.5, size=d)
+        D = np.linalg.qr(rng.normal(size=(d, c - 1)))[0].T
+        W = np.linalg.svd(D)[2][c - 1:]  # orthonormal complement of the rows of D
+        probe_dirs = sphere_covering(d - c + 1, 24) @ W
+        ref = halfflat_reference(bases, points, l0, D, probe_dirs)
+        got = [_halfflat_min_fraction(bases, points, l0, D, w[np.newaxis]) for w in probe_dirs]
+        assert got == ref
+        assert 0.0 < min(ref) < 1.0
+        assert _halfflat_min_fraction(bases, points, l0, D, probe_dirs, block=5) == min(ref)
+
+
+class TestRayFractionBlocking:
+    def test_blocked_equals_single_evaluation(self):
+        spec = FlatMeasureSpec(3, 1, "gaussian-offset", {"mean": 0.3}, seed=4)
+        normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, 5000))
+        x = np.array([0.1, -0.2, 0.05])
+        dirs = sphere_covering(3, 720)
+        single = _ray_fractions(normals, offsets, x, dirs, block=len(dirs))
+        for block in (1, 7, 64):
+            assert np.array_equal(_ray_fractions(normals, offsets, x, dirs, block=block), single)
+        r = offsets - normals @ x
+        hits = (normals @ dirs.T) * np.sign(r)[:, np.newaxis] > 0.0
+        hits |= (r == 0.0)[:, np.newaxis]
+        assert np.array_equal(hits.mean(axis=0), single)
+
+    def test_contained_hyperplanes_count_for_every_ray(self):
+        normals = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        offsets = np.array([0.0, 1.0, -1.0])
+        dirs = sphere_covering(2, 8)
+        fr = _ray_fractions(normals, offsets, np.zeros(2), dirs, block=3)
+        assert fr.min() >= 1 / 3 and fr[0] == 1 / 3  # (1, 0) meets only x1 = 0
 
 
 class TestFlatIntersectsRay:
