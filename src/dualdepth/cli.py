@@ -163,7 +163,10 @@ def _run(args, argv) -> int:
     t0 = time.perf_counter()
 
     if args.cmd == "gen":
-        inst = gen_instance(args.model, args.n, args.d, args.seed)
+        try:
+            inst = gen_instance(args.model, args.n, args.d, args.seed)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         data = write_instance(inst)
         with open(args.out, "wb") as fh:
             fh.write(data)
@@ -285,16 +288,13 @@ def _run(args, argv) -> int:
         if args.partition_report:
             try:
                 with open(args.partition_report) as fh:
-                    report = json.load(fh)
-                groups = report["result"]["groups"]
-                if witness is None and "witness" in report["result"]:
-                    witness = tuple(
-                        Fraction(v) for v in report["result"]["witness"]
-                    )
-            except (OSError, KeyError, json.JSONDecodeError) as exc:
+                    result = json.load(fh)["result"]
+                if witness is None and "witness" in result:
+                    witness = tuple(Fraction(v) for v in result["witness"])
+                triangles = [form_simplex(inst, g).vertices for g in result["groups"]]
+            except (OSError, KeyError, IndexError, TypeError, ValueError,
+                    ZeroDivisionError) as exc:
                 raise InputError(f"bad partition report: {exc}") from exc
-            for g in groups:
-                triangles.append(form_simplex(inst, g).vertices)
         data = render_svg(inst, triangles=triangles, witness=witness)
         with open(args.out, "wb") as fh:
             fh.write(data)

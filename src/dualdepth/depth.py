@@ -49,7 +49,6 @@ from .geometry import (
     ensure_general_position,
     fraction_nullspace,
     fraction_rank,
-    project_onto,
     scale_to_int,
     solve_int_square,
     solve_underdetermined,
@@ -474,125 +473,3 @@ def _screen_candidates(candidates, pts, hps, cap: int = 600):
         upper[s : s + block] = np.minimum(plus, minus).min(axis=1)
     order = np.argsort(-upper, kind="stable")[:cap]
     return [(candidates[i], int(upper[i])) for i in order.tolist()]
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point center heuristic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FixedPointResult:
-    point: Point
-    converged: bool
-    iterations: int
-
-
-def _clamp_box(F: Instance, extra: Sequence[Point] = (), vertex_cap: int = 3000):
-    """Bounding box twice the extent of the arrangement vertices.
-
-    For families too large to enumerate vertices, falls back to the feet of
-    the perpendiculars from the origin, which the projection iteration
-    cannot escape by much.  ``extra`` points (e.g. a search start) widen the
-    box so their projections are reachable.
-    """
-    d, n = F.dim, F.n
-    pts: list[Point] = []
-    n_vertices = 1
-    for k in range(d):
-        n_vertices = n_vertices * max(n - k, 1) // (k + 1)
-    if n >= d and n_vertices <= vertex_cap:
-        for sub in itertools.combinations(range(n), d):
-            p = F.vertex_point(sub)
-            if p is not None:
-                pts.append(p)
-    if not pts:
-        origin = tuple(Fraction(0) for _ in range(d))
-        pts = [project_onto(h, origin) for h in F.hyperplanes]
-    for p in extra:
-        q = as_point(p)
-        pts.append(q)
-        pts.extend(project_onto(h, q) for h in F.hyperplanes)
-    lo = [min(p[k] for p in pts) for k in range(d)]
-    hi = [max(p[k] for p in pts) for k in range(d)]
-    out_lo, out_hi = [], []
-    for a, b in zip(lo, hi):
-        c = (a + b) / 2
-        half = (b - a) / 2 + 1
-        out_lo.append(c - 2 * half)
-        out_hi.append(c + 2 * half)
-    return out_lo, out_hi
-
-
-def center_fixed_point(
-    F: Instance,
-    x0: Point,
-    max_iters: int = 25,
-    step_tol: float = 1e-9,
-    subsample_cap: int = 12,
-) -> FixedPointResult:
-    """Iterate x <- centerpoint of the projections of x onto every hyperplane.
-
-    Heuristic search for a deep point; no convergence guarantee is claimed
-    and callers certify the final iterate with dual_depth.  Iterates are
-    clamped to a box around the arrangement and their coordinates are
-    simplified each round to keep rationals small.
-    """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    x = as_point(x0)
-    if len(x) != F.dim:
-        raise DimensionMismatchError("start point dimension mismatch")
-    lo, hi = _clamp_box(F, extra=[x])
-    tol2 = Fraction(step_tol) ** 2
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        projections = [project_onto(h, x) for h in F.hyperplanes]
-        if len(projections) > subsample_cap:
-            ordered = sorted(projections)
-            step = max(1, len(ordered) // subsample_cap)
-            projections = ordered[::step][:subsample_cap]
-        c = discrete_centerpoint(projections)
-        c = tuple(min(max(ci, a), b) for ci, a, b in zip(c, lo, hi))
-        c = tuple(ci.limit_denominator(1 << 20) for ci in c)
-        step2 = sum((a - b) ** 2 for a, b in zip(c, x))
-        x = c
-        if step2 < tol2:
-            converged = True
-            break
-    return FixedPointResult(_snap_to_deep_vertex(F, x), converged, iterations)
-
-
-def _snap_to_deep_vertex(F: Instance, x: Point, vertex_cap: int = 3000) -> Point:
-    """Replace a shallow iterate with a nearby arrangement vertex, if one helps.
-
-    The projection iteration can stall at a point whose closed-halfspace
-    (Tukey) count meets the centerpoint bound while its strict ray-crossing
-    count does not: a direction grazing a projection loses the tied term.
-    Vertices regain crossings through containment, so the nearest ones are
-    probed (a bounded number, nearest first) until the bound is met.
-    """
-    d, n = F.dim, F.n
-    bound = (n + d) // (d + 1)
-    depth, _ = dual_depth(F, x)
-    if depth >= bound or n < d:
-        return x
-    n_vertices = 1
-    for k in range(d):
-        n_vertices = n_vertices * max(n - k, 1) // (k + 1)
-    if n_vertices > vertex_cap:
-        return x
-    ranked = []
-    for sub in itertools.combinations(range(n), d):
-        p = F.vertex_point(sub)
-        if p is not None:
-            ranked.append((sum((a - b) ** 2 for a, b in zip(p, x)), p))
-    ranked.sort()
-    best = (depth, x)
-    for _, p in ranked[: 8 * d]:
-        dep, _ = dual_depth(F, p)
-        if dep > best[0]:
-            best = (dep, p)
-            if dep >= bound:
-                break
-    return best[1]

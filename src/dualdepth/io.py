@@ -53,7 +53,10 @@ def parse_scalar(raw) -> Fraction:
             raise ParseError("bad-scalar", f"cannot parse scalar {raw!r}") from exc
     if isinstance(raw, float):
         # JSON floats arrive as decimal text; convert through it exactly
-        return Fraction(repr(raw))
+        try:
+            return Fraction(repr(raw))
+        except ValueError as exc:  # Infinity and NaN
+            raise ParseError("bad-scalar", f"non-finite scalar {raw!r}") from exc
     raise ParseError("bad-scalar", f"unsupported scalar type {type(raw).__name__}")
 
 
@@ -79,14 +82,12 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
         raise ParseError("unknown-field", f"unknown fields {sorted(unknown)}")
 
     try:
-        raw_dim = obj["dim"]
+        dim = obj["dim"]
         raw_planes = obj["hyperplanes"]
     except KeyError as exc:
         raise ParseError("malformed-json", f"missing field {exc}") from exc
-    try:
-        dim = int(raw_dim)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("bad-type", f"dim must be an integer, got {raw_dim!r}") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ParseError("bad-type", f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise ParseError("dimension-mismatch", f"dim must be positive, got {dim}")
     if not isinstance(raw_planes, list):

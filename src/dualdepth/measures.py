@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .depth import center_fixed_point, max_depth_point
+from .depth import max_depth_point
 from .geometry import (
     DimensionMismatchError,
     Hyperplane,
@@ -73,6 +73,13 @@ class FlatMeasureSpec:
             flats = self.params.get("flats")
             if not flats:
                 raise ValueError("smoothed-points requires a 'flats' parameter")
+            for normal, _ in flats:
+                normal = np.asarray(normal, dtype=float)
+                if normal.shape != (self.dim,) or not normal.any():
+                    raise ValueError(
+                        f"smoothed-points flat normal {normal.tolist()} must be "
+                        f"a nonzero vector of length {self.dim}"
+                    )
 
     @property
     def flat_dim(self) -> int:
@@ -102,12 +109,19 @@ class FlatMeasureSpec:
     @staticmethod
     def from_json(obj: dict) -> "FlatMeasureSpec":
         return FlatMeasureSpec(
-            dim=int(obj["dim"]),
-            codim=int(obj["codim"]),
+            dim=_json_int(obj["dim"], "dim"),
+            codim=_json_int(obj["codim"], "codim"),
             kind=str(obj["kind"]),
             params=dict(obj.get("params", {})),
-            seed=int(obj.get("seed", 0)),
+            seed=_json_int(obj.get("seed", 0), "seed"),
         )
+
+
+def _json_int(raw, name: str) -> int:
+    """A JSON integer; floats, strings and booleans are rejected."""
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise ValueError(f"{name} must be an integer, got {raw!r}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -367,26 +381,26 @@ def verify_dual_cpt_measure(
     )
 
 
-def search_center_sampled(
-    spec: FlatMeasureSpec,
-    N: int,
-    exact_subsample: int = 10,
-    refine_subsample: int = 200,
-    refine_iters: int = 3,
-) -> Point:
+# hyperplanes in the exact stage of the center search
+_EXACT_SUBSAMPLE = 10
+
+
+def search_center_sampled(spec: FlatMeasureSpec, N: int) -> Point:
     """Candidate central point for a sampled hyperplane measure.
 
-    Bridge to the discrete machinery: run the exact depth maximizer on a small
-    evenly-spread subsample (floats lifted to exact rationals), then refine
-    with the projection fixed-point heuristic on a larger subsample.  The
-    result is a candidate only; certify with verify_dual_cpt_measure.
+    Two starts: the exact depth maximizer of 10 evenly spread sampled
+    hyperplanes (floats lifted to exact rationals, redrawn until they are in
+    general position), and the mean of the sampled feet of perpendiculars
+    from the origin.  Both are scored by the sampled min-ray fraction and
+    the better one is polished by pattern search.  The result is a
+    candidate only; certify it with verify_dual_cpt_measure.
     """
     if spec.codim != 1:
         raise DimensionMismatchError("center search needs codim 1")
     bases, points = _sample_arrays(spec, N)
     attempts = 0
     while True:
-        inst = _exact_instance(bases, points, min(exact_subsample, N))
+        inst = _exact_instance(bases, points, min(_EXACT_SUBSAMPLE, N))
         if check_general_position(inst).ok:
             break
         attempts += 1
@@ -397,20 +411,17 @@ def search_center_sampled(
                             seed=spec.seed + 1000 + attempts),
             N,
         )
-    cert = max_depth_point(inst)
-    point = cert.point
-    if N > inst.n and refine_iters > 0:
-        big = _exact_instance(bases, points, min(refine_subsample, N))
-        point = center_fixed_point(big, point, max_iters=refine_iters).point
-    return _polish_center(spec, *_hyperplane_arrays(bases, points), point)
+    starts = (max_depth_point(inst).point, points.mean(axis=0))
+    return _polish_center(spec, *_hyperplane_arrays(bases, points), starts)
 
 
-def _polish_center(spec, normals, offsets, point, probes: int = 180, rounds: int = 40):
+def _polish_center(spec, normals, offsets, starts, probes: int = 180, rounds: int = 40):
     """Pattern-search ascent of the sampled min-ray-fraction objective.
 
-    The exact subsample stage can land far from the sampled optimum when
-    the measure is strongly clustered; this climbs the Monte Carlo score
-    directly with a shrinking deterministic step pattern.
+    Climbs from the best-scoring of ``starts`` (the first wins a tie): the
+    exact subsample center can land far from the sampled mass when the
+    measure is strongly clustered, and the pattern search stalls where the
+    score is flat.  Steps shrink over a deterministic move pattern.
     """
     d = spec.dim
     N = len(normals)
@@ -431,7 +442,7 @@ def _polish_center(spec, normals, offsets, point, probes: int = 180, rounds: int
         hits = (r > 0.0).astype(dtype) @ ahead + (r < 0.0).astype(dtype) @ behind
         return (int(hits.min()) + int(np.count_nonzero(r == 0.0))) / N
 
-    p = np.asarray([float(c) for c in point], dtype=float)
+    p = max((np.asarray([float(c) for c in x], dtype=float) for x in starts), key=score)
     best = score(p)
     step = spec.support_radius() / 4.0
     floor = spec.support_radius() * 1e-3

@@ -69,6 +69,8 @@ def form_simplex(F: Instance, idx: Sequence[int]) -> SimplexSpec:
     idx = tuple(sorted(idx))
     if len(idx) != d + 1 or len(set(idx)) != d + 1:
         raise DimensionMismatchError(f"need d+1 distinct indices, got {idx}")
+    if not 0 <= idx[0] <= idx[-1] < F.n:
+        raise IndexError(f"hyperplane indices {idx} out of range for n={F.n}")
     vertices = []
     for i in idx:
         others = [F.hyperplanes[j] for j in idx if j != i]

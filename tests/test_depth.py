@@ -8,12 +8,10 @@ from dualdepth import (
     Hyperplane,
     Instance,
     ZeroDirectionError,
-    center_fixed_point,
     discrete_centerpoint,
     dual_depth,
     gen_instance,
     max_depth_point,
-    project_onto,
     ray_crossings,
     tukey_depth,
 )
@@ -180,30 +178,6 @@ class TestMaxDepthPoint:
             cert = max_depth_point(F)
             for x in ((0, 0), (1, 1), (Fraction(-1, 2), Fraction(3, 4))):
                 assert dual_depth(F, x)[0] <= cert.depth
-
-
-class TestCenterFixedPoint:
-    def test_triangle_from_far_start(self, triangle):
-        res = center_fixed_point(triangle, (10, 10))
-        assert dual_depth(triangle, res.point)[0] >= 1
-
-    def test_single_hyperplane_one_step(self):
-        h = Hyperplane((Fraction(1), Fraction(0)), Fraction(0))
-        F = Instance(2, [h])
-        res = center_fixed_point(F, (10, 10))
-        assert res.point == project_onto(h, (Fraction(10), Fraction(10)))
-        assert res.converged
-
-    def test_six_lines_meets_bound(self):
-        F = gen_instance("random-rational", 6, 2, seed=42)
-        res = center_fixed_point(F, (0, 0))
-        assert dual_depth(F, res.point)[0] >= max_depth_point(F).bound
-
-    def test_iteration_budget_respected(self, triangle):
-        res = center_fixed_point(triangle, (10, 10), max_iters=2)
-        assert res.iterations <= 2
-        with pytest.raises(ValueError):
-            center_fixed_point(triangle, (0, 0), max_iters=0)
 
 
 class TestTukeyDepth:

@@ -1,0 +1,118 @@
+"""Fuzzing the instance parser through the CLI ``validate`` command.
+
+Every input must end in a report or an ``error:`` line: exit 0, 1 or 2 and
+no traceback, with exit 2 whenever ``parse_instance`` raises ParseError.
+Inputs are random JSON trees and mutated golden instance files; the runs
+are derandomized so a failure replays.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from dualdepth.cli import main
+from dualdepth.io import ParseError, parse_instance
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_INSTANCES = [(GOLDEN / name).read_bytes() for name in ("triangle.json", "six.json")]
+
+# each example writes and reads one file, which bounds the count
+FUZZ = settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+KEYS = st.sampled_from([
+    "format_version", "dim", "hyperplanes", "colors", "general_position",
+    "measure", "metadata", "normal", "offset", "codim", "kind", "params",
+    "seed", "flats", "sigma",
+]) | st.text(max_size=4)
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 5) | st.integers()
+    | st.floats() | st.sampled_from([float("inf"), float("nan"), 2.5, 1e300])
+    | st.sampled_from(["1/2", "0", "-3", "x", "1/0", "2.5"])
+    | st.text(max_size=4)
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=5),
+    max_leaves=24,
+)
+
+
+@pytest.fixture(scope="module")
+def instance_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "instance.json"
+
+
+def check_validate(path: Path, data: bytes) -> None:
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", "--instance", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    try:
+        parse_instance(data)
+    except ParseError:
+        assert code == 2 and err.getvalue().startswith("error: ")
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as a key path from the root."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replace(node[path[0]], path[1:], value)
+    return copy
+
+
+@FUZZ
+@given(tree=JSON | st.dictionaries(KEYS, JSON, max_size=6))
+def test_random_trees(instance_path, tree):
+    check_validate(instance_path, json.dumps(tree).encode())
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_golden_trees(instance_path, data):
+    tree = json.loads(data.draw(st.sampled_from(GOLDEN_INSTANCES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(tree))))
+        tree = _replace(tree, path, data.draw(SCALARS | JSON))
+    check_validate(instance_path, json.dumps(tree).encode())
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_golden_bytes(instance_path, data):
+    raw = bytearray(data.draw(st.sampled_from(GOLDEN_INSTANCES)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = data.draw(st.sampled_from(b'0123456789-/.,:"[]{}e \\xab'))
+        if op == "replace":
+            raw[at] = byte
+        elif op == "insert":
+            raw.insert(at, byte)
+        else:
+            del raw[at]
+    check_validate(instance_path, bytes(raw))

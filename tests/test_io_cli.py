@@ -36,6 +36,13 @@ class TestScalarSerialization:
                 parse_scalar(raw)
 
 
+GAUSS_STANZA = {"dim": 2, "codim": 1, "kind": "gaussian-offset", "seed": 0}
+SMOOTHED_ZERO_NORMAL = {
+    "dim": 2, "codim": 1, "kind": "smoothed-points",
+    "params": {"flats": [[[0.0, 0.0], 1.0]], "sigma": 0.1},
+}
+
+
 class TestInstanceRoundTrip:
     def test_triangle_round_trip(self, triangle):
         again = parse_instance(write_instance(triangle))
@@ -130,6 +137,18 @@ class TestInstanceRoundTrip:
         ({"dim": 2, "hyperplanes": [], "metadata": 3}, "bad-type"),
         ({"dim": 2, "hyperplanes": [], "colors": 3}, "bad-color"),
         ({"dim": 2, "hyperplanes": [], "measure": 5}, "malformed-json"),
+        ({"dim": 2.5, "hyperplanes": []}, "bad-type"),
+        ({"dim": True, "hyperplanes": []}, "bad-type"),
+        ({"dim": "2", "hyperplanes": []}, "bad-type"),
+        ({"dim": 2, "hyperplanes": [], "measure": dict(GAUSS_STANZA, dim=2.7)},
+         "malformed-json"),
+        ({"dim": 2, "hyperplanes": [], "measure": dict(GAUSS_STANZA, codim=True)},
+         "malformed-json"),
+        ({"dim": 2, "hyperplanes": [], "measure": dict(GAUSS_STANZA, seed="3")},
+         "malformed-json"),
+        ({"dim": 2, "hyperplanes": [], "measure": SMOOTHED_ZERO_NORMAL}, "malformed-json"),
+        ({"dim": 1, "hyperplanes": [{"normal": [float("inf")], "offset": 0}]},
+         "bad-scalar"),
     ])
     def test_malformed_shapes_rejected(self, obj, code):
         with pytest.raises(ParseError) as exc:
@@ -323,7 +342,14 @@ class TestCli:
         {"dim": 2, "hyperplanes": [{"normal": ["1", "0"]}]},
         {"dim": "x", "hyperplanes": []},
         {"dim": 2, "hyperplanes": 5},
-    ], ids=["missing-offset", "non-numeric-dim", "non-list-hyperplanes"])
+        {"dim": 2.5, "hyperplanes": []},
+        {"dim": True, "hyperplanes": []},
+        {"dim": "2", "hyperplanes": []},
+        {"dim": 2, "hyperplanes": [], "measure": dict(GAUSS_STANZA, dim=2.7)},
+        {"dim": 2, "hyperplanes": [], "measure": SMOOTHED_ZERO_NORMAL},
+    ], ids=["missing-offset", "non-numeric-dim", "non-list-hyperplanes",
+            "float-dim", "bool-dim", "string-dim", "float-measure-dim",
+            "zero-smoothed-normal"])
     def test_malformed_shape_exits_two(self, capsys, tmp_path, obj):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(obj))
@@ -355,6 +381,32 @@ class TestCli:
         code, report, err = run_cli(capsys, "verify-transversal", "--spec", str(path))
         assert code == 2 and report is None
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", [
+        "gen-n-zero", "gen-d-zero", "group-out-of-range", "group-negative", "report-is-list",
+        "groups-not-list", "witness-not-scalar", "witness-nested",
+    ])
+    def test_bad_arguments_and_reports_exit_two(self, capsys, tmp_path, six_file, case):
+        reports = {
+            "group-out-of-range": {"result": {"groups": [[0, 1, 9]]}},
+            "group-negative": {"result": {"groups": [[-1, 0, 1]]}},
+            "report-is-list": [{"result": {"groups": []}}],
+            "groups-not-list": {"result": {"groups": 5}},
+            "witness-not-scalar": {"result": {"groups": [], "witness": ["x", "y"]}},
+            "witness-nested": {"result": {"groups": [], "witness": [[1], [2]]}},
+        }
+        out = str(tmp_path / "out")
+        if case in reports:
+            rep_path = tmp_path / "report.json"
+            rep_path.write_text(json.dumps(reports[case]))
+            argv = ["plot", "--instance", six_file, "--out", out,
+                    "--partition-report", str(rep_path)]
+        else:
+            n, d = ("0", "2") if case == "gen-n-zero" else ("3", "0")
+            argv = ["gen", "--n", n, "--d", d, "--out", out]
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 2 and report is None
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_report_has_no_threads_field(self, capsys, tri_file):
         code, report, _ = run_cli(capsys, "center", "--instance", tri_file)

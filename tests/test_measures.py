@@ -76,6 +76,22 @@ class TestSampleFlats:
         with pytest.raises(ValueError):
             sample_flats(spec, 0)
 
+    @pytest.mark.parametrize("normal", [[0.0, 0.0], [1.0], [1.0, 0.0, 0.0]],
+                             ids=["zero", "short", "long"])
+    def test_bad_smoothed_normal_rejected(self, normal):
+        with pytest.raises(ValueError, match="nonzero vector of length 2"):
+            FlatMeasureSpec(2, 1, "smoothed-points",
+                            {"flats": [[[1.0, 0.0], 0.0], [normal, 1.0]], "sigma": 0.1})
+
+    @pytest.mark.parametrize("field,value", [
+        ("dim", 2.7), ("dim", "2"), ("codim", True), ("seed", 1.5),
+    ])
+    def test_spec_json_integers_strict(self, field, value):
+        obj = FlatMeasureSpec(2, 1, "gaussian-offset", seed=3).to_json()
+        obj[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FlatMeasureSpec.from_json(obj)
+
     def test_spec_json_round_trip(self):
         spec = FlatMeasureSpec(3, 1, "gaussian-offset", {"mean": 1.0}, seed=9)
         assert FlatMeasureSpec.from_json(spec.to_json()) == spec
@@ -334,6 +350,23 @@ class TestSearchCenterSampled:
         p = search_center_sampled(spec, 3000)
         assert math.hypot(*[float(c) for c in p]) <= 0.5
         rep = verify_dual_cpt_measure(spec, [float(c) for c in p], 3000, 360)
+        assert rep.passed
+
+    def test_near_parallel_clusters_pass(self):
+        # The exact center of the 10-hyperplane subsample lands far from the
+        # sampled mass here; the mean of the feet is the better start.
+        spec = FlatMeasureSpec(
+            3, 1, "smoothed-points",
+            {"flats": [
+                [[0.9920844575071874, -0.07982212708193637, -0.09693738804395764],
+                 0.643155711809579],
+                [[0.9539629200315721, -0.13508507965070654, -0.2677811951213134],
+                 1.0386997456804319],
+            ], "sigma": 0.17492651495309508},
+            seed=8859,
+        )
+        p = search_center_sampled(spec, 10_000)
+        rep = verify_dual_cpt_measure(spec, [float(c) for c in p], 10_000, 720)
         assert rep.passed
 
     def test_codimension_checked(self):
