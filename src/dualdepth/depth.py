@@ -6,7 +6,8 @@ x is met by every ray (the crossing at t = 0 counts); a hyperplane parallel
 to the ray and not through x is never met.  This makes the depth a function
 of the arrangement face containing x alone.
 
-Two exact combinatorial searches do the heavy lifting:
+Two exact combinatorial searches do the heavy lifting, both over the edge
+directions of ``_edge_blocks``:
 
 * ``hemisphere_depth`` minimizes the number of strictly-positive inner
   products over all directions.  The count can only drop when a direction
@@ -47,18 +48,20 @@ from .geometry import (
     cofactor_direction,
     dot,
     ensure_general_position,
+    exact_int_array,
     fraction_nullspace,
     fraction_rank,
     scale_to_int,
     solve_int_square,
     solve_underdetermined,
+    stacked_cofactors,
+    subset_blocks,
+    vertex_blocks,
 )
 
-_NUMPY_SAFE = 1 << 62
 
-
-def _unit(dim: int, axis: int = 0, sign: int = 1) -> Direction:
-    return tuple(Fraction(sign if i == axis else 0) for i in range(dim))
+def _unit(dim: int) -> Direction:
+    return tuple(Fraction(int(i == 0)) for i in range(dim))
 
 
 def _sign(v) -> int:
@@ -68,6 +71,21 @@ def _sign(v) -> int:
 # ---------------------------------------------------------------------------
 # Direction-space searches
 # ---------------------------------------------------------------------------
+
+def _edge_blocks(ints: list[tuple[int, ...]], dim: int):
+    """Edge directions of the central arrangement {u : v . u = 0, v in ints}.
+
+    Yields ``(dirs, D)`` over the (dim-1)-subsets of ``ints`` in
+    combinations order, in blocks: ``dirs`` holds the nonzero cofactor
+    directions (a rank-deficient subset's edge shows up elsewhere) and
+    ``D = dirs @ A.T`` their exact products with every vector.
+    """
+    A = exact_int_array(ints, dim)
+    for subsets in subset_blocks(len(ints), dim - 1):
+        dirs = stacked_cofactors(A[subsets])
+        dirs = dirs[(dirs != 0).any(axis=1)]
+        yield dirs, dirs @ A.T
+
 
 def hemisphere_depth(vectors: Sequence[Sequence], dim: Optional[int] = None):
     """Exact min over directions u != 0 of #{w : w . u > 0}, with a witness.
@@ -87,31 +105,25 @@ def hemisphere_depth(vectors: Sequence[Sequence], dim: Optional[int] = None):
     if not vecs:
         return 0, _unit(dim)
 
-    ints = [scale_to_int(v) for v in vecs]
-    if dim == 1:
-        pos = sum(1 for w in ints if w[0] > 0)
-        neg = len(ints) - pos
-        return (pos, _unit(1)) if pos <= neg else (neg, _unit(1, sign=-1))
-
-    if fraction_rank(vecs) < dim:
-        null = fraction_nullspace(vecs, dim)[0]
-        return 0, null
-
     best = None
     witness = None
-    for sub in itertools.combinations(range(len(ints)), dim - 1):
-        v = cofactor_direction([ints[i] for i in sub], dim)
-        if all(c == 0 for c in v):
-            continue  # subset rank-deficient; its edge shows up elsewhere
-        dots = [sum(a * b for a, b in zip(w, v)) for w in ints]
-        pos = sum(1 for t in dots if t > 0)
-        neg = sum(1 for t in dots if t < 0)
-        for count, u in ((pos, v), (neg, tuple(-c for c in v))):
-            if best is None or count < best:
-                best = count
-                witness = u
+    for dirs, D in _edge_blocks([scale_to_int(v) for v in vecs], dim):
+        if not len(dirs):
+            continue
+        if best is None and not (D[0] != 0).any():
+            # an edge orthogonal to every vector: they span less than R^dim,
+            # and a full-rank family has no such edge
+            break
+        # counts in (pos_0, neg_0, pos_1, ...) order; the first minimum wins
+        counts = np.stack([(D > 0).sum(axis=1), (D < 0).sum(axis=1)], axis=1).ravel()
+        k = int(counts.argmin())
+        if best is None or counts[k] < best:
+            best = int(counts[k])
+            witness = [c if k % 2 == 0 else -c for c in dirs[k // 2].tolist()]
         if best == 0:
             break
+    if best is None:
+        return 0, fraction_nullspace(vecs, dim)[0]
     return best, tuple(Fraction(c) for c in witness)
 
 
@@ -144,52 +156,48 @@ def _max_strict(vecs: list[tuple[Fraction, ...]], dim: int):
 
 
 def _max_strict_fullrank(ints: list[tuple[int, ...]], dim: int):
-    if dim == 1:
-        pos = sum(1 for v in ints if v[0] > 0)
-        neg = sum(1 for v in ints if v[0] < 0)
-        return (pos, (Fraction(1),)) if pos >= neg else (neg, (Fraction(-1),))
     best = -1
     witness = None
     m = len(ints)
-    for sub in itertools.combinations(range(m), dim - 1):
-        edge = cofactor_direction([ints[i] for i in sub], dim)
-        if all(c == 0 for c in edge):
-            continue
-        for u0 in (edge, tuple(-c for c in edge)):
-            vals = [sum(a * b for a, b in zip(v, u0)) for v in ints]
-            base = sum(1 for t in vals if t > 0)
-            zero_idx = [i for i, t in enumerate(vals) if t == 0]
-            if not zero_idx:
-                if base > best:
-                    best = base
-                    witness = tuple(Fraction(c) for c in u0)
-                continue
-            if base + len(zero_idx) <= best:
-                continue
-            # vectors vanishing at u0 are orthogonal to it; resolve them
-            # one dimension down and perturb the edge into the best cell
-            extra, z = _max_strict([ints[i] for i in zero_idx], dim)
-            total = base + extra
-            if total <= best:
-                continue
-            u0f = tuple(Fraction(c) for c in u0)
-            if extra == 0:
-                best, witness = total, u0f
-                continue
-            # perturb along z, small enough to keep every strict sign
-            delta = None
-            for i, t in enumerate(vals):
-                if t == 0:
+    for dirs, D in _edge_blocks(ints, dim):
+        pos = (D > 0).sum(axis=1).tolist()
+        neg = (D < 0).sum(axis=1).tolist()
+        zeros = (D == 0).sum(axis=1).tolist()
+        for j, edge in enumerate(dirs.tolist()):
+            for sgn, base in ((1, pos[j]), (-1, neg[j])):
+                u0 = edge if sgn == 1 else [-c for c in edge]
+                if not zeros[j]:
+                    if base > best:
+                        best = base
+                        witness = tuple(Fraction(c) for c in u0)
                     continue
-                vz = dot(ints[i], z)
-                if vz != 0:
-                    cap = Fraction(abs(t)) / abs(vz)
-                    delta = cap if delta is None else min(delta, cap)
-            delta = (delta / 2) if delta is not None else Fraction(1)
-            u = tuple(a + delta * b for a, b in zip(u0f, z))
-            best, witness = total, u
-        if best == m:
-            break
+                if base + zeros[j] <= best:
+                    continue
+                # vectors vanishing at u0 are orthogonal to it; resolve them
+                # one dimension down and perturb the edge into the best cell
+                vals = [sgn * t for t in D[j].tolist()]
+                extra, z = _max_strict([v for v, t in zip(ints, vals) if t == 0], dim)
+                total = base + extra
+                if total <= best:
+                    continue
+                u0f = tuple(Fraction(c) for c in u0)
+                if extra == 0:
+                    best, witness = total, u0f
+                    continue
+                # perturb along z, small enough to keep every strict sign
+                delta = None
+                for v, t in zip(ints, vals):
+                    if t == 0:
+                        continue
+                    vz = dot(v, z)
+                    if vz != 0:
+                        cap = Fraction(abs(t)) / abs(vz)
+                        delta = cap if delta is None else min(delta, cap)
+                delta = (delta / 2) if delta is not None else Fraction(1)
+                u = tuple(a + delta * b for a, b in zip(u0f, z))
+                best, witness = total, u
+            if best == m:
+                return best, witness
     return best, witness
 
 
@@ -263,39 +271,19 @@ class DepthCertificate:
     meets_bound: bool
 
 
-def _candidate_directions(normals: list[tuple[int, ...]], dim: int):
-    """Edge directions of the central arrangement of all instance normals."""
-    if dim == 1:
-        return [(1,)]
-    dirs = []
-    for sub in itertools.combinations(range(len(normals)), dim - 1):
-        v = cofactor_direction([normals[i] for i in sub], dim)
-        if any(c != 0 for c in v):
-            dirs.append(v)
-    return dirs
-
-
-def _sign_table(normals: list[tuple[int, ...]], dirs: list[tuple[int, ...]]) -> np.ndarray:
-    """S[j, i] = sign(normal_i . dir_j) as an int8 array, computed exactly."""
-    max_a = max((abs(c) for a in normals for c in a), default=0)
-    max_v = max((abs(c) for v in dirs for c in v), default=0)
-    d = len(normals[0])
-    if max_a and max_v and max_a * max_v * d < _NUMPY_SAFE:
-        A = np.array(normals, dtype=np.int64)
-        V = np.array(dirs, dtype=np.int64)
-        return np.sign(V @ A.T).astype(np.int8)
-    S = np.zeros((len(dirs), len(normals)), dtype=np.int8)
-    for j, v in enumerate(dirs):
-        for i, a in enumerate(normals):
-            S[j, i] = _sign(sum(x * y for x, y in zip(a, v)))
-    return S
+def _first_min(counts: np.ndarray):
+    """Column of the first least entry of each row, and that entry."""
+    j = counts.argmin(axis=1)
+    return j, counts[np.arange(len(j)), j]
 
 
 def max_depth_point(F: Instance) -> DepthCertificate:
     """Exact global maximizer of dual_depth over R^d.
 
     Requires general position.  Ties between maximizing vertices break to
-    the lexicographically smallest exact point.
+    the lexicographically smallest exact point; a vertex's witness is the
+    first direction of least count on the side (pos or neg) whose least
+    count is smaller, pos on a tie.
     """
     ensure_general_position(F)
     n, d = F.n, F.dim
@@ -309,39 +297,39 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         point = solve_underdetermined(rows, rhs)
         return DepthCertificate(point, n, _unit(d), bound, n >= bound)
 
-    normals, offsets = F.scaled()
-    dirs = _candidate_directions(normals, d)
-    S = _sign_table(normals, dirs)
+    normals, _ = F.scaled()
+    blocks = list(_edge_blocks(normals, d))
+    dirs = np.concatenate([b[0] for b in blocks])
+    S = np.concatenate([b[1] for b in blocks])
+    # hyperplane i counts for direction j from a vertex on side s_i when
+    # s_i * S[j, i] > 0: pos = P.Sp^T + N.Sn^T, neg = P.Sn^T + N.Sp^T,
+    # as 0/1 products in float32 (exact: every count is at most n)
+    same = np.concatenate([S > 0, S < 0], axis=1).astype(np.float32).T
+    opposite = np.concatenate([S < 0, S > 0], axis=1).astype(np.float32).T
 
     best_depth = -1
     best_point: Optional[Point] = None
     best_witness: Optional[Direction] = None
-    for sub in itertools.combinations(range(n), d):
-        nums, den = F.vertex(sub)
-        signs = np.zeros(n, dtype=np.int8)
-        for i in range(n):
-            if i in sub:
-                continue
-            r = offsets[i] * den - sum(a * v for a, v in zip(normals[i], nums))
-            signs[i] = _sign(r)
-        M = S * signs[np.newaxis, :]
-        pos = (M > 0).sum(axis=1)
-        neg = (M < 0).sum(axis=1)
-        jp = int(pos.argmin())
-        jn = int(neg.argmin())
-        if pos[jp] <= neg[jn]:
-            hemi, j, flip = int(pos[jp]), jp, 1
-        else:
-            hemi, j, flip = int(neg[jn]), jn, -1
-        depth = d + hemi
-        if depth < best_depth:
+    for _, nums, den, R in vertex_blocks(F):
+        sides = np.concatenate([R > 0, R < 0], axis=1).astype(np.float32)
+        jp, least_pos = _first_min(sides @ same)
+        jn, least_neg = _first_min(sides @ opposite)
+        use_pos = least_pos <= least_neg
+        depth = d + np.where(use_pos, least_pos, least_neg).astype(np.int64)
+        top = int(depth.max())
+        if top < best_depth:
             continue
-        point = tuple(Fraction(v, den) for v in nums)
-        if depth == best_depth and not point < best_point:
+        points = {
+            int(v): tuple(Fraction(c, int(den[v])) for c in nums[v].tolist())
+            for v in np.flatnonzero(depth == top)
+        }
+        v = min(points, key=points.__getitem__)
+        if top == best_depth and not points[v] < best_point:
             continue
-        best_depth = depth
-        best_point = point
-        best_witness = tuple(Fraction(flip * c) for c in dirs[j])
+        best_depth = top
+        best_point = points[v]
+        flip, j = (1, jp[v]) if use_pos[v] else (-1, jn[v])
+        best_witness = tuple(Fraction(flip * c) for c in dirs[j].tolist())
     return DepthCertificate(best_point, best_depth, best_witness, bound, best_depth >= bound)
 
 
@@ -412,9 +400,7 @@ def discrete_centerpoint(P: Sequence[Point], candidate_limit: int = 200_000) -> 
         return (vals[(n - 1) // 2],)
 
     hps = _spanned_hyperplanes(pts, d)
-    n_candidates = 1
-    for k in range(d):
-        n_candidates = n_candidates * max(len(hps) - k, 1) // (k + 1)
+    n_candidates = math.comb(len(hps), d)
     target = max(d + 1, (2 * n) // 3)
     if n_candidates > candidate_limit and target < n:
         ordered = sorted(pts)
@@ -457,11 +443,18 @@ def _screen_candidates(candidates, pts, hps, cap: int = 600):
     the callers already accept.
     """
     tol = 1e-9
-    cand = np.array([[float(v) for v in p] for p in candidates])
-    pa = np.array([[float(v) for v in p] for p in pts])
-    vs = np.array([[float(v) for v in h[0]] for h in hps])
-    norms = np.linalg.norm(vs, axis=1, keepdims=True)
-    vs = vs / np.where(norms == 0.0, 1.0, norms)
+    # side counts are invariant under one positive scale of all points and
+    # under a positive scale of each normal: scale exactly to entries of at
+    # most 1 before going to floats, so nothing overflows and the tolerance
+    # is relative to the data
+    scale = max(abs(v) for p in itertools.chain(pts, candidates) for v in p) or 1
+    cand = np.array([[float(v / scale) for v in p] for p in candidates])
+    pa = np.array([[float(v / scale) for v in p] for p in pts])
+    vs = np.array([
+        [float(Fraction(c, max(abs(x) for x in normal))) for c in normal]
+        for normal, _ in hps
+    ])
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     pv = pa @ vs.T  # (n, m)
     upper = np.empty(len(candidates))
     block = 4096

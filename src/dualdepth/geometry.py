@@ -9,6 +9,9 @@ answers through these primitives.
 Internally most hot paths run on integer-scaled copies of the data (each
 hyperplane multiplied by the lcm of its denominators), which preserves every
 sign and every intersection point while keeping arithmetic in plain ints.
+The batched kernels (``stacked_cofactors``, ``vertex_blocks``) run the same
+integer arithmetic on numpy arrays: int64 when a bound computed from the
+input proves that nothing overflows, Python ints (``dtype=object``) otherwise.
 """
 
 from __future__ import annotations
@@ -19,9 +22,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 Scalar = Fraction
 Point = tuple[Fraction, ...]
 Direction = tuple[Fraction, ...]
+
+# Magnitude below which every product and partial sum of the int64 kernels
+# stays exact.
+_NUMPY_SAFE = 1 << 62
+# Subsets per block of the batched kernels; bounds their working memory.
+_BLOCK = 256
 
 
 class GeometryError(Exception):
@@ -144,6 +155,53 @@ def cofactor_direction(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ..
         minor = [[r[c] for c in range(dim) if c != j] for r in rows]
         out.append((-1) ** j * int_det(minor))
     return tuple(out)
+
+
+def exact_int_array(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """Integer rows as an (m, width) array in a dtype the batched kernels keep exact.
+
+    With every entry at most M in absolute value, a cofactor of width-1 rows
+    is at most (width-1)! * M^(width-1), and its dot product with one more
+    row at most width! * M^width; every partial sum of the expansions obeys
+    the same bound.  Below ``_NUMPY_SAFE`` the array is int64, otherwise it
+    holds Python ints (dtype=object) and the same array code runs exactly.
+    """
+    max_abs = max((abs(c) for r in rows for c in r), default=0)
+    exact64 = math.factorial(width) * max_abs**width < _NUMPY_SAFE
+    return np.array(rows, dtype=np.int64 if exact64 else object).reshape(len(rows), width)
+
+
+def subset_blocks(n: int, r: int):
+    """The r-subsets of range(n) in combinations order, as (B, r) index blocks."""
+    it = itertools.combinations(range(n), r)
+    while chunk := list(itertools.islice(it, _BLOCK)):
+        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), r)
+
+
+def stacked_cofactors(rows: np.ndarray) -> np.ndarray:
+    """Cofactor vectors of a stack of (k-1) x k integer matrices, exactly.
+
+    ``rows`` has shape (B, k-1, k); row b of the result is
+    ``cofactor_direction(rows[b], k)``.  The minors of the leading r rows are
+    built for every r-subset of columns by expanding along row r, one array
+    operation per (subset, column), so the arithmetic stays in the dtype of
+    ``rows`` (see ``exact_int_array`` for when int64 is exact).
+    """
+    count, m, k = rows.shape
+    minors = {(): np.ones(count, dtype=rows.dtype)}
+    for r in range(m):
+        grown = {}
+        for cols in itertools.combinations(range(k), r + 1):
+            acc = np.zeros(count, dtype=rows.dtype)
+            for p, c in enumerate(cols):
+                term = rows[:, r, c] * minors[cols[:p] + cols[p + 1:]]
+                acc = acc - term if (r + p) % 2 else acc + term
+            grown[cols] = acc
+        minors = grown
+    full = tuple(range(k))
+    return np.stack(
+        [(-1) ** j * minors[full[:j] + full[j + 1:]] for j in range(k)], axis=1
+    )
 
 
 def scale_to_int(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -339,8 +397,8 @@ class Instance:
     """A family of hyperplanes in R^d, optionally colored.
 
     Treated as an immutable value; private fields cache derived data
-    (integer-scaled coefficients, vertex solutions, the general-position
-    verdict) so repeated queries stay cheap.
+    (integer-scaled coefficients, the general-position verdict) so repeated
+    queries stay cheap.
     """
 
     dim: int
@@ -349,7 +407,6 @@ class Instance:
     metadata: dict = field(default_factory=dict)
 
     _scaled: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _vertices: Optional[dict] = field(default=None, repr=False, compare=False)
     _gp: Optional[GeneralPositionResult] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -384,15 +441,9 @@ class Instance:
         return classes
 
     def vertex(self, subset: tuple[int, ...]):
-        """Cached common point of a d-subset as (numerators, den>0), or None."""
-        if self._vertices is None:
-            self._vertices = {}
-        if subset not in self._vertices:
-            normals, offsets = self.scaled()
-            rows = [normals[i] for i in subset]
-            rhs = [offsets[i] for i in subset]
-            self._vertices[subset] = solve_int_square(rows, rhs)
-        return self._vertices[subset]
+        """Common point of a d-subset as (numerators, den>0), or None."""
+        normals, offsets = self.scaled()
+        return solve_int_square([normals[i] for i in subset], [offsets[i] for i in subset])
 
     def vertex_point(self, subset: tuple[int, ...]) -> Optional[Point]:
         sol = self.vertex(subset)
@@ -402,35 +453,61 @@ class Instance:
         return tuple(Fraction(v, den) for v in nums)
 
 
+def vertex_blocks(F: Instance):
+    """Every d-subset's common point with its residuals, in blocks.
+
+    Yields ``(subsets, nums, den, R)`` over the d-subsets of F in
+    combinations order, at most ``_BLOCK`` per block.  ``subsets`` is (B, d);
+    ``nums`` (B, d) and ``den`` (B,) are what ``solve_int_square`` returns,
+    except that a singular subset has den = 0; ``R`` (B, n) holds
+    offset_i * den - normal_i . nums, which is zero exactly when hyperplane i
+    passes through the vertex.  Each vertex is the cofactor vector of the
+    rows (normal_i, -offset_i), which is proportional to (x, 1).
+    """
+    normals, offsets = F.scaled()
+    d = F.dim
+    rows = exact_int_array([a + (-b,) for a, b in zip(normals, offsets)], d + 1)
+    A, b = rows[:, :d], -rows[:, d]
+    for subsets in subset_blocks(F.n, d):
+        cof = stacked_cofactors(rows[subsets])
+        sign = np.where(cof[:, d] < 0, -1, 1)
+        den = cof[:, d] * sign
+        nums = cof[:, :d] * sign[:, np.newaxis]
+        yield subsets, nums, den, b * den[:, np.newaxis] - nums @ A.T
+
+
 def check_general_position(F: Instance) -> GeneralPositionResult:
     """Exhaustive general-position check over all d- and (d+1)-subsets.
 
-    Exact and brute force; intended for desk-scale n (<= ~30).  The verdict
-    is cached on the instance.
+    Exact and brute force over the vertex table.  The reported violation is
+    the first singular d-subset in combinations order, else the first
+    (d+1)-subset whose members share a point.  The verdict is cached on the
+    instance.
     """
     if F._gp is not None:
         return F._gp
     d, n = F.dim, F.n
-    normals, offsets = F.scaled()
-    result = None
-    for sub in itertools.combinations(range(n), min(d, n)):
-        if len(sub) < d:
-            # fewer hyperplanes than d: require independent normals instead
-            if fraction_rank([F.hyperplanes[i].normal for i in sub]) < len(sub):
-                result = GeneralPositionResult(False, sub, "degenerate")
-            break
-        if F.vertex(sub) is None:
-            result = GeneralPositionResult(False, sub, "degenerate")
-            break
-    if result is None and n >= d + 1:
-        for sub in itertools.combinations(range(n), d + 1):
-            nums, den = F.vertex(sub[:d])
-            j = sub[d]
-            if sum(a * v for a, v in zip(normals[j], nums)) == offsets[j] * den:
-                result = GeneralPositionResult(False, sub, "concurrent")
+    result = GeneralPositionResult(True)
+    if n < d:
+        # fewer hyperplanes than d: require independent normals instead
+        if fraction_rank([h.normal for h in F.hyperplanes]) < n:
+            result = GeneralPositionResult(False, tuple(range(n)), "degenerate")
+    else:
+        # a singular d-subset anywhere outranks every concurrent (d+1)-subset
+        violation = None
+        for subsets, _, den, R in vertex_blocks(F):
+            singular = np.flatnonzero(den == 0)
+            if singular.size:
+                violation = (tuple(subsets[singular[0]].tolist()), "degenerate")
                 break
-    if result is None:
-        result = GeneralPositionResult(True)
+            if violation is None:
+                # (d+1)-subset sub + (j,) with j > max(sub), in combinations order
+                hits = np.flatnonzero((R == 0) & (np.arange(n) > subsets[:, -1:]))
+                if hits.size:
+                    v, j = divmod(int(hits[0]), n)
+                    violation = (tuple(subsets[v].tolist()) + (j,), "concurrent")
+        if violation is not None:
+            result = GeneralPositionResult(False, *violation)
     F._gp = result
     return result
 

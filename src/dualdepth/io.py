@@ -10,6 +10,8 @@ lenient mode.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -41,13 +43,38 @@ def scalar_to_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+# A decimal with an exponent, as Fraction reads it: digits, fraction digits, exponent.
+_EXPONENT_FORM = re.compile(
+    r"\s*[-+]?(\d[\d_]*)?(?:\.([\d_]*))?[eE]([-+]?\d[\d_]*)\s*", re.ASCII
+)
+
+
+def _exponent_digits(text: str) -> int:
+    """Digits of the numerator or denominator that a decimal exponent expands to.
+
+    Fraction turns "1e10000000" into a ten-million-digit integer; this upper
+    bound lets such input be refused before it is built.  Without an
+    exponent the int conversions inside Fraction are limited already.
+    """
+    m = _EXPONENT_FORM.fullmatch(text)
+    if m is None:
+        return 0
+    whole, frac, exp = (g.replace("_", "") if g else "" for g in m.groups())
+    mantissa = len((whole + frac).lstrip("0")) or 1
+    shift = int(exp) - len(frac)
+    return mantissa + shift if shift >= 0 else max(mantissa, 1 - shift)
+
+
 def parse_scalar(raw) -> Fraction:
     if isinstance(raw, bool):
         raise ParseError("bad-scalar", f"boolean is not a scalar: {raw!r}")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        limit = sys.get_int_max_str_digits()
         try:
+            if limit and _exponent_digits(raw) > limit:
+                raise ParseError("bad-scalar", f"scalar {raw!r} has more than {limit} digits")
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError("bad-scalar", f"cannot parse scalar {raw!r}") from exc

@@ -10,13 +10,33 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from fractions import Fraction
 
-import numpy as np
-import pytest
+# The count products and the center polish are small matrix products that
+# slow down many times over when BLAS threads contend with a parallel test
+# process; pin one thread before numpy loads its BLAS.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from dualdepth import Hyperplane, Instance, common_interior_point
-from dualdepth.geometry import solve_int_square
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from dualdepth import (  # noqa: E402
+    DepthCertificate,
+    GeneralPositionResult,
+    Hyperplane,
+    Instance,
+    common_interior_point,
+    ensure_general_position,
+)
+from dualdepth.geometry import (  # noqa: E402
+    cofactor_direction,
+    fraction_nullspace,
+    fraction_rank,
+    scale_to_int,
+    solve_int_square,
+)
 
 
 @pytest.fixture
@@ -133,3 +153,104 @@ def closed_feasible_by_vertex_enumeration(simplices) -> bool:
         if satisfies(p):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference loops for the batched exact kernels: one exact solve per vertex
+# and one Python dot loop per edge direction, with the kernels' tie rules.
+# ---------------------------------------------------------------------------
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _edge_directions(ints, dim):
+    dirs = []
+    for sub in itertools.combinations(range(len(ints)), dim - 1):
+        v = cofactor_direction([ints[i] for i in sub], dim)
+        if any(c != 0 for c in v):
+            dirs.append(v)
+    return dirs
+
+
+def hemisphere_depth_reference(vectors, dim):
+    """min over u of #{w : w . u > 0}; first strict minimum in (pos, neg) order."""
+    vecs = [tuple(Fraction(c) for c in v) for v in vectors]
+    if not vecs:
+        return 0, tuple(Fraction(int(i == 0)) for i in range(dim))
+    if fraction_rank(vecs) < dim:
+        return 0, fraction_nullspace(vecs, dim)[0]
+    ints = [scale_to_int(v) for v in vecs]
+    best = witness = None
+    for v in _edge_directions(ints, dim):
+        dots = [sum(a * b for a, b in zip(w, v)) for w in ints]
+        pos = sum(1 for t in dots if t > 0)
+        neg = sum(1 for t in dots if t < 0)
+        for count, u in ((pos, v), (neg, tuple(-c for c in v))):
+            if best is None or count < best:
+                best, witness = count, u
+    return best, tuple(Fraction(c) for c in witness)
+
+
+def dual_depth_reference(F: Instance, x):
+    x = tuple(Fraction(c) for c in x)
+    contained = 0
+    w = []
+    for h in F.hyperplanes:
+        s = _sign(sum(a * b for a, b in zip(h.normal, x)) - h.offset)
+        if s == 0:
+            contained += 1
+        else:
+            w.append(tuple(-s * c for c in h.normal))
+    hemi, witness = hemisphere_depth_reference(w, F.dim)
+    return contained + hemi, witness
+
+
+def max_depth_point_reference(F: Instance) -> DepthCertificate:
+    """Depth of every vertex from its own solve and sign loop (n >= d only).
+
+    Keeps the lexicographically least vertex of maximal depth; a vertex's
+    witness is the first least pos count unless the least neg count is
+    smaller, then the first least neg count.
+    """
+    ensure_general_position(F)
+    n, d = F.n, F.dim
+    normals, offsets = F.scaled()
+    dirs = _edge_directions(normals, d)
+    S = [[_sign(sum(a * v for a, v in zip(normal, u))) for normal in normals] for u in dirs]
+    best = None
+    for sub in itertools.combinations(range(n), d):
+        nums, den = solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub])
+        signs = [
+            _sign(offsets[i] * den - sum(a * v for a, v in zip(normals[i], nums)))
+            for i in range(n)
+        ]
+        pos = [sum(1 for s, t in zip(row, signs) if s * t > 0) for row in S]
+        neg = [sum(1 for s, t in zip(row, signs) if s * t < 0) for row in S]
+        jp = pos.index(min(pos))
+        jn = neg.index(min(neg))
+        hemi, j, flip = (pos[jp], jp, 1) if pos[jp] <= neg[jn] else (neg[jn], jn, -1)
+        point = tuple(Fraction(v, den) for v in nums)
+        key = (-(d + hemi), point)
+        if best is None or key < best[0]:
+            best = (key, tuple(Fraction(flip * c) for c in dirs[j]))
+    (neg_depth, point), witness = best
+    bound = (n + d) // (d + 1)
+    return DepthCertificate(point, -neg_depth, witness, bound, -neg_depth >= bound)
+
+
+def check_general_position_reference(F: Instance) -> GeneralPositionResult:
+    """First singular d-subset, else first concurrent (d+1)-subset (n >= d only)."""
+    d, n = F.dim, F.n
+    normals, offsets = F.scaled()
+    for sub in itertools.combinations(range(n), d):
+        if solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub]) is None:
+            return GeneralPositionResult(False, sub, "degenerate")
+    for sub in itertools.combinations(range(n), d + 1):
+        nums, den = solve_int_square(
+            [normals[i] for i in sub[:d]], [offsets[i] for i in sub[:d]]
+        )
+        j = sub[d]
+        if sum(a * v for a, v in zip(normals[j], nums)) == offsets[j] * den:
+            return GeneralPositionResult(False, sub, "concurrent")
+    return GeneralPositionResult(True)

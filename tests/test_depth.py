@@ -1,5 +1,6 @@
 """Ray-crossing depth, its maximization, and the Tukey-depth oracle."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -205,3 +206,15 @@ class TestTukeyDepth:
 
     def test_median_in_one_dimension(self):
         assert discrete_centerpoint([(Fraction(5),), (Fraction(1),), (Fraction(9),)]) == (5,)
+
+    def test_centerpoint_scale_invariant_past_float_range(self):
+        # 12 points span 66 lines and 1496 distinct candidates, so the float
+        # screen and its 600 cap run; at 10**200 its counts must still bound
+        P = [(-14, 19), (10, -30), (-6, 22), (3, -28), (16, 14), (21, -20),
+             (-25, 22), (-29, 3), (-26, -12), (-1, -5), (-6, -29), (-30, -23)]
+        P = [tuple(Fraction(v) for v in p) for p in P]
+        big = [tuple(10**200 * v for v in p) for p in P]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            c = discrete_centerpoint(P)
+            assert discrete_centerpoint(big) == tuple(10**200 * v for v in c)

@@ -1,0 +1,234 @@
+"""The batched exact kernels against per-vertex and per-direction loops.
+
+Every comparison runs on both array dtypes: int64 where the overflow bound
+allows it, Python ints (dtype=object) where it does not (sphere-tangent
+families in d >= 3 and float-lifted families always take that path).
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from dualdepth import (
+    Hyperplane,
+    Instance,
+    check_general_position,
+    dual_depth,
+    gen_instance,
+    hemisphere_depth,
+    max_depth_point,
+)
+from dualdepth.geometry import (
+    cofactor_direction,
+    exact_int_array,
+    solve_int_square,
+    stacked_cofactors,
+    vertex_blocks,
+)
+
+from conftest import (
+    check_general_position_reference,
+    dual_depth_reference,
+    hemisphere_depth_reference,
+    max_depth_point_reference,
+)
+
+# (model, d, n); the n=30 and n=14 families span more than one vertex block
+FAMILIES = [
+    ("random-rational", 2, 12),
+    ("random-rational", 2, 30),
+    ("random-rational", 3, 14),
+    ("random-rational", 4, 8),
+    ("random-rational", 5, 8),
+    ("perturbed-grid", 2, 10),
+    ("perturbed-grid", 3, 9),
+    ("perturbed-grid", 4, 8),
+    ("perturbed-grid", 5, 7),
+    ("uniform-sphere-tangent", 2, 10),
+    ("uniform-sphere-tangent", 3, 9),
+    ("uniform-sphere-tangent", 4, 7),
+    ("uniform-sphere-tangent", 5, 7),
+]
+
+
+def _float_lifted(n, d, seed):
+    """Hyperplanes with float coefficients lifted exactly, as the center search makes them."""
+    rng = np.random.default_rng(seed)
+    return Instance(d, [
+        Hyperplane(tuple(Fraction(float(c)) for c in rng.normal(size=d)),
+                   Fraction(float(rng.normal())))
+        for _ in range(n)
+    ])
+
+
+def _vertex_dtype(F):
+    return next(vertex_blocks(F))[1].dtype
+
+
+def _families():
+    for model, d, n in FAMILIES:
+        for seed in range(2):
+            yield f"{model}-d{d}-n{n}-s{seed}", gen_instance(model, n, d, seed=seed)
+    for d in (2, 3):
+        yield f"float-lifted-d{d}", _float_lifted(10, d, seed=d)
+
+
+CASES = list(_families())
+
+
+@pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
+def test_max_depth_point_matches_vertex_loop(F):
+    assert max_depth_point(F) == max_depth_point_reference(F)
+
+
+@pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
+def test_dual_depth_matches_direction_loop(F):
+    rng = np.random.default_rng(F.n * 10 + F.dim)
+    points = [F.vertex_point(tuple(range(F.dim)))]  # on d hyperplanes
+    points += [
+        tuple(Fraction(int(v), int(q)) for v, q in zip(rng.integers(-50, 51, F.dim),
+                                                       rng.integers(1, 9, F.dim)))
+        for _ in range(3)
+    ]
+    for x in points:
+        assert dual_depth(F, x) == dual_depth_reference(F, x)
+
+
+@pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
+def test_general_position_matches_subset_loop(F):
+    assert check_general_position(F) == check_general_position_reference(F)
+
+
+def test_bound_picks_dtype():
+    # width 2: int64 while 2! * M^2 < 2^62, i.e. M <= 2^30
+    assert exact_int_array([(2**30, -1)], 2).dtype == np.int64
+    assert exact_int_array([(2**31, -1)], 2).dtype == object
+    assert _vertex_dtype(gen_instance("random-rational", 8, 4, seed=0)) == np.int64
+    assert _vertex_dtype(gen_instance("uniform-sphere-tangent", 2, 2, seed=0)) == np.int64
+    # sphere-tangent coefficients reach ~2.3e7 in d=3: 4! * M^4 is far past 2^62
+    assert _vertex_dtype(gen_instance("uniform-sphere-tangent", 5, 3, seed=0)) == object
+
+
+def test_vertices_exact_just_under_the_bound():
+    # d=2, entries up to 915000: 3! * M^3 is just under 2^62, so int64 is used
+    rng = np.random.default_rng(5)
+    hs = [
+        Hyperplane(tuple(Fraction(int(c)) for c in rng.integers(900_000, 915_000, 2)
+                         * rng.choice([-1, 1], 2)),
+                   Fraction(int(rng.integers(-915_000, 915_000))))
+        for _ in range(12)
+    ]
+    F = Instance(2, hs)
+    normals, offsets = F.scaled()
+    for subsets, nums, den, R in vertex_blocks(F):
+        assert nums.dtype == np.int64 and R.dtype == np.int64
+        for sub, nu, de, r in zip(subsets.tolist(), nums.tolist(), den.tolist(), R.tolist()):
+            sol = solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub])
+            assert sol == (tuple(nu), de)
+            assert r == [b * de - sum(a * v for a, v in zip(normal, nu))
+                         for normal, b in zip(normals, offsets)]
+    assert max_depth_point(F) == max_depth_point_reference(F)
+
+
+@pytest.mark.parametrize("scale", [1, 10**25])
+def test_stacked_cofactors_match_cofactor_direction(scale):
+    rng = np.random.default_rng(3)
+    for k in range(1, 7):
+        mats = [[[int(c) * scale for c in row] for row in mat]
+                for mat in rng.integers(-60, 61, size=(30, k - 1, k))]
+        arr = np.array(mats, dtype=np.int64 if scale == 1 else object).reshape(30, k - 1, k)
+        out = stacked_cofactors(arr)
+        for b in range(30):
+            assert tuple(out[b].tolist()) == cofactor_direction(mats[b], k)
+
+
+@pytest.mark.parametrize("scale", [1, 10**25])
+def test_hemisphere_depth_matches_direction_loop(scale):
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3, 4):
+        for m in (1, 2, 5, 9):
+            vecs = [tuple(int(c) * scale for c in v) for v in rng.integers(-4, 5, size=(m, dim))]
+            vecs = [v for v in vecs if any(v)]
+            if vecs:
+                assert hemisphere_depth(vecs) == hemisphere_depth_reference(vecs, dim)
+
+
+def test_hemisphere_depth_rank_deficient():
+    # all in the plane x3 = 0, then all on one line: the witness is the null space's
+    plane = [(1, 2, 0), (-3, 1, 0), (2, -5, 0), (1, 1, 0)]
+    line = [(2, 4, 6), (-1, -2, -3), (3, 6, 9)]
+    for vecs in (plane, line, [(10**30, 0, 0), (-1, 0, 0)]):
+        assert hemisphere_depth(vecs) == hemisphere_depth_reference(vecs, 3)
+        assert hemisphere_depth(vecs)[0] == 0
+
+
+def _random_planes(n, d, seed, big=1):
+    rng = np.random.default_rng(seed)
+    return [
+        Hyperplane(tuple(Fraction(int(c) * big) for c in rng.integers(-40, 41, d)),
+                   Fraction(int(rng.integers(-40, 41)) * big, 7))
+        for _ in range(n)
+    ]
+
+
+def _through(point, normal):
+    normal = tuple(Fraction(c) for c in normal)
+    return Hyperplane(normal, sum(a * b for a, b in zip(normal, point)))
+
+
+def _degenerate_families():
+    # d=2: lines 2 and 4 parallel; (0, 1, 3) concurrent comes earlier in the
+    # (d+1)-order, but every d-subset is checked first
+    hs = _random_planes(6, 2, seed=1)
+    hs[4] = Hyperplane(tuple(3 * c for c in hs[2].normal), hs[2].offset + 1)
+    hs[3] = _through(Instance(2, hs[:2]).vertex_point((0, 1)), (7, -2))
+    yield "parallel-after-concurrent", Instance(2, hs), (2, 4), "degenerate"
+    # d=2: lines 1, 3, 5 share a point
+    hs = _random_planes(7, 2, seed=2)
+    p = Instance(2, hs).vertex_point((1, 3))
+    hs[5] = _through(p, (5, 11))
+    yield "concurrent-135", Instance(2, list(hs)), (1, 3, 5), "concurrent"
+    # d=2: two triples, (1, 3, 5) and the earlier (0, 4, 6)
+    hs[6] = _through(Instance(2, hs).vertex_point((0, 4)), (-6, 13))
+    yield "two-concurrent-triples", Instance(2, hs), (0, 4, 6), "concurrent"
+    # d=2: lines 2, 3, 5 and 6 through one point
+    hs = _random_planes(8, 2, seed=7)
+    p = Instance(2, hs).vertex_point((2, 3))
+    hs[5], hs[6] = _through(p, (3, 8)), _through(p, (-9, 2))
+    yield "four-through-one-point", Instance(2, hs), (2, 3, 5), "concurrent"
+    # d=3: planes 1, 2, 4, 6 share a point
+    hs = _random_planes(8, 3, seed=3)
+    p = Instance(3, hs).vertex_point((1, 2, 4))
+    hs[6] = _through(p, (2, -3, 5))
+    yield "concurrent-1246", Instance(3, hs), (1, 2, 4, 6), "concurrent"
+    # d=3 with coefficients past the int64 bound, concurrency at (0, 2, 3, 5)
+    hs = _random_planes(7, 3, seed=4, big=10**12)
+    p = Instance(3, hs).vertex_point((0, 2, 3))
+    hs[5] = _through(p, (10**13 + 1, -3, 5))
+    yield "object-concurrent-0235", Instance(3, hs), (0, 2, 3, 5), "concurrent"
+    # d=2, n=30: the parallel pair (27, 29) sits in the second vertex block,
+    # after the concurrent triple (0, 1, 2) of the first
+    hs = _random_planes(30, 2, seed=5)
+    hs[29] = Hyperplane(tuple(-c for c in hs[27].normal), -hs[27].offset + 2)
+    hs[2] = _through(Instance(2, hs).vertex_point((0, 1)), (1, 9))
+    yield "parallel-second-block", Instance(2, hs), (27, 29), "degenerate"
+    # d=2, n=30: concurrency only in the second block
+    hs = _random_planes(30, 2, seed=6)
+    hs[28] = _through(Instance(2, hs).vertex_point((20, 25)), (4, -9))
+    yield "concurrent-second-block", Instance(2, hs), (20, 25, 28), "concurrent"
+
+
+DEGENERATE = list(_degenerate_families())
+
+
+@pytest.mark.parametrize(
+    "F,violation,reason",
+    [case[1:] for case in DEGENERATE],
+    ids=[case[0] for case in DEGENERATE],
+)
+def test_first_violation_matches_subset_loop(F, violation, reason):
+    gp = check_general_position(F)
+    assert gp == check_general_position_reference(F)
+    assert (gp.ok, gp.violation, gp.reason) == (False, violation, reason)
+    assert all(type(i) is int for i in gp.violation)

@@ -29,9 +29,12 @@ class TestScalarSerialization:
         assert parse_scalar(5) == Fraction(5)
         assert parse_scalar("0.25") == Fraction(1, 4)
         assert parse_scalar(0.25) == Fraction(1, 4)
+        # up to Python's int-conversion limit of 4300 digits
+        assert parse_scalar("1.5e4299") == 15 * 10**4298
+        assert parse_scalar("1e-4299") == Fraction(1, 10**4299)
 
     def test_bad_scalars(self):
-        for raw in ("x", "1/0", True, None):
+        for raw in ("x", "1/0", True, None, "1e4300", "1e-4300", "0e99999999"):
             with pytest.raises(ParseError):
                 parse_scalar(raw)
 
@@ -148,6 +151,8 @@ class TestInstanceRoundTrip:
          "malformed-json"),
         ({"dim": 2, "hyperplanes": [], "measure": SMOOTHED_ZERO_NORMAL}, "malformed-json"),
         ({"dim": 1, "hyperplanes": [{"normal": [float("inf")], "offset": 0}]},
+         "bad-scalar"),
+        ({"dim": 1, "hyperplanes": [{"normal": ["1"], "offset": "1e10000000"}]},
          "bad-scalar"),
     ])
     def test_malformed_shapes_rejected(self, obj, code):
@@ -347,9 +352,10 @@ class TestCli:
         {"dim": "2", "hyperplanes": []},
         {"dim": 2, "hyperplanes": [], "measure": dict(GAUSS_STANZA, dim=2.7)},
         {"dim": 2, "hyperplanes": [], "measure": SMOOTHED_ZERO_NORMAL},
+        {"dim": 1, "hyperplanes": [{"normal": ["1"], "offset": "1e10000000"}]},
     ], ids=["missing-offset", "non-numeric-dim", "non-list-hyperplanes",
             "float-dim", "bool-dim", "string-dim", "float-measure-dim",
-            "zero-smoothed-normal"])
+            "zero-smoothed-normal", "huge-exponent"])
     def test_malformed_shape_exits_two(self, capsys, tmp_path, obj):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(obj))
