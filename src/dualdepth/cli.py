@@ -20,7 +20,14 @@ from . import __version__
 from .depth import dual_depth, max_depth_point
 from .generators import MODELS, gen_instance
 from .geometry import GeometryError, check_general_position
-from .io import ParseError, instance_measure, parse_instance, scalar_to_str, write_instance
+from .io import (
+    ParseError,
+    instance_measure,
+    parse_instance,
+    parse_scalar,
+    scalar_to_str,
+    write_instance,
+)
 from .measures import search_center_sampled, verify_dual_cpt_measure, verify_dual_ctr, FlatMeasureSpec
 from .svg import render_svg
 from .tverberg import (
@@ -54,13 +61,29 @@ def _load_instance(path: str, strict: bool = False):
 
 def _parse_point(text: str):
     try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(parse_scalar(part) for part in text.split(","))
+    except ParseError as exc:
         raise InputError(f"bad point {text!r}: {exc}") from exc
 
 
+def _floats(point) -> list[float]:
+    """Float view of an exact point, for the sampled commands."""
+    try:
+        return [float(c) for c in point]
+    except OverflowError as exc:
+        raise InputError("a point coordinate is outside float range") from exc
+
+
+def _scalar_json(v) -> str:
+    try:
+        return scalar_to_str(Fraction(v))
+    except ValueError as exc:  # past the int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"a result scalar has more than {limit} digits") from exc
+
+
 def _point_json(p):
-    return [scalar_to_str(Fraction(c)) for c in p]
+    return [_scalar_json(c) for c in p]
 
 
 def _certificate_json(cert):
@@ -79,7 +102,7 @@ def _partition_json(res):
         "type": "PartitionResult",
         "groups": [list(g) for g in res.groups],
         "witness": _point_json(res.witness),
-        "margin": scalar_to_str(Fraction(res.margin)),
+        "margin": _scalar_json(res.margin),
         "strict": res.strict,
         "metadata": res.metadata,
     }
@@ -251,9 +274,7 @@ def _run(args, argv) -> int:
                 point = _parse_point(args.point)
             else:
                 point = search_center_sampled(spec, args.samples)
-            rep = verify_dual_cpt_measure(
-                spec, [float(c) for c in point], args.samples, args.probes
-            )
+            rep = verify_dual_cpt_measure(spec, _floats(point), args.samples, args.probes)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         result = _verification_json(rep)
@@ -268,11 +289,11 @@ def _run(args, argv) -> int:
             obj = json.loads(raw)
             specs = [FlatMeasureSpec.from_json(s) for s in obj["measures"]]
             flat = obj["flat"]
-            point = [float(Fraction(str(v))) for v in flat["point"]]
+            point = _floats(parse_scalar(v) for v in flat["point"])
             directions = [
-                [float(Fraction(str(v))) for v in row] for row in flat.get("directions", [])
+                _floats(parse_scalar(v) for v in row) for row in flat.get("directions", [])
             ]
-        except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, AttributeError, ValueError, ParseError) as exc:
             raise InputError(f"bad transversal spec: {exc}") from exc
         try:
             rep = verify_dual_ctr(specs, point, directions, args.samples, args.probes)
@@ -290,12 +311,15 @@ def _run(args, argv) -> int:
                 with open(args.partition_report) as fh:
                     result = json.load(fh)["result"]
                 if witness is None and "witness" in result:
-                    witness = tuple(Fraction(v) for v in result["witness"])
+                    witness = tuple(parse_scalar(v) for v in result["witness"])
                 triangles = [form_simplex(inst, g).vertices for g in result["groups"]]
             except (OSError, KeyError, IndexError, TypeError, ValueError,
-                    ZeroDivisionError) as exc:
+                    ZeroDivisionError, ParseError) as exc:
                 raise InputError(f"bad partition report: {exc}") from exc
-        data = render_svg(inst, triangles=triangles, witness=witness)
+        try:
+            data = render_svg(inst, triangles=triangles, witness=witness)
+        except OverflowError as exc:
+            raise InputError("a coordinate to draw is outside float range") from exc
         with open(args.out, "wb") as fh:
             fh.write(data)
         _emit(argv, digest, {

@@ -45,14 +45,13 @@ from .geometry import (
     Point,
     ZeroDirectionError,
     as_point,
-    cofactor_direction,
     dot,
     ensure_general_position,
     exact_int_array,
     fraction_nullspace,
-    fraction_rank,
+    primitive,
+    rref,
     scale_to_int,
-    solve_int_square,
     solve_underdetermined,
     stacked_cofactors,
     subset_blocks,
@@ -136,13 +135,9 @@ def _max_strict(vecs: list[tuple[Fraction, ...]], dim: int):
     ints = [scale_to_int(v) for v in vecs if any(c != 0 for c in v)]
     if not ints:
         return 0, _unit(dim)
-    # reduce to the span of the vectors: u only matters through v . u
-    basis_idx: list[int] = []
-    for i, v in enumerate(ints):
-        if fraction_rank([ints[j] for j in basis_idx] + [v]) > len(basis_idx):
-            basis_idx.append(i)
-        if len(basis_idx) == dim:
-            break
+    # reduce to the span of the vectors: u only matters through v . u; the
+    # pivot columns of the transposed vectors are the first basis among them
+    _, basis_idx = rref(list(zip(*ints)), len(ints))
     r = len(basis_idx)
     if r < dim:
         B = [ints[i] for i in basis_idx]
@@ -297,7 +292,7 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         point = solve_underdetermined(rows, rhs)
         return DepthCertificate(point, n, _unit(d), bound, n >= bound)
 
-    normals, _ = F.scaled()
+    normals, offsets = F.scaled()
     blocks = list(_edge_blocks(normals, d))
     dirs = np.concatenate([b[0] for b in blocks])
     S = np.concatenate([b[1] for b in blocks])
@@ -310,7 +305,7 @@ def max_depth_point(F: Instance) -> DepthCertificate:
     best_depth = -1
     best_point: Optional[Point] = None
     best_witness: Optional[Direction] = None
-    for _, nums, den, R in vertex_blocks(F):
+    for _, nums, den, R in vertex_blocks(normals, offsets):
         sides = np.concatenate([R > 0, R < 0], axis=1).astype(np.float32)
         jp, least_pos = _first_min(sides @ same)
         jn, least_neg = _first_min(sides @ opposite)
@@ -352,38 +347,49 @@ def tukey_depth(P: Sequence[Point], x: Point) -> int:
 
 
 def _spanned_hyperplanes(pts: list[Point], d: int):
-    """Distinct hyperplanes through d affinely independent points of pts."""
+    """Distinct hyperplanes through d affinely independent points of pts.
+
+    The hyperplane through d points is the cofactor vector c of their rows
+    (L*p, L), L the lcm of every coordinate denominator: c[:d] . p = -c[d]
+    on each of them, and c = 0 exactly when they are affinely dependent.
+    Each comes back as a primitive integer pair (normal, offset), in the
+    order of its first d-subset.
+    """
+    L = math.lcm(*(c.denominator for p in pts for c in p))
+    rows = exact_int_array([tuple(int(c * L) for c in p) + (L,) for p in pts], d + 1)
     seen = {}
-    for sub in itertools.combinations(range(len(pts)), d):
-        base = pts[sub[0]]
-        rows = [
-            scale_to_int(tuple(pc - bc for pc, bc in zip(pts[i], base)))
-            for i in sub[1:]
-        ]
-        normal = cofactor_direction(rows, d)
-        if all(c == 0 for c in normal):
-            continue
-        offset = dot(tuple(Fraction(c) for c in normal), base)
-        key_vec = scale_to_int(tuple(Fraction(c) for c in normal) + (offset,))
-        g = 0
-        for v in key_vec:
-            g = math.gcd(g, abs(v))
-        key_vec = tuple(v // (g or 1) for v in key_vec)
-        lead = next(v for v in key_vec if v != 0)
-        if lead < 0:
-            key_vec = tuple(-v for v in key_vec)
-        seen[key_vec] = (key_vec[:-1], key_vec[-1])
-    return list(seen.values())
+    for subsets in subset_blocks(len(pts), d):
+        for cof in stacked_cofactors(rows[subsets]).tolist():
+            if any(cof):
+                seen.setdefault(primitive(cof[:d] + [-cof[d]]), None)
+    return [(key[:-1], key[-1]) for key in seen]
 
 
-def discrete_centerpoint(P: Sequence[Point], candidate_limit: int = 200_000) -> Point:
+def _candidates(pts: list[Point], hps) -> set[Point]:
+    """The points and every common point of d spanned hyperplanes."""
+    candidates = set(pts)
+    if len(hps) >= len(pts[0]):
+        for _, nums, den, _ in vertex_blocks(*zip(*hps)):
+            for row, q in zip(nums.tolist(), den.tolist()):
+                if q:
+                    candidates.add(tuple(Fraction(v, q) for v in row))
+    return candidates
+
+
+# spanned-hyperplane d-subsets past which the centerpoint search subsamples
+_CANDIDATE_LIMIT = 200_000
+# candidates kept by the float screen
+_SCREEN_CAP = 600
+
+
+def discrete_centerpoint(P: Sequence[Point]) -> Point:
     """A Tukey-depth-maximizing point of a finite point set.
 
     Exact for desk-scale inputs: the maximizing region is bounded by
     hyperplanes through d points of P, so its vertices are intersections of
     d such hyperplanes and the maximum is attained among those candidates
     (plus the points themselves).  When the candidate count would exceed
-    ``candidate_limit`` the search runs on a deterministic subsample, which
+    ``_CANDIDATE_LIMIT`` the search runs on a deterministic subsample, which
     makes the result heuristic; callers certify downstream.
 
     Ties break by least squared norm, then lexicographically.
@@ -402,20 +408,12 @@ def discrete_centerpoint(P: Sequence[Point], candidate_limit: int = 200_000) -> 
     hps = _spanned_hyperplanes(pts, d)
     n_candidates = math.comb(len(hps), d)
     target = max(d + 1, (2 * n) // 3)
-    if n_candidates > candidate_limit and target < n:
+    if n_candidates > _CANDIDATE_LIMIT and target < n:
         ordered = sorted(pts)
         keep = sorted({round(i * (n - 1) / (target - 1)) for i in range(target)})
-        return discrete_centerpoint([ordered[i] for i in keep], candidate_limit)
+        return discrete_centerpoint([ordered[i] for i in keep])
 
-    candidates = set(pts)
-    for sub in itertools.combinations(range(len(hps)), d):
-        sol = solve_int_square([hps[i][0] for i in sub], [hps[i][1] for i in sub])
-        if sol is None:
-            continue
-        nums, den = sol
-        candidates.add(tuple(Fraction(v, den) for v in nums))
-
-    ordered = [(c, None) for c in sorted(candidates)]
+    ordered = [(c, None) for c in sorted(_candidates(pts, hps))]
     if len(ordered) > 400:
         ordered = _screen_candidates([c for c, _ in ordered], pts, hps)
 
@@ -431,7 +429,7 @@ def discrete_centerpoint(P: Sequence[Point], candidate_limit: int = 200_000) -> 
     return best[1]
 
 
-def _screen_candidates(candidates, pts, hps, cap: int = 600):
+def _screen_candidates(candidates, pts, hps):
     """Float upper-bound screen on Tukey depth to cut exact evaluations.
 
     For each candidate c the depth is at most the side count along any
@@ -464,5 +462,5 @@ def _screen_candidates(candidates, pts, hps, cap: int = 600):
         plus = (diff >= -tol).sum(axis=1)
         minus = (diff <= tol).sum(axis=1)
         upper[s : s + block] = np.minimum(plus, minus).min(axis=1)
-    order = np.argsort(-upper, kind="stable")[:cap]
+    order = np.argsort(-upper, kind="stable")[:_SCREEN_CAP]
     return [(candidates[i], int(upper[i])) for i in order.tolist()]

@@ -212,38 +212,20 @@ def scale_to_int(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(int(v * denlcm) for v in vec)
 
 
-def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def rref(rows: Sequence[Sequence], width: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the first ``width`` columns, exact.
+
+    Returns the reduced rows and the pivot columns; row i < len(pivots) has
+    a 1 in column pivots[i] and zeros in the other pivot columns.  Columns
+    past ``width`` (an augmented right-hand side) are carried along but
+    never pivoted on.  Scanning columns left to right makes the pivot
+    columns the greedy basis of the column space.
+    """
     # coerce: int rows would hit float true-division below
     m = [[Fraction(v) for v in r] for r in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for i in range(row + 1, len(m)):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                for j in range(col, cols):
-                    m[i][j] -= f * m[row][j]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
-
-
-def fraction_nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {u : r . u = 0 for all rows r}, exact."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    pivots = []
-    row = 0
-    for col in range(dim):
+    pivots: list[int] = []
+    for col in range(width):
+        row = len(pivots)
         piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
@@ -255,10 +237,20 @@ def fraction_nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tup
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[row])]
         pivots.append(col)
-        row += 1
+        if len(pivots) == len(m):
+            break
+    return m, pivots
+
+
+def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def fraction_nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {u : r . u = 0 for all rows r}, exact."""
+    m, pivots = rref(rows, dim)
     basis = []
-    free = [c for c in range(dim) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(dim) if c not in pivots):
         vec = [Fraction(0)] * dim
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -269,30 +261,22 @@ def fraction_nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tup
 
 def solve_underdetermined(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[Point]:
     """Particular solution of a consistent rational system (free vars = 0)."""
-    m = [[Fraction(v) for v in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
     dim = len(rows[0]) if rows else 0
-    pivots = []
-    row = 0
-    for col in range(dim):
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, len(m)):
-        if m[i][dim] != 0:
-            return None  # inconsistent
+    m, pivots = rref([tuple(r) + (b,) for r, b in zip(rows, rhs)], dim)
+    if any(r[dim] != 0 for r in m[len(pivots):]):
+        return None  # inconsistent
     x = [Fraction(0)] * dim
     for r, pc in enumerate(pivots):
         x[pc] = m[r][dim]
     return tuple(x)
+
+
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer vector over its gcd, first nonzero entry positive."""
+    g = math.gcd(*ints)
+    if next(v for v in ints if v != 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +307,7 @@ class Hyperplane:
 
     def canonicalized(self) -> "Hyperplane":
         """Primitive integer form with positive leading normal coordinate."""
-        a, b = self.scaled()
-        g = 0
-        for v in a + (b,):
-            g = math.gcd(g, abs(v))
-        g = g or 1
-        a = tuple(v // g for v in a)
-        b = b // g
-        lead = next(v for v in a if v != 0)
-        if lead < 0:
-            a = tuple(-v for v in a)
-            b = -b
+        *a, b = primitive(scale_to_int(tuple(self.normal) + (self.offset,)))
         return Hyperplane(tuple(Fraction(v) for v in a), Fraction(b))
 
 
@@ -453,10 +427,11 @@ class Instance:
         return tuple(Fraction(v, den) for v in nums)
 
 
-def vertex_blocks(F: Instance):
+def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
     """Every d-subset's common point with its residuals, in blocks.
 
-    Yields ``(subsets, nums, den, R)`` over the d-subsets of F in
+    Takes integer hyperplanes normal_i . y = offset_i (at least d of them)
+    and yields ``(subsets, nums, den, R)`` over their d-subsets in
     combinations order, at most ``_BLOCK`` per block.  ``subsets`` is (B, d);
     ``nums`` (B, d) and ``den`` (B,) are what ``solve_int_square`` returns,
     except that a singular subset has den = 0; ``R`` (B, n) holds
@@ -464,11 +439,10 @@ def vertex_blocks(F: Instance):
     passes through the vertex.  Each vertex is the cofactor vector of the
     rows (normal_i, -offset_i), which is proportional to (x, 1).
     """
-    normals, offsets = F.scaled()
-    d = F.dim
-    rows = exact_int_array([a + (-b,) for a, b in zip(normals, offsets)], d + 1)
+    d = len(normals[0])
+    rows = exact_int_array([tuple(a) + (-b,) for a, b in zip(normals, offsets)], d + 1)
     A, b = rows[:, :d], -rows[:, d]
-    for subsets in subset_blocks(F.n, d):
+    for subsets in subset_blocks(len(rows), d):
         cof = stacked_cofactors(rows[subsets])
         sign = np.where(cof[:, d] < 0, -1, 1)
         den = cof[:, d] * sign
@@ -495,7 +469,7 @@ def check_general_position(F: Instance) -> GeneralPositionResult:
     else:
         # a singular d-subset anywhere outranks every concurrent (d+1)-subset
         violation = None
-        for subsets, _, den, R in vertex_blocks(F):
+        for subsets, _, den, R in vertex_blocks(*F.scaled()):
             singular = np.flatnonzero(den == 0)
             if singular.size:
                 violation = (tuple(subsets[singular[0]].tolist()), "degenerate")

@@ -323,14 +323,18 @@ def _ray_fractions(normals, offsets, x, dirs, block: int = _BLOCK) -> np.ndarray
 # Verifiers and searcher
 # ---------------------------------------------------------------------------
 
+# default tolerance of the verifiers, in binomial standard errors
+_SE_MULTIPLIER = 3.0
+# rounds of seeded probes around the running minimum in verify_dual_cpt_measure
+_REFINE_ROUNDS = 2
+
+
 def verify_dual_cpt_measure(
     spec: FlatMeasureSpec,
     x: Sequence[float],
     N: int,
     ray_probes: int = 720,
     tol: Optional[float] = None,
-    se_multiplier: float = 3.0,
-    refine_rounds: int = 2,
 ) -> VerificationReport:
     """Monte Carlo check of the ray-measure lower bound 1/(d+1) at x.
 
@@ -353,7 +357,7 @@ def verify_dual_cpt_measure(
     worst = dirs[j]
     rng = np.random.default_rng((spec.seed, 0x5EED))
     total_probes = len(dirs)
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         cand = worst[np.newaxis, :] + 0.2 * rng.normal(size=(ray_probes // 4, d))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         fr = _ray_fractions(normals, offsets, xv, cand)
@@ -365,7 +369,7 @@ def verify_dual_cpt_measure(
 
     bound = 1.0 / (d + 1)
     se = math.sqrt(bound * (1.0 - bound) / N)
-    tolerance = tol if tol is not None else se_multiplier * se
+    tolerance = tol if tol is not None else _SE_MULTIPLIER * se
     return VerificationReport(
         estimate=estimate,
         bound=bound,
@@ -415,7 +419,12 @@ def search_center_sampled(spec: FlatMeasureSpec, N: int) -> Point:
     return _polish_center(spec, *_hyperplane_arrays(bases, points), starts)
 
 
-def _polish_center(spec, normals, offsets, starts, probes: int = 180, rounds: int = 40):
+# probe directions and pattern-search rounds of the center polish
+_POLISH_PROBES = 180
+_POLISH_ROUNDS = 40
+
+
+def _polish_center(spec, normals, offsets, starts):
     """Pattern-search ascent of the sampled min-ray-fraction objective.
 
     Climbs from the best-scoring of ``starts`` (the first wins a tie): the
@@ -425,7 +434,7 @@ def _polish_center(spec, normals, offsets, starts, probes: int = 180, rounds: in
     """
     d = spec.dim
     N = len(normals)
-    dirs = sphere_covering(d, probes)
+    dirs = sphere_covering(d, _POLISH_PROBES)
     moves = sphere_covering(d, 4 * d)
     # The probe directions stay fixed while the point moves, so the sign of
     # every projection is taken once; a move only changes the side of each
@@ -446,7 +455,7 @@ def _polish_center(spec, normals, offsets, starts, probes: int = 180, rounds: in
     best = score(p)
     step = spec.support_radius() / 4.0
     floor = spec.support_radius() * 1e-3
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         moved = False
         for mv in moves:
             q = p + step * mv
@@ -483,7 +492,6 @@ def verify_dual_ctr(
     N: int,
     probes: int = 360,
     tol: Optional[float] = None,
-    se_multiplier: float = 3.0,
 ) -> VerificationReport:
     """Monte Carlo check of the half-flat bound 1/(k+2) at a candidate flat L.
 
@@ -523,7 +531,7 @@ def verify_dual_ctr(
 
     bound = 1.0 / (k + 2)
     se = math.sqrt(bound * (1.0 - bound) / N)
-    tolerance = tol if tol is not None else se_multiplier * se
+    tolerance = tol if tol is not None else _SE_MULTIPLIER * se
 
     per_measure = []
     overall = 1.0

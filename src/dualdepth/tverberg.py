@@ -14,6 +14,7 @@ colorful variant that picks disjoint one-per-color groups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +32,6 @@ from .geometry import (
     as_point,
     dot,
     ensure_general_position,
-    intersect_subfamily,
 )
 
 
@@ -73,13 +73,11 @@ def form_simplex(F: Instance, idx: Sequence[int]) -> SimplexSpec:
         raise IndexError(f"hyperplane indices {idx} out of range for n={F.n}")
     vertices = []
     for i in idx:
-        others = [F.hyperplanes[j] for j in idx if j != i]
-        try:
-            vertices.append(intersect_subfamily(others))
-        except DegenerateSubfamilyError:
-            raise DegenerateSubfamilyError(
-                [j for j in idx if j != i], f"subfamily {idx} is degenerate"
-            )
+        others = tuple(j for j in idx if j != i)
+        vertex = F.vertex_point(others)
+        if vertex is None:
+            raise DegenerateSubfamilyError(others, f"subfamily {idx} is degenerate")
+        vertices.append(vertex)
     facets = []
     for pos, i in enumerate(idx):
         h = F.hyperplanes[i]
@@ -90,6 +88,11 @@ def form_simplex(F: Instance, idx: Sequence[int]) -> SimplexSpec:
         sign = 1 if s > 0 else -1
         facets.append((tuple(sign * c for c in h.normal), sign * h.offset))
     return SimplexSpec(idx, tuple(vertices), tuple(facets))
+
+
+def _simplex_cache(F: Instance):
+    """``form_simplex(F, g)`` memoized on the group g."""
+    return functools.cache(lambda g: form_simplex(F, g))
 
 
 def common_interior_point(simplices: Sequence[SimplexSpec]):
@@ -258,28 +261,19 @@ def dual_tverberg_search(F: Instance, n: int) -> Optional[PartitionResult]:
     cert = max_depth_point(F)
     x_star = cert.point
 
-    simplex_cache: dict[tuple[int, ...], SimplexSpec] = {}
-    margin_cache: dict[tuple[int, ...], Fraction] = {}
-    box_cache: dict[tuple[int, ...], tuple] = {}
+    simplex = _simplex_cache(F)
 
-    def simplex(g):
-        if g not in simplex_cache:
-            simplex_cache[g] = form_simplex(F, g)
-        return simplex_cache[g]
-
+    @functools.cache
     def star_margin(g):
-        if g not in margin_cache:
-            margin_cache[g] = _containment_margin([simplex(g)], x_star)
-        return margin_cache[g]
+        return _containment_margin([simplex(g)], x_star)
 
+    @functools.cache
     def box(g):
-        if g not in box_cache:
-            vs = simplex(g).vertices
-            box_cache[g] = (
-                tuple(min(v[k] for v in vs) for k in range(d)),
-                tuple(max(v[k] for v in vs) for k in range(d)),
-            )
-        return box_cache[g]
+        vs = simplex(g).vertices
+        return (
+            tuple(min(v[k] for v in vs) for k in range(d)),
+            tuple(max(v[k] for v in vs) for k in range(d)),
+        )
 
     def boxes_overlap(groups) -> bool:
         # open overlap of the vertex bounding boxes is necessary for a
@@ -337,13 +331,7 @@ def colorful_dual_tverberg_search(F: Instance, r: int) -> Optional[PartitionResu
         tuple(sorted(pick))
         for pick in itertools.product(*(classes[c] for c in range(d + 1)))
     )
-    simplex_cache: dict[tuple[int, ...], SimplexSpec] = {}
-
-    def simplex(g):
-        if g not in simplex_cache:
-            simplex_cache[g] = form_simplex(F, g)
-        return simplex_cache[g]
-
+    simplex = _simplex_cache(F)
     checked = 0
     for combo in itertools.combinations(colorful, r):
         flat = [i for g in combo for i in g]

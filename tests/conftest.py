@@ -254,3 +254,43 @@ def check_general_position_reference(F: Instance) -> GeneralPositionResult:
         if sum(a * v for a, v in zip(normals[j], nums)) == offsets[j] * den:
             return GeneralPositionResult(False, sub, "concurrent")
     return GeneralPositionResult(True)
+
+
+# ---------------------------------------------------------------------------
+# Reference loops for the centerpoint search: one cofactor per d-subset of
+# points and one Cramer solve per d-subset of spanned hyperplanes.
+# ---------------------------------------------------------------------------
+
+def spanned_hyperplanes_reference(pts, d):
+    """Distinct primitive (normal, offset) pairs through d points, first-seen order."""
+    seen = {}
+    for sub in itertools.combinations(range(len(pts)), d):
+        base = pts[sub[0]]
+        rows = [
+            scale_to_int(tuple(pc - bc for pc, bc in zip(pts[i], base)))
+            for i in sub[1:]
+        ]
+        normal = cofactor_direction(rows, d)
+        if all(c == 0 for c in normal):
+            continue
+        offset = sum(Fraction(c) * b for c, b in zip(normal, base))
+        key = scale_to_int(tuple(Fraction(c) for c in normal) + (offset,))
+        g = 0
+        for v in key:
+            g = math.gcd(g, abs(v))
+        key = tuple(v // g for v in key)
+        if next(v for v in key if v != 0) < 0:
+            key = tuple(-v for v in key)
+        seen[key] = (key[:-1], key[-1])
+    return list(seen.values())
+
+
+def centerpoint_candidates_reference(pts, hps):
+    """The points and the Cramer solution of every nonsingular d-subset of hps."""
+    candidates = set(pts)
+    for sub in itertools.combinations(range(len(hps)), len(pts[0])):
+        sol = solve_int_square([hps[i][0] for i in sub], [hps[i][1] for i in sub])
+        if sol is not None:
+            nums, den = sol
+            candidates.add(tuple(Fraction(v, den) for v in nums))
+    return candidates

@@ -204,6 +204,22 @@ class TestTukeyDepth:
             c = discrete_centerpoint(P)
             assert tukey_depth(P, c) >= (n + 2) // 3
 
+    def test_rank_deficient_sets(self):
+        # points on a line in R^2 and R^3 and on a plane in R^3: on the set's
+        # span the depth is the lower-dimensional one, off it 0
+        line2 = [(t, 3 * t + 1) for t in range(5)]
+        assert [tukey_depth(line2, x) for x in line2] == [1, 2, 3, 2, 1]
+        assert tukey_depth(line2, (Fraction(1, 2), Fraction(5, 2))) == 1
+        assert tukey_depth(line2, (0, 0)) == 0
+        line3 = [(t, 2 * t, -t) for t in range(-3, 4)]
+        assert [tukey_depth(line3, x) for x in line3] == [1, 2, 3, 4, 3, 2, 1]
+        assert tukey_depth(line3, (Fraction(1, 3), 0, 0)) == 0
+        plane3 = [(a, b, a + b) for a in range(-2, 3) for b in range(-1, 2)]
+        assert [tukey_depth(plane3, x) for x in plane3] == [
+            1, 2, 1, 2, 5, 2, 3, 8, 3, 2, 5, 2, 1, 2, 1]
+        assert tukey_depth(plane3, (Fraction(1, 2), 0, Fraction(1, 2))) == 6
+        assert tukey_depth(plane3, (0, 0, 1)) == 0
+
     def test_median_in_one_dimension(self):
         assert discrete_centerpoint([(Fraction(5),), (Fraction(1),), (Fraction(9),)]) == (5,)
 

@@ -18,7 +18,9 @@ from dualdepth import (
     gen_instance,
     hemisphere_depth,
     max_depth_point,
+    tukey_depth,
 )
+from dualdepth.depth import _candidates, _spanned_hyperplanes, discrete_centerpoint
 from dualdepth.geometry import (
     cofactor_direction,
     exact_int_array,
@@ -28,10 +30,12 @@ from dualdepth.geometry import (
 )
 
 from conftest import (
+    centerpoint_candidates_reference,
     check_general_position_reference,
     dual_depth_reference,
     hemisphere_depth_reference,
     max_depth_point_reference,
+    spanned_hyperplanes_reference,
 )
 
 # (model, d, n); the n=30 and n=14 families span more than one vertex block
@@ -63,7 +67,7 @@ def _float_lifted(n, d, seed):
 
 
 def _vertex_dtype(F):
-    return next(vertex_blocks(F))[1].dtype
+    return next(vertex_blocks(*F.scaled()))[1].dtype
 
 
 def _families():
@@ -121,7 +125,7 @@ def test_vertices_exact_just_under_the_bound():
     ]
     F = Instance(2, hs)
     normals, offsets = F.scaled()
-    for subsets, nums, den, R in vertex_blocks(F):
+    for subsets, nums, den, R in vertex_blocks(normals, offsets):
         assert nums.dtype == np.int64 and R.dtype == np.int64
         for sub, nu, de, r in zip(subsets.tolist(), nums.tolist(), den.tolist(), R.tolist()):
             sol = solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub])
@@ -232,3 +236,43 @@ def test_first_violation_matches_subset_loop(F, violation, reason):
     assert gp == check_general_position_reference(F)
     assert (gp.ok, gp.violation, gp.reason) == (False, violation, reason)
     assert all(type(i) is int for i in gp.violation)
+
+
+def _point_set(d, seed):
+    """Small rational point sets; some with repeats, collinear runs or huge scale."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(d + 1, 8 if d == 2 else 6))
+    P = [tuple(Fraction(int(a), int(b)) for a, b in zip(rng.integers(-9, 10, d),
+                                                         rng.integers(1, 5, d)))
+         for _ in range(n)]
+    kind = seed % 4
+    if kind == 1:  # repeated points
+        P += P[:2]
+    elif kind == 2:  # three points on a line through P[0] and P[1]
+        P.append(tuple(2 * b - a for a, b in zip(P[0], P[1])))
+        P.append(tuple((a + 3 * b) / 4 for a, b in zip(P[0], P[1])))
+    elif kind == 3:
+        P = [tuple(10**200 * c for c in p) for p in P]
+    return P
+
+
+POINT_SETS = [(d, seed) for d in (2, 3) for seed in range(8)]
+
+
+@pytest.mark.parametrize("d, seed", POINT_SETS)
+def test_centerpoint_search_matches_subset_loops(d, seed):
+    P = _point_set(d, seed)
+    hps = _spanned_hyperplanes(P, d)
+    assert hps == spanned_hyperplanes_reference(P, d)
+    candidates = _candidates(P, hps)
+    assert candidates == centerpoint_candidates_reference(P, hps)
+    # below 400 candidates the search is exhaustive: deepest, then nearest, then least
+    best = min(candidates, key=lambda c: (-tukey_depth(P, c), sum(v * v for v in c), c))
+    assert len(candidates) <= 400 and discrete_centerpoint(P) == best
+
+
+def test_spanned_hyperplanes_of_degenerate_sets():
+    line = [(Fraction(t), Fraction(2 * t + 1)) for t in range(4)]
+    assert _spanned_hyperplanes(line, 2) == [((2, -1), -1)]
+    assert _spanned_hyperplanes([(Fraction(1), Fraction(2))] * 3, 2) == []
+    assert _candidates(line, _spanned_hyperplanes(line, 2)) == set(line)

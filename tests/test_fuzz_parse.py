@@ -1,9 +1,10 @@
-"""Fuzzing the instance parser through the CLI ``validate`` command.
+"""Fuzzing the instance parser and the scalar arguments through the CLI.
 
 Every input must end in a report or an ``error:`` line: exit 0, 1 or 2 and
 no traceback, with exit 2 whenever ``parse_instance`` raises ParseError.
-Inputs are random JSON trees and mutated golden instance files; the runs
-are derandomized so a failure replays.
+Inputs are random JSON trees and mutated golden instance files for
+``validate`` and ``center``, and random scalar text for ``depth --point``;
+the runs are derandomized so a failure replays.
 """
 
 import contextlib
@@ -18,10 +19,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualdepth.cli import main
-from dualdepth.io import ParseError, parse_instance
+from dualdepth.io import ParseError, parse_instance, parse_scalar
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INSTANCES = [(GOLDEN / name).read_bytes() for name in ("triangle.json", "six.json")]
+# four lines whose center has coordinates of about 6000 digits
+LONG_CENTER = json.dumps({"dim": 2, "hyperplanes": [
+    {"normal": ["3" * 3000, "1"], "offset": "1"},
+    {"normal": ["1", "7" * 3000], "offset": "1"},
+    {"normal": ["1", "-1"], "offset": "1"},
+    {"normal": ["2", "-1"], "offset": "3"},
+]}).encode()
 
 # each example writes and reads one file, which bounds the count
 FUZZ = settings(
@@ -55,17 +63,25 @@ def instance_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "instance.json"
 
 
-def check_validate(path: Path, data: bytes) -> None:
-    path.write_bytes(data)
+def run_checked(argv) -> tuple[int, str]:
+    """Exit code and stderr of one CLI run, which must end in 0, 1 or 2."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", "--instance", str(path)])
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+    return code, err.getvalue()
+
+
+def check_instance_command(command: str, path: Path, data: bytes) -> None:
+    path.write_bytes(data)
+    code, _ = run_checked([command, "--instance", str(path)])
     try:
         parse_instance(data)
     except ParseError:
-        assert code == 2 and err.getvalue().startswith("error: ")
+        assert code == 2
 
 
 def _paths(node, prefix=()):
@@ -88,17 +104,45 @@ def _replace(node, path, value):
 @FUZZ
 @given(tree=JSON | st.dictionaries(KEYS, JSON, max_size=6))
 def test_random_trees(instance_path, tree):
-    check_validate(instance_path, json.dumps(tree).encode())
+    check_instance_command("validate", instance_path, json.dumps(tree).encode())
+
+
+def _mutated_tree(data, bases, least=1):
+    tree = json.loads(data.draw(st.sampled_from(bases)))
+    for _ in range(data.draw(st.integers(least, 3))):
+        path = data.draw(st.sampled_from(list(_paths(tree))))
+        tree = _replace(tree, path, data.draw(SCALARS | JSON))
+    return json.dumps(tree).encode()
 
 
 @FUZZ
 @given(data=st.data())
 def test_mutated_golden_trees(instance_path, data):
-    tree = json.loads(data.draw(st.sampled_from(GOLDEN_INSTANCES)))
-    for _ in range(data.draw(st.integers(1, 3))):
-        path = data.draw(st.sampled_from(list(_paths(tree))))
-        tree = _replace(tree, path, data.draw(SCALARS | JSON))
-    check_validate(instance_path, json.dumps(tree).encode())
+    check_instance_command("validate", instance_path, _mutated_tree(data, GOLDEN_INSTANCES))
+
+
+@FUZZ
+@given(data=st.data())
+def test_center_on_mutated_trees(instance_path, data):
+    tree = _mutated_tree(data, [LONG_CENTER] + GOLDEN_INSTANCES, least=0)
+    check_instance_command("center", instance_path, tree)
+
+
+POINT_PART = st.sampled_from([
+    "0", "-2/3", "1.5", "1e400", "1e5000", "1e100000", "9e4299", "1e-4299", "1/0", "x", "",
+]) | st.text("0123456789-+./eE ", max_size=8)
+
+
+@FUZZ
+@given(parts=st.lists(POINT_PART, min_size=1, max_size=3))
+def test_depth_point_text(parts):
+    text = ",".join(parts)
+    code, _ = run_checked(["depth", "--instance", str(GOLDEN / "six.json"), f"--point={text}"])
+    try:
+        ok = len([parse_scalar(p) for p in parts]) == 2
+    except ParseError:
+        ok = False
+    assert code == (0 if ok else 2)
 
 
 @FUZZ
@@ -115,4 +159,4 @@ def test_mutated_golden_bytes(instance_path, data):
             raw.insert(at, byte)
         else:
             del raw[at]
-    check_validate(instance_path, bytes(raw))
+    check_instance_command("validate", instance_path, bytes(raw))

@@ -23,8 +23,11 @@ from dualdepth.geometry import (
     fraction_nullspace,
     fraction_rank,
     int_det,
+    primitive,
+    rref,
     scale_to_int,
     solve_int_square,
+    solve_underdetermined,
 )
 
 H_X1 = Hyperplane((Fraction(1), Fraction(0)), Fraction(0))  # x1 = 0
@@ -194,3 +197,27 @@ class TestLinearAlgebraHelpers:
         assert len(basis) == 2
         for v in basis:
             assert dot((Fraction(1), Fraction(1), Fraction(0)), v) == 0
+
+    def test_rref_pivots_are_the_greedy_basis(self):
+        # columns 0, 1 and 3 are independent in that order; column 2 = 2 * column 0
+        rows, pivots = rref([(1, 0, 2, 0), (2, 1, 4, 1), (0, 0, 0, 3)], 4)
+        assert pivots == [0, 1, 3]
+        assert rows == [[1, 0, 2, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        assert rref([], 3) == ([], [])
+
+    def test_solve_underdetermined(self):
+        half = Fraction(1, 2)
+        assert solve_underdetermined([(2, 0, 1)], [1]) == (half, 0, 0)
+        assert solve_underdetermined([(1, 1), (0, 2)], [3, 1]) == (Fraction(5, 2), half)
+        # inconsistent: x + y = 1 and 2x + 2y = 3
+        assert solve_underdetermined([(1, 1), (2, 2)], [1, 3]) is None
+        # zero rows: satisfied only by a zero right-hand side
+        assert solve_underdetermined([(0, 0), (1, 0)], [0, 4]) == (4, 0)
+        assert solve_underdetermined([(0, 0)], [1]) is None
+        assert solve_underdetermined([], []) == ()
+
+    def test_primitive(self):
+        assert primitive((-4, 6, 0)) == (2, -3, 0)
+        assert primitive((0, 3, -9)) == (0, 1, -3)
+        h = Hyperplane((Fraction(-2, 3), Fraction(4, 3)), Fraction(2))
+        assert h.canonicalized() == Hyperplane((Fraction(1), Fraction(-2)), Fraction(-3))

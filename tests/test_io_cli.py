@@ -390,7 +390,9 @@ class TestCli:
 
     @pytest.mark.parametrize("case", [
         "gen-n-zero", "gen-d-zero", "group-out-of-range", "group-negative", "report-is-list",
-        "groups-not-list", "witness-not-scalar", "witness-nested",
+        "groups-not-list", "witness-not-scalar", "witness-nested", "witness-past-float",
+        "depth-point-huge-exponent", "depth-point-past-digit-limit",
+        "measure-point-past-float", "plot-witness-past-float", "transversal-point-past-float",
     ])
     def test_bad_arguments_and_reports_exit_two(self, capsys, tmp_path, six_file, case):
         reports = {
@@ -400,17 +402,52 @@ class TestCli:
             "groups-not-list": {"result": {"groups": 5}},
             "witness-not-scalar": {"result": {"groups": [], "witness": ["x", "y"]}},
             "witness-nested": {"result": {"groups": [], "witness": [[1], [2]]}},
+            "witness-past-float": {"result": {"groups": [], "witness": ["1e400", "0"]}},
         }
+        measure = {"dim": 2, "codim": 1, "kind": "uniform-angle-offset",
+                   "params": {"radius": 1.0}, "seed": 0}
         out = str(tmp_path / "out")
         if case in reports:
             rep_path = tmp_path / "report.json"
             rep_path.write_text(json.dumps(reports[case]))
             argv = ["plot", "--instance", six_file, "--out", out,
                     "--partition-report", str(rep_path)]
+        elif case.startswith("depth-point"):
+            point = "1e100000,0" if case == "depth-point-huge-exponent" else "1e5000,0"
+            argv = ["depth", "--instance", six_file, "--point", point]
+        elif case == "measure-point-past-float":
+            inst = parse_instance(open(six_file, "rb").read())
+            inst.metadata["_measure"] = FlatMeasureSpec.from_json(measure)
+            path = tmp_path / "measured.json"
+            path.write_bytes(write_instance(inst))
+            argv = ["verify-measure", "--instance", str(path), "--point", "1e400,0",
+                    "--samples", "100"]
+        elif case == "plot-witness-past-float":
+            argv = ["plot", "--instance", six_file, "--out", out, "--witness", "1e400,0"]
+        elif case == "transversal-point-past-float":
+            path = tmp_path / "ctr.json"
+            path.write_text(json.dumps({"measures": [measure], "flat": {"point": ["1e400", "0"]}}))
+            argv = ["verify-transversal", "--spec", str(path), "--samples", "100"]
         else:
             n, d = ("0", "2") if case == "gen-n-zero" else ("3", "0")
             argv = ["gen", "--n", n, "--d", d, "--out", out]
         code, report, err = run_cli(capsys, *argv)
+        assert code == 2 and report is None
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_center_too_long_to_write_exits_two(self, capsys, tmp_path):
+        # validates, but the center is the vertex of the two long lines, whose
+        # coordinates have about 6000 digits: past the int-to-str limit
+        a, b = "3" * 3000, "7" * 3000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"dim": 2, "hyperplanes": [
+            {"normal": [a, "1"], "offset": "1"},
+            {"normal": ["1", b], "offset": "1"},
+            {"normal": ["1", "-1"], "offset": "1"},
+            {"normal": ["2", "-1"], "offset": "3"},
+        ]}))
+        assert run_cli(capsys, "validate", "--instance", str(path))[0] == 0
+        code, report, err = run_cli(capsys, "center", "--instance", str(path))
         assert code == 2 and report is None
         assert err.startswith("error: ") and "Traceback" not in err
 
