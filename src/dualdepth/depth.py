@@ -286,10 +286,11 @@ def max_depth_point(F: Instance) -> DepthCertificate:
 
     if n < d:
         # all hyperplanes pass through a common flat; depth there is n,
-        # and no face can beat containment of the whole family
+        # and no face can beat containment of the whole family.  With no
+        # hyperplanes at all that flat is R^d; take its origin.
         rows = [h.normal for h in F.hyperplanes]
         rhs = [h.offset for h in F.hyperplanes]
-        point = solve_underdetermined(rows, rhs)
+        point = solve_underdetermined(rows, rhs) if rows else (Fraction(0),) * d
         return DepthCertificate(point, n, _unit(d), bound, n >= bound)
 
     normals, offsets = F.scaled()

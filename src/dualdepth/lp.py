@@ -1,9 +1,28 @@
-"""Small dense exact linear programming over rationals.
+"""Small dense linear programming over rationals: float guess, exact answer.
 
-A textbook two-phase simplex on Fraction arithmetic with Bland's rule, so
-it terminates on every input and never rounds.  Built for desk-scale
-certificate problems (tens of constraints, a handful of variables); density
-and asymptotics are non-concerns at that size.
+``maximize`` works in two stages, and floats only guess.  Every returned
+status, point and value is Fraction-exact.
+
+1. Float guess.  A two-phase float64 simplex on the dual,
+   min b.y subject to A^T y = c, y >= 0, finds an optimal basis.  Its
+   tableau has only one row per variable, so it stays tiny; the basis names
+   the primal rows B that are tight at the optimum.
+2. Exact certificate.  One exact ``rref`` of [A_B | b_B | I] gives
+   x = A_B^-1 b_B and the multipliers y_B = A_B^-T c.  The guess is accepted
+   only if A_B is nonsingular, A x <= b holds on every row, and every
+   multiplier is strictly positive.  Then y proves x optimal, and strictly
+   positive multipliers make x the only optimum (every optimum has the rows
+   of B tight), so x is exactly what the simplex below would return.
+
+Everything else goes to the exact simplex: a coefficient out of float
+range, a float solve that fails, is infeasible or unbounded or runs past
+its pivot cap, a singular or infeasible basis, and a multiplier at or near
+zero, where the optimum need not be unique.  That is a textbook two-phase
+simplex on Fraction arithmetic with Bland's rule, so it terminates on every
+input and never rounds.  This is the float-guess, exact-certificate scheme
+of QSopt_ex (Applegate, Cook, Dash & Espinoza 2007) cut down to desk-scale
+certificate problems: tens of constraints and a handful of variables, where
+density and asymptotics are non-concerns.
 """
 
 from __future__ import annotations
@@ -12,7 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import as_scalar
+import numpy as np
+
+from .geometry import as_scalar, dot, rref
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -138,15 +159,118 @@ def _solve_standard(c, A, b) -> LPResult:
     return LPResult(OPTIMAL, tuple(x), obj[-1])
 
 
-def maximize(c: Sequence, A_ub: Sequence[Sequence], b_ub: Sequence) -> LPResult:
-    """Maximize c.x subject to A_ub x <= b_ub with x free (sign-unrestricted)."""
-    c = [as_scalar(v) for v in c]
-    b = [as_scalar(v) for v in b_ub]
-    A = [[as_scalar(v) for v in row] for row in A_ub]
+# Float tolerance of the guess (on rows scaled to max |a_ij| = 1); the
+# exact certificate decides, so it only trades guesses against fallbacks.
+_EPS = 1e-9
+
+
+def _float_pivot(T, basis, r, j):
+    T[r] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    T -= np.outer(col, T[r])
+    basis[r] = j
+
+
+def _float_run(T, basis, m, cap) -> Optional[bool]:
+    """Pivot tableau T to the minimum of its last row over its first m columns.
+
+    Dantzig's rule.  Returns True at the optimum, False when unbounded and
+    None after ``cap`` pivots.
+    """
+    for _ in range(cap):
+        d = T[-1, :m]
+        j = int(d.argmin())
+        if d[j] >= -_EPS:
+            return True
+        col = T[:-1, j]
+        rows = np.flatnonzero(col > _EPS)
+        if not len(rows):
+            return False
+        ratios = T[rows, -1] / col[rows]
+        _float_pivot(T, basis, int(rows[ratios.argmin()]), j)
+    return None
+
+
+def _float_basis(c, A, b) -> Optional[list[int]]:
+    """Rows of A tight at a float64 optimum of max c.x subject to A x <= b.
+
+    Solves the dual min b.y subject to A^T y = c, y >= 0 by a two-phase
+    tableau simplex and returns its basis, the indices of len(c) rows of A,
+    sorted.  Returns None when a coefficient is out of float range, the
+    solve fails, or some basic multiplier is within tolerance of zero.
+    """
+    m, n = len(A), len(c)
+    if n == 0 or m < n:
+        return None
+    try:
+        Af = np.array([[float(v) for v in row] for row in A])
+        bf = np.array([float(v) for v in b])
+        cf = np.array([float(v) for v in c])
+    except OverflowError:
+        return None
+    with np.errstate(all="ignore"):
+        # scaling a primal row scales its multiplier and keeps the basis
+        scale = np.abs(Af).max(axis=1)
+        scale[scale == 0] = 1.0
+        Af /= scale[:, None]
+        bf /= scale
+        if not np.isfinite(bf).all():
+            return None
+        # rows A^T y = c, signed so that the right-hand side is >= 0, each
+        # with an artificial variable (columns m..m+n-1) as the start basis
+        sign = np.where(cf < 0, -1.0, 1.0)
+        T = np.zeros((n + 1, m + n + 1))
+        T[:n, :m] = Af.T * sign[:, None]
+        T[:n, m : m + n] = np.eye(n)
+        T[:n, -1] = cf * sign
+        basis = list(range(m, m + n))
+        cap = 10 * (m + n)
+        # phase 1: minimize the sum of the artificials
+        T[n] = -T[:n].sum(axis=0)
+        T[n, m : m + n] = 0.0
+        # the last entry is minus the sum of the artificials
+        if not _float_run(T, basis, m, cap) or T[n, -1] < -_EPS * max(1.0, np.abs(cf).sum()):
+            return None
+        for r in range(n):
+            if basis[r] >= m:  # drive a zero artificial out, or give up
+                js = np.flatnonzero(np.abs(T[r, :m]) > _EPS)
+                if not len(js):
+                    return None
+                _float_pivot(T, basis, r, int(js[0]))
+        # phase 2: minimize b.y
+        T[n] = 0.0
+        T[n, :m] = bf
+        T[n] -= bf[basis] @ T[:n]
+        if not _float_run(T, basis, m, cap):
+            return None
+        # a multiplier near 0 means the optimum may not be unique: leave it
+        # to the exact simplex without trying the certificate
+        if not np.isfinite(T).all() or T[:n, -1].min() <= _EPS:
+            return None
+    return sorted(basis)
+
+
+def _certify(c, A, b, tight) -> Optional[LPResult]:
+    """The exact optimum with rows ``tight`` active, if it is certified unique."""
     n = len(c)
-    if any(len(row) != n for row in A):
-        raise ValueError("constraint row length differs from objective length")
-    # split free variables x = u - v with u, v >= 0
+    reduced, pivots = rref(
+        [A[i] + [b[i]] + [int(k == r) for k in range(n)] for r, i in enumerate(tight)], n
+    )
+    if len(pivots) < n:
+        return None  # singular A_B
+    x = [row[n] for row in reduced]
+    # y_B = A_B^-T c, read off the inverse A_B^-1 in columns n+1..2n
+    if any(sum(reduced[k][n + 1 + r] * c[k] for k in range(n)) <= 0 for r in range(n)):
+        return None
+    if any(dot(row, x) > bi for row, bi in zip(A, b)):
+        return None
+    return LPResult(OPTIMAL, tuple(x), dot(c, x))
+
+
+def _maximize_exact(c, A, b) -> LPResult:
+    """Exact simplex with free variables split as x = u - v, u, v >= 0."""
+    n = len(c)
     c2 = c + [-v for v in c]
     A2 = [row + [-v for v in row] for row in A]
     res = _solve_standard(c2, A2, b)
@@ -154,3 +278,23 @@ def maximize(c: Sequence, A_ub: Sequence[Sequence], b_ub: Sequence) -> LPResult:
         return res
     x = tuple(res.x[j] - res.x[n + j] for j in range(n))
     return LPResult(OPTIMAL, x, res.value)
+
+
+def maximize(c: Sequence, A_ub: Sequence[Sequence], b_ub: Sequence) -> LPResult:
+    """Maximize c.x subject to A_ub x <= b_ub with x free (sign-unrestricted).
+
+    A unique optimum is certified from the float guess; any other case is
+    solved by the exact simplex.  Both give the same exact answer.
+    """
+    c = [as_scalar(v) for v in c]
+    b = [as_scalar(v) for v in b_ub]
+    A = [[as_scalar(v) for v in row] for row in A_ub]
+    n = len(c)
+    if any(len(row) != n for row in A):
+        raise ValueError("constraint row length differs from objective length")
+    tight = _float_basis(c, A, b)
+    if tight is not None:
+        res = _certify(c, A, b, tight)
+        if res is not None:
+            return res
+    return _maximize_exact(c, A, b)

@@ -99,10 +99,14 @@ def common_interior_point(simplices: Sequence[SimplexSpec]):
     """Exact LP certificate for a common interior point of simplices.
 
     Maximizes the slack e subject to inward_normal . x >= inward_offset + e
-    over every facet (e capped at 1 to keep the LP bounded for large
-    simplices).  Returns (witness, margin) with margin > 0 for a strict
-    interior point, margin == 0 when the intersection is nonempty but has
-    empty interior, and None when even the closed intersection is empty.
+    over every facet, with e <= 1.  The LP is bounded without the cap, since
+    an intersection of simplices is bounded; the cap fixes the reported
+    margin at min(largest slack, 1).  When the largest slack exceeds 1, every
+    point of slack at least 1 is optimal, so a capped optimum is not unique
+    and ``lp.maximize`` solves it with the exact simplex.  Returns
+    (witness, margin) with margin > 0 for a strict interior point,
+    margin == 0 when the intersection is nonempty but has empty interior,
+    and None when even the closed intersection is empty.
     """
     if not simplices:
         raise ValueError("need at least one simplex")
@@ -158,8 +162,8 @@ def dual_tverberg_plane(F: Instance) -> PartitionResult:
     """
     if F.dim != 2:
         raise DimensionMismatchError("dual_tverberg_plane requires d = 2")
-    if F.n % 3 != 0:
-        raise ValueError(f"line count {F.n} is not divisible by 3")
+    if F.n == 0 or F.n % 3 != 0:
+        raise ValueError(f"line count {F.n} is not a positive multiple of 3")
     ensure_general_position(F)
     n = F.n // 3
     cert = max_depth_point(F)
@@ -255,6 +259,8 @@ def dual_tverberg_search(F: Instance, n: int) -> Optional[PartitionResult]:
     a bug rather than a legitimate outcome.
     """
     d = F.dim
+    if n < 1:
+        raise ValueError(f"need at least one group, got {n}")
     if F.n != (d + 1) * n:
         raise ValueError(f"need (d+1)*n = {(d + 1) * n} hyperplanes, got {F.n}")
     ensure_general_position(F)
@@ -310,6 +316,8 @@ def colorful_dual_tverberg_search(F: Instance, r: int) -> Optional[PartitionResu
     regardless and reports what it finds.
     """
     d = F.dim
+    if r < 1:
+        raise ValueError(f"need at least one group, got {r}")
     if F.colors is None:
         raise ValueError("instance has no colors")
     classes = F.color_classes()
@@ -319,13 +327,15 @@ def colorful_dual_tverberg_search(F: Instance, r: int) -> Optional[PartitionResu
     if len(sizes) != 1:
         raise ValueError("color classes must have equal size")
     t = sizes.pop()
+    ensure_general_position(F)
+    if r > t:
+        return None  # r disjoint groups take r hyperplanes of each colour
     preconditions = {
         "t": t,
         "r": r,
         "t_ge_2r_minus_1": t >= 2 * r - 1,
         "r_prime_power": _is_prime_power(r),
     }
-    ensure_general_position(F)
 
     colorful = sorted(
         tuple(sorted(pick))

@@ -155,6 +155,12 @@ class TestMaxDepthPoint:
         assert cert.depth == 1 and cert.bound == 1 and cert.meets_bound
         assert cert.point[0] == 0
 
+    def test_empty_instance_gives_origin(self):
+        cert = max_depth_point(Instance(3, []))
+        assert cert.point == (0, 0, 0)
+        assert cert.depth == 0 and cert.bound == 0 and cert.meets_bound
+        assert len(cert.witness_direction) == 3
+
     def test_six_random_lines_seed_42(self):
         F = gen_instance("random-rational", 6, 2, seed=42)
         cert = max_depth_point(F)

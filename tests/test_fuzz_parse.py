@@ -3,8 +3,10 @@
 Every input must end in a report or an ``error:`` line: exit 0, 1 or 2 and
 no traceback, with exit 2 whenever ``parse_instance`` raises ParseError.
 Inputs are random JSON trees and mutated golden instance files for
-``validate`` and ``center``, and random scalar text for ``depth --point``;
-the runs are derandomized so a failure replays.
+``validate`` and ``center``, mutated instances with random group counts for
+the partition searches ``tverberg-search`` and ``colorful``, and random
+scalar text for ``depth --point``; the runs are derandomized so a failure
+replays.
 """
 
 import contextlib
@@ -18,11 +20,21 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dualdepth import gen_instance
 from dualdepth.cli import main
-from dualdepth.io import ParseError, parse_instance, parse_scalar
+from dualdepth.io import ParseError, parse_instance, parse_scalar, write_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INSTANCES = [(GOLDEN / name).read_bytes() for name in ("triangle.json", "six.json")]
+# three colour classes of sizes 3 and 2 in the plane
+COLORED_INSTANCES = [
+    write_instance(gen_instance("random-rational", 3 * t, 2, seed=t, colors=sorted(list(range(3)) * t)))
+    for t in (3, 2)
+]
+# integers only: argparse itself answers a non-integer count with exit 2.
+# Counts that fit the golden instances come first, so most runs search.
+COUNTS = st.sampled_from(["1", "2"]) | st.sampled_from(
+    ["3", "0", "-1", "4", str(10**20), str(2**61 - 1)])
 # four lines whose center has coordinates of about 6000 digits
 LONG_CENTER = json.dumps({"dim": 2, "hyperplanes": [
     {"normal": ["3" * 3000, "1"], "offset": "1"},
@@ -75,9 +87,9 @@ def run_checked(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def check_instance_command(command: str, path: Path, data: bytes) -> None:
+def check_instance_command(command: str, path: Path, data: bytes, *extra: str) -> None:
     path.write_bytes(data)
-    code, _ = run_checked([command, "--instance", str(path)])
+    code, _ = run_checked([command, "--instance", str(path), *extra])
     try:
         parse_instance(data)
     except ParseError:
@@ -126,6 +138,46 @@ def test_mutated_golden_trees(instance_path, data):
 def test_center_on_mutated_trees(instance_path, data):
     tree = _mutated_tree(data, [LONG_CENTER] + GOLDEN_INSTANCES, least=0)
     check_instance_command("center", instance_path, tree)
+
+
+# valid coefficients, some far outside float range or below its resolution
+COEFFICIENTS = st.integers(-10**6, 10**6).map(str) | st.sampled_from([
+    "0", "1/3", "-7/2", "1e300", "-1e-300", "1" + "0" * 400, "-1/1" + "0" * 400,
+])
+
+
+def _recoefficient(data, bases):
+    """A base instance with up to 3 coefficients replaced by valid scalars."""
+    tree = json.loads(data.draw(st.sampled_from(bases)))
+    slots = [("hyperplanes", i, "offset") for i in range(len(tree["hyperplanes"]))]
+    slots += [("hyperplanes", i, "normal", k)
+              for i, h in enumerate(tree["hyperplanes"]) for k in range(len(h["normal"]))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        tree = _replace(tree, data.draw(st.sampled_from(slots)), data.draw(COEFFICIENTS))
+    return json.dumps(tree).encode()
+
+
+def _search_input(data, bases):
+    if data.draw(st.booleans()):
+        return _recoefficient(data, bases)
+    return _mutated_tree(data, bases)
+
+
+@FUZZ
+@given(data=st.data())
+def test_tverberg_search_on_mutated_trees(instance_path, data):
+    base = data.draw(st.sampled_from(GOLDEN_INSTANCES))
+    # the golden instances are planar: n lines fit n / 3 groups
+    groups = data.draw(st.just(str(len(json.loads(base)["hyperplanes"]) // 3)) | COUNTS)
+    tree = _search_input(data, [base])
+    check_instance_command("tverberg-search", instance_path, tree, f"--groups={groups}")
+
+
+@FUZZ
+@given(data=st.data(), r=COUNTS)
+def test_colorful_on_mutated_trees(instance_path, data, r):
+    tree = _search_input(data, COLORED_INSTANCES)
+    check_instance_command("colorful", instance_path, tree, f"--r={r}")
 
 
 POINT_PART = st.sampled_from([

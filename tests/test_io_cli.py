@@ -451,6 +451,24 @@ class TestCli:
         assert code == 2 and report is None
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_center_of_empty_instance_has_its_dimension(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"dim": 3, "hyperplanes": []}))
+        code, report, _ = run_cli(capsys, "center", "--instance", str(path))
+        assert code == 0
+        result = report["result"]
+        assert result["point"] == ["0", "0", "0"]
+        assert result["depth"] == 0
+        assert len(result["witness_direction"]) == 3
+
+    def test_colorful_group_count_past_ssize_t_not_found(self, capsys, tmp_path):
+        path = tmp_path / "colored.json"
+        path.write_bytes(write_instance(
+            gen_instance("random-rational", 6, 2, seed=9, colors=[0, 0, 1, 1, 2, 2])))
+        code, report, err = run_cli(capsys, "colorful", "--instance", str(path), f"--r={10**20}")
+        assert code == 1 and report["result"]["type"] == "NotFound"
+        assert "Traceback" not in err
+
     def test_report_has_no_threads_field(self, capsys, tri_file):
         code, report, _ = run_cli(capsys, "center", "--instance", tri_file)
         assert code == 0 and "threads" not in report

@@ -1,10 +1,45 @@
-"""Exact two-phase simplex over rationals."""
+"""Exact linear programming: the float-guided certificate and the exact simplex."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dualdepth import lp
+from dualdepth import Hyperplane, Instance, gen_instance, lp
+from dualdepth.geometry import DegenerateSubfamilyError
+from dualdepth.tverberg import common_interior_point, form_simplex
+
+
+def exact(c, A, b):
+    """The exact simplex alone, on the same coerced data as ``maximize``."""
+    return lp._maximize_exact(
+        [Fraction(v) for v in c], [[Fraction(v) for v in row] for row in A], [Fraction(v) for v in b]
+    )
+
+
+def same(res, ref) -> bool:
+    return (res.status, res.x, res.value) == (ref.status, ref.x, ref.value)
+
+
+def margin_lp(simplices):
+    """The margin LP of ``common_interior_point``: maximize e, capped at 1."""
+    d = simplices[0].dim
+    A, b = [], []
+    for s in simplices:
+        for normal, offset in s.facets:
+            A.append([-v for v in normal] + [Fraction(1)])
+            b.append(-offset)
+    A.append([Fraction(0)] * d + [Fraction(1)])
+    b.append(Fraction(1))
+    return [Fraction(0)] * d + [Fraction(1)], A, b
+
+
+def triangle_simplex(size):
+    """The simplex of x1 = 0, x2 = 0, x1 + x2 = size; its margin is size / 3."""
+    F = Instance(2, [
+        Hyperplane((1, 0), 0), Hyperplane((0, 1), 0), Hyperplane((1, 1), size),
+    ])
+    return form_simplex(F, (0, 1, 2))
 
 
 class TestMaximize:
@@ -69,6 +104,7 @@ class TestMaximize:
                 b.append(Fraction(10))
             res = lp.maximize(c, A, b)
             assert res.status in (lp.OPTIMAL, lp.INFEASIBLE)
+            assert same(res, exact(c, A, b))
             if res.status == lp.OPTIMAL:
                 for row, bi in zip(A, b):
                     assert sum(a * x for a, x in zip(row, res.x)) <= bi
@@ -77,3 +113,103 @@ class TestMaximize:
     def test_row_length_checked(self):
         with pytest.raises(ValueError):
             lp.maximize([1, 2], [[1]], [0])
+
+    def test_degenerate_random_lps_match_exact_simplex(self):
+        # few distinct coefficients and repeated rows: ties in the ratio
+        # test, zero multipliers and optimal faces larger than a point
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            m = int(rng.integers(n, 7))
+            A = [[int(v) for v in row] for row in rng.integers(-1, 2, size=(m, n))]
+            b = [int(v) for v in rng.integers(0, 2, size=m)]
+            A += A[: int(rng.integers(0, m + 1))]
+            b += b[: len(A) - len(b)]
+            for j in range(n):
+                for sign in (1, -1):
+                    A.append([sign * int(k == j) for k in range(n)])
+                    b.append(2)
+            c = [int(v) for v in rng.integers(-2, 3, size=n)]
+            assert same(lp.maximize(c, A, b), exact(c, A, b))
+
+    def test_margin_lps_match_exact_simplex(self):
+        rng = np.random.default_rng(3)
+        kinds = set()
+        for case in range(40):
+            d = int(rng.integers(2, 4))
+            F = gen_instance("random-rational", 3 * (d + 1), d, seed=case)
+            simplices = []
+            while len(simplices) < int(rng.integers(1, 4)):
+                idx = rng.choice(F.n, size=d + 1, replace=False).tolist()
+                try:
+                    simplices.append(form_simplex(F, idx))
+                except DegenerateSubfamilyError:
+                    continue
+            c, A, b = margin_lp(simplices)
+            res = lp.maximize(c, A, b)
+            assert same(res, exact(c, A, b))
+            kinds.add("capped" if res.value == 1 else "open" if res.value > 0 else "closed")
+        assert kinds == {"capped", "open", "closed"}
+
+
+class TestFloatGuidedPath:
+    def test_unique_optimum_needs_no_exact_simplex(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact simplex called")
+
+        monkeypatch.setattr(lp, "_maximize_exact", refuse)
+        witness, margin = common_interior_point([triangle_simplex(1)])
+        assert witness == (Fraction(1, 3), Fraction(1, 3))
+        assert margin == Fraction(1, 3)
+        res = lp.maximize([3, 2], [[2, 1], [1, 3]], [1, 1])
+        assert res.x == (Fraction(2, 5), Fraction(1, 5))
+
+    def test_capped_margin_reaches_exact_simplex(self, monkeypatch):
+        calls = []
+        inner = lp._maximize_exact
+
+        def record(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(lp, "_maximize_exact", record)
+        simplex = triangle_simplex(10)
+        witness, margin = common_interior_point([simplex])
+        assert margin == 1 and len(calls) == 1
+        assert same(lp.LPResult(lp.OPTIMAL, witness + (margin,), margin), exact(*margin_lp([simplex])))
+
+    def test_certificate_accepts_only_the_unique_optimal_basis(self, monkeypatch):
+        # rows 0 and 1 are tight at the optimum (2/5, 1/5); row 2 is row 0
+        # doubled (singular with it), rows 3 and 4 are feasible bounds
+        c = [3, 2]
+        A = [[2, 1], [1, 3], [4, 2], [-1, 0], [0, -1]]
+        b = [1, 1, 2, 5, 5]
+        ref = exact(c, A, b)
+        fc, fA, fb = (
+            [Fraction(v) for v in c], [[Fraction(v) for v in row] for row in A], [Fraction(v) for v in b]
+        )
+        for tight in ([0, 1], [0, 2], [0, 3], [1, 3], [3, 4], [1, 4]):
+            res = lp._certify(fc, fA, fb, tight)
+            assert (res is not None) == (tight == [0, 1])
+            if res is not None:
+                assert same(res, ref)
+            # a wrong float guess costs only the exact solve
+            monkeypatch.setattr(lp, "_float_basis", lambda *args, t=tight: t)
+            assert same(lp.maximize(c, A, b), ref)
+
+    @pytest.mark.parametrize("c, A, b", [
+        # 400-digit coefficients: float() overflows
+        ([1, 1], [[1, 0], [0, 1], [1, 1]], [10**400, 10**400, 3 * 10**400]),
+        ([1, 0], [[10**400, 1], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 1]),
+        # in float range, but scaling the row to max |a_ij| = 1 overflows b
+        ([1], [[Fraction(1, 10**300)], [-1]], [10**300, 0]),
+        # coefficients whose float images underflow to 0 or round away
+        ([Fraction(1, 10**400), 1], [[1, 0], [0, 1], [-1, -1]], [5, 5, 0]),
+        ([1, 1], [[1, 0], [0, 1], [Fraction(1, 10**400), 1]], [1, 1, 5]),
+        ([1, 1], [[1, 0], [0, 1], [1, 1]], [1, 1, 2 - Fraction(1, 10**400)]),
+        ([1], [[Fraction(1, 10**400)], [-1]], [1, 0]),
+        ([1, 1], [[Fraction(1, 10**400), 0], [0, Fraction(-1, 10**400)], [1, -1]],
+         [Fraction(1, 10**400), Fraction(1, 10**400), 0]),
+    ])
+    def test_out_of_float_range_matches_exact_simplex(self, c, A, b):
+        assert same(lp.maximize(c, A, b), exact(c, A, b))

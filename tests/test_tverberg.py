@@ -177,6 +177,10 @@ class TestDualTverbergPlane:
         with pytest.raises(ValueError):
             dual_tverberg_plane(F)
 
+    def test_empty_instance_rejected(self):
+        with pytest.raises(ValueError, match="positive multiple of 3"):
+            dual_tverberg_plane(Instance(2, []))
+
     def test_requires_plane(self):
         F = gen_instance("random-rational", 6, 3, seed=0)
         with pytest.raises(DimensionMismatchError):
@@ -236,6 +240,10 @@ class TestDualTverbergSearch:
         with pytest.raises(ValueError):
             dual_tverberg_search(triangle, 2)
 
+    def test_no_groups_on_empty_instance_rejected(self):
+        with pytest.raises(ValueError, match="at least one group"):
+            dual_tverberg_search(Instance(2, []), 0)
+
 
 class TestColorfulSearch:
     def test_trivial_one_per_color(self, triangle):
@@ -268,6 +276,18 @@ class TestColorfulSearch:
     def test_missing_colors_rejected(self, triangle):
         with pytest.raises(ValueError):
             colorful_dual_tverberg_search(triangle, 1)
+
+    def test_more_groups_than_class_size_not_found(self):
+        # r past the C ssize_t range overflowed itertools.combinations
+        F = gen_instance("random-rational", 6, 2, seed=9, colors=[0, 0, 1, 1, 2, 2])
+        assert colorful_dual_tverberg_search(F, 3) is None
+        assert colorful_dual_tverberg_search(F, 10**20) is None
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_no_groups_rejected(self, triangle, r):
+        F = Instance(2, list(triangle.hyperplanes), colors=[0, 1, 2])
+        with pytest.raises(ValueError, match="at least one group"):
+            colorful_dual_tverberg_search(F, r)
 
     def test_unbalanced_colors_rejected(self):
         F = gen_instance("random-rational", 5, 2, seed=0, colors=[0, 0, 1, 1, 2])
