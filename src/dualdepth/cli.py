@@ -10,6 +10,7 @@ instance's measure stanza.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -126,7 +127,13 @@ def _emit(argv, digest, result, t0) -> None:
     sys.stdout.write("\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process.
+
+    ``parse_args`` returns a fresh namespace each time, so reusing the parser
+    carries nothing from one call to the next.
+    """
     p = argparse.ArgumentParser(
         prog="dualdepth",
         description="Ray-crossing depth, central points and dual Tverberg partitions",

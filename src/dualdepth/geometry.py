@@ -16,6 +16,7 @@ input proves that nothing overflows, Python ints (``dtype=object``) otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -178,38 +179,56 @@ def subset_blocks(n: int, r: int):
         yield np.array(chunk, dtype=np.intp).reshape(len(chunk), r)
 
 
+@functools.cache
+def _expansion_plan(m: int, k: int):
+    """Index tables for ``stacked_cofactors`` on m x k matrices.
+
+    Level r lists the (r+1)-subsets of the k columns in combinations order:
+    ``cols[s, p]`` is the p-th column of subset s and ``sub[s, p]`` the
+    index, one level down, of subset s without that column.  ``last[j]``
+    indexes the m-subset that omits column j.
+    """
+    levels = []
+    prev = {(): 0}
+    for r in range(m):
+        subsets = list(itertools.combinations(range(k), r + 1))
+        cols = np.array(subsets, dtype=np.intp).reshape(len(subsets), r + 1)
+        sub = np.array(
+            [[prev[c[:p] + c[p + 1:]] for p in range(r + 1)] for c in subsets], dtype=np.intp
+        ).reshape(len(subsets), r + 1)
+        levels.append((cols, sub))
+        prev = {c: i for i, c in enumerate(subsets)}
+    full = tuple(range(k))
+    last = np.array([prev[full[:j] + full[j + 1:]] for j in range(k)], dtype=np.intp)
+    return levels, last
+
+
 def stacked_cofactors(rows: np.ndarray) -> np.ndarray:
     """Cofactor vectors of a stack of (k-1) x k integer matrices, exactly.
 
     ``rows`` has shape (B, k-1, k); row b of the result is
     ``cofactor_direction(rows[b], k)``.  The minors of the leading r rows are
-    built for every r-subset of columns by expanding along row r, one array
-    operation per (subset, column), so the arithmetic stays in the dtype of
-    ``rows`` (see ``exact_int_array`` for when int64 is exact).
+    built for every r-subset of columns at once by expanding along row r,
+    one array operation per position in the subset, so the arithmetic stays
+    in the dtype of ``rows`` (see ``exact_int_array`` for when int64 is
+    exact).
     """
     count, m, k = rows.shape
-    minors = {(): np.ones(count, dtype=rows.dtype)}
-    for r in range(m):
-        grown = {}
-        for cols in itertools.combinations(range(k), r + 1):
-            acc = np.zeros(count, dtype=rows.dtype)
-            for p, c in enumerate(cols):
-                term = rows[:, r, c] * minors[cols[:p] + cols[p + 1:]]
-                acc = acc - term if (r + p) % 2 else acc + term
-            grown[cols] = acc
-        minors = grown
-    full = tuple(range(k))
-    return np.stack(
-        [(-1) ** j * minors[full[:j] + full[j + 1:]] for j in range(k)], axis=1
-    )
+    levels, last = _expansion_plan(m, k)
+    minors = np.ones((count, 1), dtype=rows.dtype)
+    for r, (cols, sub) in enumerate(levels):
+        acc = np.zeros((count, len(cols)), dtype=rows.dtype)
+        for p in range(r + 1):
+            term = rows[:, r, cols[:, p]] * minors[:, sub[:, p]]
+            acc = acc - term if (r + p) % 2 else acc + term
+        minors = acc
+    return minors[:, last] * np.array([(-1) ** j for j in range(k)], dtype=rows.dtype)
 
 
 def scale_to_int(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector by the (positive) lcm of denominators."""
-    denlcm = 1
-    for v in vec:
-        denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
-    return tuple(int(v * denlcm) for v in vec)
+    denlcm = math.lcm(*(v.denominator for v in vec))
+    return tuple(v.numerator * (denlcm // v.denominator) for v in vec)
 
 
 def rref(rows: Sequence[Sequence], width: int) -> tuple[list[list[Fraction]], list[int]]:

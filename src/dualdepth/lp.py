@@ -1,18 +1,25 @@
 """Small dense linear programming over rationals: float guess, exact answer.
 
-``maximize`` works in two stages, and floats only guess.  Every returned
-status, point and value is Fraction-exact.
+``maximize`` first scales every constraint row (A_i | -b_i) and the
+objective to integers, once, by the lcm of their denominators; this keeps
+the feasible set and the optimum and only rescales the multipliers by
+positive factors.  It then works in two stages, and floats only guess.
+Every returned status, point and value is Fraction-exact.
 
 1. Float guess.  A two-phase float64 simplex on the dual,
    min b.y subject to A^T y = c, y >= 0, finds an optimal basis.  Its
    tableau has only one row per variable, so it stays tiny; the basis names
    the primal rows B that are tight at the optimum.
-2. Exact certificate.  One exact ``rref`` of [A_B | b_B | I] gives
-   x = A_B^-1 b_B and the multipliers y_B = A_B^-T c.  The guess is accepted
-   only if A_B is nonsingular, A x <= b holds on every row, and every
-   multiplier is strictly positive.  Then y proves x optimal, and strictly
-   positive multipliers make x the only optimum (every optimum has the rows
-   of B tight), so x is exactly what the simplex below would return.
+2. Exact certificate.  One ``stacked_cofactors`` call on the integer rows
+   solves both square systems: the cofactor vector of (A_B | -b_B) is
+   proportional to (x, 1), and that of (A_B^T | -c) to (y_B, 1).  The guess
+   is accepted only if A_B is nonsingular (the last entries, +-det A_B, are
+   nonzero), every multiplier is strictly positive, and A num <= b den holds
+   on every row, checked in the integer dtype ``exact_int_array`` picks
+   (int64 when its bound allows, Python ints otherwise).  Then y proves x
+   optimal, and strictly positive multipliers make x the only optimum
+   (every optimum has the rows of B tight), so x is exactly what the
+   simplex below would return.
 
 Everything else goes to the exact simplex: a coefficient out of float
 range, a float solve that fails, is infeasible or unbounded or runs past
@@ -33,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import as_scalar, dot, rref
+from .geometry import as_scalar, dot, exact_int_array, scale_to_int, stacked_cofactors
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -192,23 +199,24 @@ def _float_run(T, basis, m, cap) -> Optional[bool]:
     return None
 
 
-def _float_basis(c, A, b) -> Optional[list[int]]:
-    """Rows of A tight at a float64 optimum of max c.x subject to A x <= b.
+def _float_basis(c, rows) -> Optional[list[int]]:
+    """Rows tight at a float64 optimum of max c.x subject to rows . (x, 1) <= 0.
 
-    Solves the dual min b.y subject to A^T y = c, y >= 0 by a two-phase
-    tableau simplex and returns its basis, the indices of len(c) rows of A,
-    sorted.  Returns None when a coefficient is out of float range, the
-    solve fails, or some basic multiplier is within tolerance of zero.
+    Solves the dual min b.y subject to A^T y = c, y >= 0 (with rows = (A | -b))
+    by a two-phase tableau simplex and returns its basis, the indices of
+    len(c) rows, sorted.  Returns None when a coefficient is out of float
+    range, the solve fails, or some basic multiplier is within tolerance of
+    zero.
     """
-    m, n = len(A), len(c)
+    m, n = len(rows), len(c)
     if n == 0 or m < n:
         return None
     try:
-        Af = np.array([[float(v) for v in row] for row in A])
-        bf = np.array([float(v) for v in b])
-        cf = np.array([float(v) for v in c])
+        M = np.array(rows, dtype=float)
+        cf = np.array(c, dtype=float)
     except OverflowError:
         return None
+    Af, bf = M[:, :n], -M[:, n]
     with np.errstate(all="ignore"):
         # scaling a primal row scales its multiplier and keeps the basis
         scale = np.abs(Af).max(axis=1)
@@ -251,21 +259,30 @@ def _float_basis(c, A, b) -> Optional[list[int]]:
     return sorted(basis)
 
 
-def _certify(c, A, b, tight) -> Optional[LPResult]:
-    """The exact optimum with rows ``tight`` active, if it is certified unique."""
-    n = len(c)
-    reduced, pivots = rref(
-        [A[i] + [b[i]] + [int(k == r) for k in range(n)] for r, i in enumerate(tight)], n
-    )
-    if len(pivots) < n:
+def _certify(c, rows, tight) -> Optional[tuple[Fraction, ...]]:
+    """The optimum with rows ``tight`` active, if this basis proves it unique.
+
+    ``rows`` are the integer constraints rows . (x, 1) <= 0 and ``c`` the
+    integer objective.  One cofactor call solves both systems: the cofactor
+    vector v of the rows (A_B | -b_B) is proportional to (x, 1), and w of
+    (A_B^T | -c) to (y_B, 1); both last entries are +-det A_B.  Accepts
+    when A_B is nonsingular, every row holds and every multiplier is > 0.
+    """
+    n, m = len(c), len(rows)
+    dual = [[rows[i][k] for i in tight] + [-c[k]] for k in range(n)]
+    M = exact_int_array(list(rows) + dual, n + 1)
+    v, w = stacked_cofactors(np.stack([M[tight], M[m:]]))
+    den = int(v[n])
+    if den == 0:
         return None  # singular A_B
-    x = [row[n] for row in reduced]
-    # y_B = A_B^-T c, read off the inverse A_B^-1 in columns n+1..2n
-    if any(sum(reduced[k][n + 1 + r] * c[k] for k in range(n)) <= 0 for r in range(n)):
+    sign = 1 if den > 0 else -1
+    # y_B = w[:n] / w[n] > 0
+    if (w[:n] * (1 if w[n] > 0 else -1) <= 0).any():
         return None
-    if any(dot(row, x) > bi for row, bi in zip(A, b)):
+    # row . v = A_i . num - b_i den, with den > 0 once v is signed
+    if ((M[:m] @ v) * sign > 0).any():
         return None
-    return LPResult(OPTIMAL, tuple(x), dot(c, x))
+    return tuple(Fraction(int(num), den) for num in v[:n])
 
 
 def _maximize_exact(c, A, b) -> LPResult:
@@ -292,9 +309,12 @@ def maximize(c: Sequence, A_ub: Sequence[Sequence], b_ub: Sequence) -> LPResult:
     n = len(c)
     if any(len(row) != n for row in A):
         raise ValueError("constraint row length differs from objective length")
-    tight = _float_basis(c, A, b)
+    # each row times the lcm of its denominators: the same constraints in ints
+    rows = [scale_to_int(row + [-bi]) for row, bi in zip(A, b)]
+    obj = scale_to_int(c)
+    tight = _float_basis(obj, rows)
     if tight is not None:
-        res = _certify(c, A, b, tight)
-        if res is not None:
-            return res
+        x = _certify(obj, rows, tight)
+        if x is not None:
+            return LPResult(OPTIMAL, x, dot(c, x))
     return _maximize_exact(c, A, b)

@@ -502,6 +502,8 @@ def verify_dual_ctr(
     """
     if not specs:
         raise ValueError("need at least one measure spec")
+    if N < 1 or probes < 1:
+        raise ValueError("N and probes must be >= 1")
     d = specs[0].dim
     c = specs[0].codim
     k = d - c

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import lp
 from .depth import max_depth_point
 from .geometry import (
@@ -32,6 +34,8 @@ from .geometry import (
     as_point,
     dot,
     ensure_general_position,
+    exact_int_array,
+    stacked_cofactors,
 )
 
 
@@ -71,22 +75,24 @@ def form_simplex(F: Instance, idx: Sequence[int]) -> SimplexSpec:
         raise DimensionMismatchError(f"need d+1 distinct indices, got {idx}")
     if not 0 <= idx[0] <= idx[-1] < F.n:
         raise IndexError(f"hyperplane indices {idx} out of range for n={F.n}")
+    normals, offsets = F.scaled()
+    rows = exact_int_array([normals[i] + (-offsets[i],) for i in idx], d + 1)
+    # vertex i lies on every row but row i; their cofactor vector is
+    # proportional to (vertex, 1), and its dot product with row i is the
+    # residual of hyperplane i at the vertex, times the last entry
+    cof = stacked_cofactors(rows[[[k for k in range(d + 1) if k != i] for i in range(d + 1)]])
     vertices = []
-    for i in idx:
-        others = tuple(j for j in idx if j != i)
-        vertex = F.vertex_point(others)
-        if vertex is None:
-            raise DegenerateSubfamilyError(others, f"subfamily {idx} is degenerate")
-        vertices.append(vertex)
+    for i, v in enumerate(cof):
+        den = int(v[d])
+        if den == 0:
+            raise DegenerateSubfamilyError(idx[:i] + idx[i + 1:], f"subfamily {idx} is degenerate")
+        vertices.append(tuple(Fraction(int(num), den) for num in v[:d]))
     facets = []
-    for pos, i in enumerate(idx):
-        h = F.hyperplanes[i]
-        opposite = vertices[pos]
-        s = dot(h.normal, opposite) - h.offset
+    for i, s in enumerate((rows * cof).sum(axis=1) * np.sign(cof[:, d])):
         if s == 0:
             raise DegenerateSubfamilyError(idx, "flat simplex (vertex on its facet)")
-        sign = 1 if s > 0 else -1
-        facets.append((tuple(sign * c for c in h.normal), sign * h.offset))
+        h = F.hyperplanes[idx[i]]
+        facets.append((h.normal, h.offset) if s > 0 else (tuple(-c for c in h.normal), -h.offset))
     return SimplexSpec(idx, tuple(vertices), tuple(facets))
 
 
@@ -99,14 +105,16 @@ def common_interior_point(simplices: Sequence[SimplexSpec]):
     """Exact LP certificate for a common interior point of simplices.
 
     Maximizes the slack e subject to inward_normal . x >= inward_offset + e
-    over every facet, with e <= 1.  The LP is bounded without the cap, since
-    an intersection of simplices is bounded; the cap fixes the reported
-    margin at min(largest slack, 1).  When the largest slack exceeds 1, every
-    point of slack at least 1 is optimal, so a capped optimum is not unique
-    and ``lp.maximize`` solves it with the exact simplex.  Returns
-    (witness, margin) with margin > 0 for a strict interior point,
+    over every facet.  There is no cap on e: an intersection of simplices is
+    bounded, so the largest slack e* is attained.  Returns (witness, margin)
+    with margin = min(e*, 1): margin > 0 for a strict interior point,
     margin == 0 when the intersection is nonempty but has empty interior,
     and None when even the closed intersection is empty.
+
+    Witness rule: the witness is a point of slack e*, so its slack is at
+    least the margin.  It is the unique such point (a deepest common point)
+    whenever the max-slack LP has a unique optimum, which ``lp.maximize``
+    then certifies; otherwise it is the point the exact simplex returns.
     """
     if not simplices:
         raise ValueError("need at least one simplex")
@@ -119,15 +127,12 @@ def common_interior_point(simplices: Sequence[SimplexSpec]):
         for normal, offset in s.facets:
             A.append([-c for c in normal] + [Fraction(1)])
             b.append(-offset)
-    A.append([Fraction(0)] * d + [Fraction(1)])
-    b.append(Fraction(1))
     res = lp.maximize([Fraction(0)] * d + [Fraction(1)], A, b)
     if res.status != lp.OPTIMAL:
-        raise RuntimeError(f"margin LP ended {res.status}, but it is always feasible and capped")
-    margin = res.value
-    if margin < 0:
+        raise RuntimeError(f"margin LP ended {res.status}, but it is always feasible and bounded")
+    if res.value < 0:
         return None
-    return tuple(res.x[:d]), margin
+    return tuple(res.x[:d]), min(res.value, Fraction(1))
 
 
 def _containment_margin(simplices: Sequence[SimplexSpec], x: Point) -> Fraction:
@@ -281,13 +286,16 @@ def dual_tverberg_search(F: Instance, n: int) -> Optional[PartitionResult]:
             tuple(max(v[k] for v in vs) for k in range(d)),
         )
 
+    @functools.cache
+    def pair_overlap(g, h) -> bool:
+        (glo, ghi), (hlo, hhi) = box(g), box(h)
+        return all(glo[k] < hhi[k] and hlo[k] < ghi[k] for k in range(d))
+
     def boxes_overlap(groups) -> bool:
         # open overlap of the vertex bounding boxes is necessary for a
-        # strict common point, so a degenerate overlap rules the LP out
-        for k in range(d):
-            if max(box(g)[0][k] for g in groups) >= min(box(g)[1][k] for g in groups):
-                return False
-        return True
+        # strict common point, so a degenerate overlap rules the LP out;
+        # open intervals share a point when every two of them do (1-D Helly)
+        return all(pair_overlap(g, h) for g, h in itertools.combinations(groups, 2))
 
     checked = 0
     for part in _partitions(list(range(F.n)), d + 1):

@@ -31,6 +31,7 @@ from dualdepth import (  # noqa: E402
     ensure_general_position,
 )
 from dualdepth.geometry import (  # noqa: E402
+    DegenerateSubfamilyError,
     cofactor_direction,
     fraction_nullspace,
     fraction_rank,
@@ -237,6 +238,36 @@ def max_depth_point_reference(F: Instance) -> DepthCertificate:
     (neg_depth, point), witness = best
     bound = (n + d) // (d + 1)
     return DepthCertificate(point, -neg_depth, witness, bound, -neg_depth >= bound)
+
+
+def form_simplex_reference(F: Instance, idx):
+    """The simplex of a (d+1)-subset from one Cramer solve per vertex.
+
+    Raises DegenerateSubfamilyError for the first singular d-subset in
+    vertex order, then for a vertex lying on its opposite facet.
+    """
+    from dualdepth import SimplexSpec
+
+    d = F.dim
+    idx = tuple(sorted(idx))
+    normals, offsets = F.scaled()
+    vertices = []
+    for i in idx:
+        others = tuple(j for j in idx if j != i)
+        sol = solve_int_square([normals[j] for j in others], [offsets[j] for j in others])
+        if sol is None:
+            raise DegenerateSubfamilyError(others, f"subfamily {idx} is degenerate")
+        nums, den = sol
+        vertices.append(tuple(Fraction(v, den) for v in nums))
+    facets = []
+    for i, opposite in zip(idx, vertices):
+        h = F.hyperplanes[i]
+        s = sum(a * b for a, b in zip(h.normal, opposite)) - h.offset
+        if s == 0:
+            raise DegenerateSubfamilyError(idx, "flat simplex (vertex on its facet)")
+        sign = 1 if s > 0 else -1
+        facets.append((tuple(sign * c for c in h.normal), sign * h.offset))
+    return SimplexSpec(idx, tuple(vertices), tuple(facets))
 
 
 def check_general_position_reference(F: Instance) -> GeneralPositionResult:

@@ -5,6 +5,7 @@ allows it, Python ints (dtype=object) where it does not (sphere-tangent
 families in d >= 3 and float-lifted families always take that path).
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,9 @@ from dualdepth import (
     tukey_depth,
 )
 from dualdepth.depth import _candidates, _spanned_hyperplanes, discrete_centerpoint
+from dualdepth.tverberg import form_simplex
 from dualdepth.geometry import (
+    DegenerateSubfamilyError,
     cofactor_direction,
     exact_int_array,
     solve_int_square,
@@ -33,6 +36,7 @@ from conftest import (
     centerpoint_candidates_reference,
     check_general_position_reference,
     dual_depth_reference,
+    form_simplex_reference,
     hemisphere_depth_reference,
     max_depth_point_reference,
     spanned_hyperplanes_reference,
@@ -236,6 +240,48 @@ def test_first_violation_matches_subset_loop(F, violation, reason):
     assert gp == check_general_position_reference(F)
     assert (gp.ok, gp.violation, gp.reason) == (False, violation, reason)
     assert all(type(i) is int for i in gp.violation)
+
+
+def _degenerate_d4():
+    # d=4: planes 0 and 5 parallel, planes 1, 2, 3, 4 and 6 through one point
+    hs = _random_planes(8, 4, seed=8)
+    hs[5] = Hyperplane(tuple(2 * c for c in hs[0].normal), hs[0].offset + 3)
+    hs[6] = _through(Instance(4, hs).vertex_point((1, 2, 3, 4)), (1, -2, 3, 5))
+    return Instance(4, hs)
+
+
+SIMPLEX_CASES = (
+    [(name, F) for name, F in CASES if 2 <= F.dim <= 4]
+    + [(name, F) for name, F, *_ in DEGENERATE]
+    + [("degenerate-d4", _degenerate_d4())]
+)
+
+
+@pytest.mark.parametrize("F", [F for _, F in SIMPLEX_CASES], ids=[name for name, _ in SIMPLEX_CASES])
+def test_form_simplex_matches_vertex_loop(F):
+    raised = 0
+    for idx in itertools.combinations(range(F.n), F.dim + 1):
+        try:
+            ref = form_simplex_reference(F, idx)
+        except DegenerateSubfamilyError as exc:
+            with pytest.raises(DegenerateSubfamilyError) as got:
+                form_simplex(F, idx)
+            assert (got.value.indices, str(got.value)) == (exc.indices, str(exc)), idx
+            raised += 1
+        else:
+            assert form_simplex(F, idx) == ref, idx
+    # a (d+1)-subset is degenerate exactly where general position fails
+    assert (raised > 0) == (not check_general_position(F).ok)
+
+
+def test_form_simplex_degenerate_kinds():
+    F = _degenerate_d4()
+    with pytest.raises(DegenerateSubfamilyError, match="subfamily") as parallel:
+        form_simplex(F, (0, 1, 2, 3, 5))
+    assert parallel.value.indices == (0, 2, 3, 5)  # the vertex opposite plane 1
+    with pytest.raises(DegenerateSubfamilyError, match="flat simplex") as flat:
+        form_simplex(F, (1, 2, 3, 4, 6))
+    assert flat.value.indices == (1, 2, 3, 4, 6)
 
 
 def _point_set(d, seed):

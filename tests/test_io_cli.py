@@ -14,6 +14,7 @@ from dualdepth import (
     parse_instance,
     write_instance,
 )
+from dualdepth import cli
 from dualdepth.cli import main
 from dualdepth.geometry import side_of
 from dualdepth.io import ParseError, instance_measure, parse_scalar, scalar_to_str
@@ -379,6 +380,54 @@ class TestCli:
         code, report, err = run_cli(capsys, *argv)
         assert code == 2 and report is None
         assert ">= 1" in err
+
+    @pytest.mark.parametrize("codim", [1, 2], ids=["codim1", "codim2"])
+    @pytest.mark.parametrize("flag", ["--samples", "--probes"])
+    @pytest.mark.parametrize("count", ["0", "-3"], ids=["zero", "negative"])
+    def test_verify_transversal_bad_counts_exit_two(self, capsys, tmp_path, codim, flag, count):
+        # codim 1: one measure on hyperplanes and a point; codim 2: two
+        # measures on lines and a line through the origin
+        measures = [
+            {"dim": 2, "codim": codim, "kind": "uniform-angle-offset",
+             "params": {"radius": 1.0}, "seed": k}
+            for k in range(codim)
+        ]
+        flat = {"point": [0, 0], "directions": [[1, 0]] if codim == 2 else []}
+        path = tmp_path / "ctr.json"
+        path.write_text(json.dumps({"measures": measures, "flat": flat}))
+        code, report, err = run_cli(capsys, "verify-transversal", "--spec", str(path), flag, count)
+        assert code == 2 and report is None
+        assert ">= 1" in err
+
+    def test_back_to_back_calls_share_no_state(self, capsys, tmp_path, triangle):
+        # the parser is built once per process; a flag given to one call
+        # must not reach the next, so each call answers as a fresh process
+        triangle.metadata["_measure"] = FlatMeasureSpec(
+            2, 1, "uniform-angle-offset", {"radius": 1.0, "center": [3.0, 1.0]}, seed=0
+        )
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(triangle))
+        measure = ["verify-measure", "--instance", str(path), "--samples", "500", "--probes", "60"]
+        obj = json.loads(write_instance(triangle))
+        obj["custom"] = {"a": 1}
+        lenient = tmp_path / "lenient.json"
+        lenient.write_text(json.dumps(obj))
+        validate = ["validate", "--instance", str(lenient)]
+
+        code, at_point, _ = run_cli(capsys, *measure, "--point", "0,0")
+        assert at_point["result"]["point"] == ["0", "0"]
+        code, searched, _ = run_cli(capsys, *measure)
+        assert searched["result"]["point"] != ["0", "0"]
+        code, _, err = run_cli(capsys, *validate, "--strict")
+        assert code == 2 and "unknown" in err
+        code, report, _ = run_cli(capsys, *validate)
+        assert code == 0 and report["result"]["general_position"] is True
+
+        cli._build_parser.cache_clear()
+        code, fresh, _ = run_cli(capsys, *measure)
+        searched.pop("timing_s")
+        fresh.pop("timing_s")
+        assert searched == fresh
 
     @pytest.mark.parametrize("measures", [[], 5], ids=["empty", "not-a-list"])
     def test_verify_transversal_bad_measures_exit_two(self, capsys, tmp_path, measures):

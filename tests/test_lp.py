@@ -1,12 +1,13 @@
 """Exact linear programming: the float-guided certificate and the exact simplex."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dualdepth import Hyperplane, Instance, gen_instance, lp
-from dualdepth.geometry import DegenerateSubfamilyError
+from dualdepth.geometry import DegenerateSubfamilyError, dot, exact_int_array, scale_to_int
 from dualdepth.tverberg import common_interior_point, form_simplex
 
 
@@ -21,17 +22,41 @@ def same(res, ref) -> bool:
     return (res.status, res.x, res.value) == (ref.status, ref.x, ref.value)
 
 
-def margin_lp(simplices):
-    """The margin LP of ``common_interior_point``: maximize e, capped at 1."""
+def margin_lp(simplices, cap=False):
+    """The margin LP of ``common_interior_point``: maximize e, with e <= 1 if ``cap``."""
     d = simplices[0].dim
     A, b = [], []
     for s in simplices:
         for normal, offset in s.facets:
             A.append([-v for v in normal] + [Fraction(1)])
             b.append(-offset)
-    A.append([Fraction(0)] * d + [Fraction(1)])
-    b.append(Fraction(1))
+    if cap:
+        A.append([Fraction(0)] * d + [Fraction(1)])
+        b.append(Fraction(1))
     return [Fraction(0)] * d + [Fraction(1)], A, b
+
+
+def integer_rows(c, A, b):
+    """``maximize``'s integer form: the objective and rows (A_i | -b_i), scaled."""
+    c = [Fraction(v) for v in c]
+    rows = [scale_to_int([Fraction(v) for v in row] + [-Fraction(bi)]) for row, bi in zip(A, b)]
+    return scale_to_int(c), rows
+
+
+def assert_certificates_sound(c, A, b) -> int:
+    """Every basis the certificate accepts gives the exact simplex's optimum.
+
+    Tries all len(c)-subsets of rows and returns how many were accepted.
+    """
+    ref = exact(c, A, b)
+    obj, rows = integer_rows(c, A, b)
+    accepted = 0
+    for tight in itertools.combinations(range(len(rows)), len(c)):
+        x = lp._certify(obj, rows, list(tight))
+        if x is not None:
+            assert ref.status == lp.OPTIMAL and x == ref.x, tight
+            accepted += 1
+    return accepted
 
 
 def triangle_simplex(size):
@@ -105,6 +130,7 @@ class TestMaximize:
             res = lp.maximize(c, A, b)
             assert res.status in (lp.OPTIMAL, lp.INFEASIBLE)
             assert same(res, exact(c, A, b))
+            assert_certificates_sound(c, A, b)
             if res.status == lp.OPTIMAL:
                 for row, bi in zip(A, b):
                     assert sum(a * x for a, x in zip(row, res.x)) <= bi
@@ -131,6 +157,7 @@ class TestMaximize:
                     b.append(2)
             c = [int(v) for v in rng.integers(-2, 3, size=n)]
             assert same(lp.maximize(c, A, b), exact(c, A, b))
+            assert_certificates_sound(c, A, b)
 
     def test_margin_lps_match_exact_simplex(self):
         rng = np.random.default_rng(3)
@@ -145,11 +172,13 @@ class TestMaximize:
                     simplices.append(form_simplex(F, idx))
                 except DegenerateSubfamilyError:
                     continue
-            c, A, b = margin_lp(simplices)
-            res = lp.maximize(c, A, b)
-            assert same(res, exact(c, A, b))
-            kinds.add("capped" if res.value == 1 else "open" if res.value > 0 else "closed")
-        assert kinds == {"capped", "open", "closed"}
+            for cap in (False, True):
+                c, A, b = margin_lp(simplices, cap)
+                res = lp.maximize(c, A, b)
+                assert same(res, exact(c, A, b))
+            # res is the capped LP's: its value is min(largest slack, 1)
+            kinds.add("deep" if res.value == 1 else "open" if res.value > 0 else "closed")
+        assert kinds == {"deep", "open", "closed"}
 
 
 class TestFloatGuidedPath:
@@ -164,19 +193,17 @@ class TestFloatGuidedPath:
         res = lp.maximize([3, 2], [[2, 1], [1, 3]], [1, 1])
         assert res.x == (Fraction(2, 5), Fraction(1, 5))
 
-    def test_capped_margin_reaches_exact_simplex(self, monkeypatch):
-        calls = []
-        inner = lp._maximize_exact
+    def test_capped_margin_is_certified(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact simplex called")
 
-        def record(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(lp, "_maximize_exact", record)
+        monkeypatch.setattr(lp, "_maximize_exact", refuse)
         simplex = triangle_simplex(10)
         witness, margin = common_interior_point([simplex])
-        assert margin == 1 and len(calls) == 1
-        assert same(lp.LPResult(lp.OPTIMAL, witness + (margin,), margin), exact(*margin_lp([simplex])))
+        # the largest slack is 10/3, at the one deepest point; the margin caps it
+        assert margin == 1
+        assert witness == (Fraction(10, 3), Fraction(10, 3))
+        assert min(dot(normal, witness) - offset for normal, offset in simplex.facets) >= 1
 
     def test_certificate_accepts_only_the_unique_optimal_basis(self, monkeypatch):
         # rows 0 and 1 are tight at the optimum (2/5, 1/5); row 2 is row 0
@@ -185,14 +212,12 @@ class TestFloatGuidedPath:
         A = [[2, 1], [1, 3], [4, 2], [-1, 0], [0, -1]]
         b = [1, 1, 2, 5, 5]
         ref = exact(c, A, b)
-        fc, fA, fb = (
-            [Fraction(v) for v in c], [[Fraction(v) for v in row] for row in A], [Fraction(v) for v in b]
-        )
+        obj, rows = integer_rows(c, A, b)
         for tight in ([0, 1], [0, 2], [0, 3], [1, 3], [3, 4], [1, 4]):
-            res = lp._certify(fc, fA, fb, tight)
-            assert (res is not None) == (tight == [0, 1])
-            if res is not None:
-                assert same(res, ref)
+            x = lp._certify(obj, rows, tight)
+            assert (x is not None) == (tight == [0, 1])
+            if x is not None:
+                assert x == ref.x
             # a wrong float guess costs only the exact solve
             monkeypatch.setattr(lp, "_float_basis", lambda *args, t=tight: t)
             assert same(lp.maximize(c, A, b), ref)
@@ -213,3 +238,12 @@ class TestFloatGuidedPath:
     ])
     def test_out_of_float_range_matches_exact_simplex(self, c, A, b):
         assert same(lp.maximize(c, A, b), exact(c, A, b))
+        assert_certificates_sound(c, A, b)
+
+    def test_certificate_past_the_int64_bound(self):
+        # 400-digit rows put the certificate on Python ints; a strictly
+        # positive basis there is accepted and matches the exact simplex
+        big = 10**400
+        c, A, b = [1, 1], [[big, 1], [1, big], [-1, 0], [0, -1]], [big + 1, big + 1, 0, 0]
+        assert exact_int_array(integer_rows(c, A, b)[1], 3).dtype == object
+        assert assert_certificates_sound(c, A, b) == 1
