@@ -19,20 +19,17 @@ from .geometry import (
     check_general_position,
     ensure_general_position,
     intersect_subfamily,
-    project_onto,
     side_of,
 )
 from .depth import (
     CellSignature,
     DepthCertificate,
     depth_from_signature,
-    discrete_centerpoint,
     dual_depth,
     hemisphere_depth,
     max_depth_point,
     ray_crossings,
     signature_of,
-    tukey_depth,
 )
 from .tverberg import (
     PartitionResult,
@@ -79,18 +76,15 @@ __all__ = [
     "check_general_position",
     "ensure_general_position",
     "intersect_subfamily",
-    "project_onto",
     "side_of",
     "CellSignature",
     "DepthCertificate",
     "depth_from_signature",
-    "discrete_centerpoint",
     "dual_depth",
     "hemisphere_depth",
     "max_depth_point",
     "ray_crossings",
     "signature_of",
-    "tukey_depth",
     "PartitionResult",
     "SimplexSpec",
     "colorful_dual_tverberg_search",

@@ -247,22 +247,13 @@ def _run(args, argv) -> int:
         _emit(argv, digest, _partition_json(res), t0)
         return EXIT_OK
 
-    if args.cmd == "tverberg-search":
+    if args.cmd in ("tverberg-search", "colorful"):
         inst, digest = _load_instance(args.instance)
         try:
-            res = dual_tverberg_search(inst, args.groups)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        if res is None:
-            _emit(argv, digest, {"type": "NotFound"}, t0)
-            return EXIT_NOT_FOUND
-        _emit(argv, digest, _partition_json(res), t0)
-        return EXIT_OK
-
-    if args.cmd == "colorful":
-        inst, digest = _load_instance(args.instance)
-        try:
-            res = colorful_dual_tverberg_search(inst, args.r)
+            if args.cmd == "colorful":
+                res = colorful_dual_tverberg_search(inst, args.r)
+            else:
+                res = dual_tverberg_search(inst, args.groups)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if res is None:

@@ -3,7 +3,8 @@
 Every model is a pure function of (n, d, seed).  A generated family is
 checked exactly with check_general_position; on a violation the draw is
 retried with an incremented sub-seed and the retry count is recorded in the
-instance metadata, so outputs stay reproducible bit for bit.
+instance metadata, so outputs stay reproducible bit for bit.  A model that
+misses general position on all 64 draws raises DegenerateInstanceError.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Hyperplane, Instance, check_general_position
+from .geometry import DegenerateInstanceError, Hyperplane, Instance, check_general_position
 
 MODELS = ("uniform-sphere-tangent", "random-rational", "perturbed-grid")
 
@@ -45,7 +46,7 @@ def gen_instance(model: str, n: int, d: int, seed: int, colors=None) -> Instance
         )
         if check_general_position(inst).ok:
             return inst
-    raise RuntimeError(f"could not reach general position after {_MAX_REGEN} draws")
+    raise DegenerateInstanceError(f"could not reach general position after {_MAX_REGEN} draws")
 
 
 def _random_rational(n: int, d: int, rng) -> list[Hyperplane]:

@@ -81,11 +81,6 @@ def as_point(coords: Iterable) -> Point:
     return tuple(as_scalar(c) for c in coords)
 
 
-def approx(value: Fraction) -> float:
-    """Floating view of an exact scalar (nearest double)."""
-    return float(value)
-
-
 def dot(a: Sequence, b: Sequence):
     if len(a) != len(b):
         raise DimensionMismatchError(f"dot: {len(a)} vs {len(b)}")
@@ -93,70 +88,8 @@ def dot(a: Sequence, b: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Integer linear algebra (Bareiss determinants, Cramer solves)
+# Integer linear algebra (stacked cofactors, exact elimination)
 # ---------------------------------------------------------------------------
-
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def solve_int_square(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
-    """Solve an integer d x d system exactly.
-
-    Returns ``(numerators, denominator)`` with denominator > 0, or ``None``
-    when the matrix is singular.  Solution coordinates are numerators[i]/den.
-    """
-    d = len(rows)
-    det = int_det(rows)
-    if det == 0:
-        return None
-    nums = []
-    for j in range(d):
-        col = [list(r) for r in rows]
-        for i in range(d):
-            col[i][j] = rhs[i]
-        nums.append(int_det(col))
-    if det < 0:
-        det = -det
-        nums = [-x for x in nums]
-    return tuple(nums), det
-
-
-def cofactor_direction(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...]:
-    """Vector orthogonal to d-1 integer row vectors (generalized cross product).
-
-    Component j is the signed maximal minor omitting column j.  The result is
-    the zero vector exactly when the rows have rank < d-1.
-    """
-    if len(rows) != dim - 1:
-        raise DimensionMismatchError("cofactor_direction needs d-1 rows")
-    out = []
-    for j in range(dim):
-        minor = [[r[c] for c in range(dim) if c != j] for r in rows]
-        out.append((-1) ** j * int_det(minor))
-    return tuple(out)
-
 
 def exact_int_array(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
     """Integer rows as an (m, width) array in a dtype the batched kernels keep exact.
@@ -206,8 +139,10 @@ def _expansion_plan(m: int, k: int):
 def stacked_cofactors(rows: np.ndarray) -> np.ndarray:
     """Cofactor vectors of a stack of (k-1) x k integer matrices, exactly.
 
-    ``rows`` has shape (B, k-1, k); row b of the result is
-    ``cofactor_direction(rows[b], k)``.  The minors of the leading r rows are
+    ``rows`` has shape (B, k-1, k); component j of row b of the result is
+    (-1)^j times the minor of ``rows[b]`` without column j.  That vector is
+    orthogonal to every row of ``rows[b]`` and is zero exactly when those
+    rows have rank < k-1.  The minors of the leading r rows are
     built for every r-subset of columns at once by expanding along row r,
     one array operation per position in the subset, so the arithmetic stays
     in the dtype of ``rows`` (see ``exact_int_array`` for when int64 is
@@ -338,14 +273,6 @@ def side_of(h: Hyperplane, x: Point) -> int:
     return (v > 0) - (v < 0)
 
 
-def project_onto(h: Hyperplane, x: Point) -> Point:
-    """Orthogonal projection of x onto h, exact."""
-    if len(x) != h.dim:
-        raise DimensionMismatchError(f"point dim {len(x)} vs hyperplane dim {h.dim}")
-    t = (dot(h.normal, x) - h.offset) / dot(h.normal, h.normal)
-    return tuple(xi - t * ni for xi, ni in zip(x, h.normal))
-
-
 def intersect_subfamily(hs: Sequence[Hyperplane]) -> Point:
     """Unique common point of d hyperplanes in R^d.
 
@@ -356,16 +283,12 @@ def intersect_subfamily(hs: Sequence[Hyperplane]) -> Point:
         raise DimensionMismatchError(f"need exactly {d} hyperplanes, got {len(hs)}")
     if any(h.dim != d for h in hs):
         raise DimensionMismatchError("mixed dimensions in subfamily")
-    rows, rhs = [], []
-    for h in hs:
-        a, b = h.scaled()
-        rows.append(a)
-        rhs.append(b)
-    sol = solve_int_square(rows, rhs)
-    if sol is None:
+    # the cofactor vector of the rows (a_i, -b_i) is proportional to (x, 1)
+    rows = exact_int_array([a + (-b,) for a, b in (h.scaled() for h in hs)], d + 1)
+    *nums, den = stacked_cofactors(rows[np.newaxis])[0].tolist()
+    if den == 0:
         raise DegenerateSubfamilyError(range(len(hs)))
-    nums, den = sol
-    return tuple(Fraction(n, den) for n in nums)
+    return tuple(Fraction(v, den) for v in nums)
 
 
 @dataclass(frozen=True)
@@ -433,18 +356,6 @@ class Instance:
             classes.setdefault(c, []).append(i)
         return classes
 
-    def vertex(self, subset: tuple[int, ...]):
-        """Common point of a d-subset as (numerators, den>0), or None."""
-        normals, offsets = self.scaled()
-        return solve_int_square([normals[i] for i in subset], [offsets[i] for i in subset])
-
-    def vertex_point(self, subset: tuple[int, ...]) -> Optional[Point]:
-        sol = self.vertex(subset)
-        if sol is None:
-            return None
-        nums, den = sol
-        return tuple(Fraction(v, den) for v in nums)
-
 
 def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
     """Every d-subset's common point with its residuals, in blocks.
@@ -452,8 +363,9 @@ def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
     Takes integer hyperplanes normal_i . y = offset_i (at least d of them)
     and yields ``(subsets, nums, den, R)`` over their d-subsets in
     combinations order, at most ``_BLOCK`` per block.  ``subsets`` is (B, d);
-    ``nums`` (B, d) and ``den`` (B,) are what ``solve_int_square`` returns,
-    except that a singular subset has den = 0; ``R`` (B, n) holds
+    the vertex of subset b is nums[b] / den[b], where ``den`` (B,) is the
+    absolute determinant of the subset's normals (0 for a singular subset)
+    and ``nums`` (B, d) are the matching Cramer numerators; ``R`` (B, n) holds
     offset_i * den - normal_i . nums, which is zero exactly when hyperplane i
     passes through the vertex.  Each vertex is the cofactor vector of the
     rows (normal_i, -offset_i), which is proportional to (x, 1).

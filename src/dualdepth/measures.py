@@ -24,6 +24,7 @@ import numpy as np
 
 from .depth import max_depth_point
 from .geometry import (
+    DegenerateInstanceError,
     DimensionMismatchError,
     Hyperplane,
     Instance,
@@ -56,6 +57,23 @@ class Flat:
         return n, float(n @ self.point)
 
 
+# the numeric parameters of each measure kind; a center is a point of R^dim
+_NUMERIC_PARAMS = {
+    "uniform-angle-offset": ("radius", "center"),
+    "gaussian-offset": ("mean", "std"),
+    "smoothed-points": ("sigma",),
+}
+
+
+def _finite_array(value, shape: tuple = ()) -> Optional[np.ndarray]:
+    """``value`` as a float array of ``shape`` with finite entries, else None."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return arr if arr.shape == shape and np.isfinite(arr).all() else None
+
+
 @dataclass(frozen=True)
 class FlatMeasureSpec:
     dim: int
@@ -69,21 +87,25 @@ class FlatMeasureSpec:
             raise ValueError(f"codimension {self.codim} out of range for d={self.dim}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
+        # the numbers that sampling reads are checked here, the weights of
+        # smoothed-points when sampling
+        p = self.params
+        for name in _NUMERIC_PARAMS[self.kind]:
+            shape = (self.dim,) if name == "center" else ()
+            if name in p and _finite_array(p[name], shape) is None:
+                what = f"{self.dim} finite numbers" if shape else "a finite number"
+                raise ValueError(f"{self.kind} {name} must be {what}, got {p[name]!r}")
         if self.kind == "smoothed-points":
-            flats = self.params.get("flats")
+            flats = p.get("flats")
             if not flats:
                 raise ValueError("smoothed-points requires a 'flats' parameter")
-            for normal, _ in flats:
-                normal = np.asarray(normal, dtype=float)
-                if normal.shape != (self.dim,) or not normal.any():
-                    raise ValueError(
-                        f"smoothed-points flat normal {normal.tolist()} must be "
-                        f"a nonzero vector of length {self.dim}"
-                    )
-
-    @property
-    def flat_dim(self) -> int:
-        return self.dim - self.codim
+            for normal, offset in flats:
+                arr = _finite_array(normal, (self.dim,))
+                if arr is None or not 0.0 < np.linalg.norm(arr) < np.inf:
+                    raise ValueError(f"smoothed-points flat normal {normal!r} must be a nonzero "
+                                     f"vector of length {self.dim} with a finite norm")
+                if _finite_array(offset) is None:
+                    raise ValueError(f"smoothed-points flat offset {offset!r} must be finite")
 
     def support_radius(self) -> float:
         if self.kind == "uniform-angle-offset":
@@ -207,10 +229,10 @@ def _sample_arrays(spec: FlatMeasureSpec, N: int) -> tuple[np.ndarray, np.ndarra
     bases = spec.params["flats"]  # list of (normal, offset), codim 1 only
     if c != 1:
         raise ValueError("smoothed-points is defined for codimension 1")
-    weights = np.asarray(spec.params.get("weights", [1.0] * len(bases)), dtype=float)
+    weights = _finite_array(spec.params.get("weights", [1.0] * len(bases)), (len(bases),))
+    if weights is None or (weights < 0.0).any() or not 0.0 < weights.sum() < np.inf:
+        raise ValueError("weights must be one nonnegative number per flat, with a finite sum > 0")
     weights = weights / weights.sum()
-    if weights.shape != (len(bases),) or not np.all(weights >= 0.0):
-        raise ValueError("weights must be one nonnegative number per flat")
     # the inverse-CDF draw of Generator.choice(len(bases), p=weights)
     cdf = weights.cumsum()
     cdf /= cdf[-1]
@@ -358,7 +380,7 @@ def verify_dual_cpt_measure(
     rng = np.random.default_rng((spec.seed, 0x5EED))
     total_probes = len(dirs)
     for _ in range(_REFINE_ROUNDS):
-        cand = worst[np.newaxis, :] + 0.2 * rng.normal(size=(ray_probes // 4, d))
+        cand = worst[np.newaxis, :] + 0.2 * rng.normal(size=(max(1, ray_probes // 4), d))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         fr = _ray_fractions(normals, offsets, xv, cand)
         total_probes += len(cand)
@@ -397,7 +419,8 @@ def search_center_sampled(spec: FlatMeasureSpec, N: int) -> Point:
     general position), and the mean of the sampled feet of perpendiculars
     from the origin.  Both are scored by the sampled min-ray fraction and
     the better one is polished by pattern search.  The result is a
-    candidate only; certify it with verify_dual_cpt_measure.
+    candidate only; certify it with verify_dual_cpt_measure.  Raises
+    DegenerateInstanceError when 9 draws all miss general position.
     """
     if spec.codim != 1:
         raise DimensionMismatchError("center search needs codim 1")
@@ -409,7 +432,7 @@ def search_center_sampled(spec: FlatMeasureSpec, N: int) -> Point:
             break
         attempts += 1
         if attempts > 8:
-            raise RuntimeError("could not draw a general-position subsample")
+            raise DegenerateInstanceError("could not draw a general-position subsample")
         bases, points = _sample_arrays(
             FlatMeasureSpec(spec.dim, spec.codim, spec.kind, spec.params,
                             seed=spec.seed + 1000 + attempts),

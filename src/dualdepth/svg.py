@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .geometry import DimensionMismatchError, Instance, dot
+from .geometry import DimensionMismatchError, Instance
 
 
 class UnsupportedDimensionError(DimensionMismatchError):

@@ -28,10 +28,8 @@ from .depth import max_depth_point
 from .geometry import (
     DegenerateSubfamilyError,
     DimensionMismatchError,
-    Hyperplane,
     Instance,
     Point,
-    as_point,
     dot,
     ensure_general_position,
     exact_int_array,

@@ -32,12 +32,78 @@ from dualdepth import (  # noqa: E402
 )
 from dualdepth.geometry import (  # noqa: E402
     DegenerateSubfamilyError,
-    cofactor_direction,
+    DimensionMismatchError,
     fraction_nullspace,
     fraction_rank,
     scale_to_int,
-    solve_int_square,
 )
+
+
+# ---------------------------------------------------------------------------
+# Single-system integer solves (Bareiss determinants, Cramer's rule): the
+# references the batched cofactor kernels are checked against.
+# ---------------------------------------------------------------------------
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def solve_int_square(rows, rhs):
+    """Solve an integer d x d system exactly.
+
+    Returns ``(numerators, denominator)`` with denominator > 0, or ``None``
+    when the matrix is singular.  Solution coordinates are numerators[i]/den.
+    """
+    d = len(rows)
+    det = int_det(rows)
+    if det == 0:
+        return None
+    nums = []
+    for j in range(d):
+        col = [list(r) for r in rows]
+        for i in range(d):
+            col[i][j] = rhs[i]
+        nums.append(int_det(col))
+    if det < 0:
+        det = -det
+        nums = [-x for x in nums]
+    return tuple(nums), det
+
+
+def cofactor_direction(rows, dim: int) -> tuple[int, ...]:
+    """Vector orthogonal to d-1 integer row vectors (generalized cross product).
+
+    Component j is the signed maximal minor omitting column j.  The result is
+    the zero vector exactly when the rows have rank < d-1.
+    """
+    if len(rows) != dim - 1:
+        raise DimensionMismatchError("cofactor_direction needs d-1 rows")
+    out = []
+    for j in range(dim):
+        minor = [[r[c] for c in range(dim) if c != j] for r in rows]
+        out.append((-1) ** j * int_det(minor))
+    return tuple(out)
 
 
 @pytest.fixture
@@ -285,43 +351,3 @@ def check_general_position_reference(F: Instance) -> GeneralPositionResult:
         if sum(a * v for a, v in zip(normals[j], nums)) == offsets[j] * den:
             return GeneralPositionResult(False, sub, "concurrent")
     return GeneralPositionResult(True)
-
-
-# ---------------------------------------------------------------------------
-# Reference loops for the centerpoint search: one cofactor per d-subset of
-# points and one Cramer solve per d-subset of spanned hyperplanes.
-# ---------------------------------------------------------------------------
-
-def spanned_hyperplanes_reference(pts, d):
-    """Distinct primitive (normal, offset) pairs through d points, first-seen order."""
-    seen = {}
-    for sub in itertools.combinations(range(len(pts)), d):
-        base = pts[sub[0]]
-        rows = [
-            scale_to_int(tuple(pc - bc for pc, bc in zip(pts[i], base)))
-            for i in sub[1:]
-        ]
-        normal = cofactor_direction(rows, d)
-        if all(c == 0 for c in normal):
-            continue
-        offset = sum(Fraction(c) * b for c, b in zip(normal, base))
-        key = scale_to_int(tuple(Fraction(c) for c in normal) + (offset,))
-        g = 0
-        for v in key:
-            g = math.gcd(g, abs(v))
-        key = tuple(v // g for v in key)
-        if next(v for v in key if v != 0) < 0:
-            key = tuple(-v for v in key)
-        seen[key] = (key[:-1], key[-1])
-    return list(seen.values())
-
-
-def centerpoint_candidates_reference(pts, hps):
-    """The points and the Cramer solution of every nonsingular d-subset of hps."""
-    candidates = set(pts)
-    for sub in itertools.combinations(range(len(hps)), len(pts[0])):
-        sol = solve_int_square([hps[i][0] for i in sub], [hps[i][1] for i in sub])
-        if sol is not None:
-            nums, den = sol
-            candidates.add(tuple(Fraction(v, den) for v in nums))
-    return candidates

@@ -1,6 +1,5 @@
-"""Ray-crossing depth, its maximization, and the Tukey-depth oracle."""
+"""Ray-crossing depth and its maximization."""
 
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,12 +8,10 @@ from dualdepth import (
     Hyperplane,
     Instance,
     ZeroDirectionError,
-    discrete_centerpoint,
     dual_depth,
     gen_instance,
     max_depth_point,
     ray_crossings,
-    tukey_depth,
 )
 from dualdepth.depth import (
     CellSignature,
@@ -185,58 +182,3 @@ class TestMaxDepthPoint:
             cert = max_depth_point(F)
             for x in ((0, 0), (1, 1), (Fraction(-1, 2), Fraction(3, 4))):
                 assert dual_depth(F, x)[0] <= cert.depth
-
-
-class TestTukeyDepth:
-    def test_centroid_of_triangle_points(self):
-        P = [(0, 0), (1, 0), (0, 1)]
-        assert tukey_depth(P, (Fraction(1, 3), Fraction(1, 3))) == 1
-
-    def test_single_point(self):
-        assert tukey_depth([(0, 0)], (0, 0)) == 1
-
-    def test_far_point(self):
-        assert tukey_depth([(0, 0), (1, 0)], (5, 5)) == 0
-
-    def test_centerpoint_meets_discrete_bound(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        for trial in range(8):
-            n = int(rng.integers(4, 10))
-            P = [tuple(Fraction(int(v)) for v in rng.integers(-20, 21, size=2)) for _ in range(n)]
-            if len(set(P)) < n:
-                continue
-            c = discrete_centerpoint(P)
-            assert tukey_depth(P, c) >= (n + 2) // 3
-
-    def test_rank_deficient_sets(self):
-        # points on a line in R^2 and R^3 and on a plane in R^3: on the set's
-        # span the depth is the lower-dimensional one, off it 0
-        line2 = [(t, 3 * t + 1) for t in range(5)]
-        assert [tukey_depth(line2, x) for x in line2] == [1, 2, 3, 2, 1]
-        assert tukey_depth(line2, (Fraction(1, 2), Fraction(5, 2))) == 1
-        assert tukey_depth(line2, (0, 0)) == 0
-        line3 = [(t, 2 * t, -t) for t in range(-3, 4)]
-        assert [tukey_depth(line3, x) for x in line3] == [1, 2, 3, 4, 3, 2, 1]
-        assert tukey_depth(line3, (Fraction(1, 3), 0, 0)) == 0
-        plane3 = [(a, b, a + b) for a in range(-2, 3) for b in range(-1, 2)]
-        assert [tukey_depth(plane3, x) for x in plane3] == [
-            1, 2, 1, 2, 5, 2, 3, 8, 3, 2, 5, 2, 1, 2, 1]
-        assert tukey_depth(plane3, (Fraction(1, 2), 0, Fraction(1, 2))) == 6
-        assert tukey_depth(plane3, (0, 0, 1)) == 0
-
-    def test_median_in_one_dimension(self):
-        assert discrete_centerpoint([(Fraction(5),), (Fraction(1),), (Fraction(9),)]) == (5,)
-
-    def test_centerpoint_scale_invariant_past_float_range(self):
-        # 12 points span 66 lines and 1496 distinct candidates, so the float
-        # screen and its 600 cap run; at 10**200 its counts must still bound
-        P = [(-14, 19), (10, -30), (-6, 22), (3, -28), (16, 14), (21, -20),
-             (-25, 22), (-29, 3), (-26, -12), (-1, -5), (-6, -29), (-30, -23)]
-        P = [tuple(Fraction(v) for v in p) for p in P]
-        big = [tuple(10**200 * v for v in p) for p in P]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            c = discrete_centerpoint(P)
-            assert discrete_centerpoint(big) == tuple(10**200 * v for v in c)

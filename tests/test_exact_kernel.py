@@ -18,28 +18,25 @@ from dualdepth import (
     dual_depth,
     gen_instance,
     hemisphere_depth,
+    intersect_subfamily,
     max_depth_point,
-    tukey_depth,
 )
-from dualdepth.depth import _candidates, _spanned_hyperplanes, discrete_centerpoint
 from dualdepth.tverberg import form_simplex
 from dualdepth.geometry import (
     DegenerateSubfamilyError,
-    cofactor_direction,
     exact_int_array,
-    solve_int_square,
     stacked_cofactors,
     vertex_blocks,
 )
 
 from conftest import (
-    centerpoint_candidates_reference,
     check_general_position_reference,
+    cofactor_direction,
     dual_depth_reference,
     form_simplex_reference,
     hemisphere_depth_reference,
     max_depth_point_reference,
-    spanned_hyperplanes_reference,
+    solve_int_square,
 )
 
 # (model, d, n); the n=30 and n=14 families span more than one vertex block
@@ -93,7 +90,7 @@ def test_max_depth_point_matches_vertex_loop(F):
 @pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
 def test_dual_depth_matches_direction_loop(F):
     rng = np.random.default_rng(F.n * 10 + F.dim)
-    points = [F.vertex_point(tuple(range(F.dim)))]  # on d hyperplanes
+    points = [intersect_subfamily(F.hyperplanes[:F.dim])]  # on d hyperplanes
     points += [
         tuple(Fraction(int(v), int(q)) for v, q in zip(rng.integers(-50, 51, F.dim),
                                                        rng.integers(1, 9, F.dim)))
@@ -190,40 +187,40 @@ def _degenerate_families():
     # (d+1)-order, but every d-subset is checked first
     hs = _random_planes(6, 2, seed=1)
     hs[4] = Hyperplane(tuple(3 * c for c in hs[2].normal), hs[2].offset + 1)
-    hs[3] = _through(Instance(2, hs[:2]).vertex_point((0, 1)), (7, -2))
+    hs[3] = _through(intersect_subfamily(hs[:2]), (7, -2))
     yield "parallel-after-concurrent", Instance(2, hs), (2, 4), "degenerate"
     # d=2: lines 1, 3, 5 share a point
     hs = _random_planes(7, 2, seed=2)
-    p = Instance(2, hs).vertex_point((1, 3))
+    p = intersect_subfamily([hs[1], hs[3]])
     hs[5] = _through(p, (5, 11))
     yield "concurrent-135", Instance(2, list(hs)), (1, 3, 5), "concurrent"
     # d=2: two triples, (1, 3, 5) and the earlier (0, 4, 6)
-    hs[6] = _through(Instance(2, hs).vertex_point((0, 4)), (-6, 13))
+    hs[6] = _through(intersect_subfamily([hs[0], hs[4]]), (-6, 13))
     yield "two-concurrent-triples", Instance(2, hs), (0, 4, 6), "concurrent"
     # d=2: lines 2, 3, 5 and 6 through one point
     hs = _random_planes(8, 2, seed=7)
-    p = Instance(2, hs).vertex_point((2, 3))
+    p = intersect_subfamily(hs[2:4])
     hs[5], hs[6] = _through(p, (3, 8)), _through(p, (-9, 2))
     yield "four-through-one-point", Instance(2, hs), (2, 3, 5), "concurrent"
     # d=3: planes 1, 2, 4, 6 share a point
     hs = _random_planes(8, 3, seed=3)
-    p = Instance(3, hs).vertex_point((1, 2, 4))
+    p = intersect_subfamily([hs[1], hs[2], hs[4]])
     hs[6] = _through(p, (2, -3, 5))
     yield "concurrent-1246", Instance(3, hs), (1, 2, 4, 6), "concurrent"
     # d=3 with coefficients past the int64 bound, concurrency at (0, 2, 3, 5)
     hs = _random_planes(7, 3, seed=4, big=10**12)
-    p = Instance(3, hs).vertex_point((0, 2, 3))
+    p = intersect_subfamily([hs[0], hs[2], hs[3]])
     hs[5] = _through(p, (10**13 + 1, -3, 5))
     yield "object-concurrent-0235", Instance(3, hs), (0, 2, 3, 5), "concurrent"
     # d=2, n=30: the parallel pair (27, 29) sits in the second vertex block,
     # after the concurrent triple (0, 1, 2) of the first
     hs = _random_planes(30, 2, seed=5)
     hs[29] = Hyperplane(tuple(-c for c in hs[27].normal), -hs[27].offset + 2)
-    hs[2] = _through(Instance(2, hs).vertex_point((0, 1)), (1, 9))
+    hs[2] = _through(intersect_subfamily(hs[:2]), (1, 9))
     yield "parallel-second-block", Instance(2, hs), (27, 29), "degenerate"
     # d=2, n=30: concurrency only in the second block
     hs = _random_planes(30, 2, seed=6)
-    hs[28] = _through(Instance(2, hs).vertex_point((20, 25)), (4, -9))
+    hs[28] = _through(intersect_subfamily([hs[20], hs[25]]), (4, -9))
     yield "concurrent-second-block", Instance(2, hs), (20, 25, 28), "concurrent"
 
 
@@ -246,7 +243,7 @@ def _degenerate_d4():
     # d=4: planes 0 and 5 parallel, planes 1, 2, 3, 4 and 6 through one point
     hs = _random_planes(8, 4, seed=8)
     hs[5] = Hyperplane(tuple(2 * c for c in hs[0].normal), hs[0].offset + 3)
-    hs[6] = _through(Instance(4, hs).vertex_point((1, 2, 3, 4)), (1, -2, 3, 5))
+    hs[6] = _through(intersect_subfamily(hs[1:5]), (1, -2, 3, 5))
     return Instance(4, hs)
 
 
@@ -284,41 +281,26 @@ def test_form_simplex_degenerate_kinds():
     assert flat.value.indices == (1, 2, 3, 4, 6)
 
 
-def _point_set(d, seed):
-    """Small rational point sets; some with repeats, collinear runs or huge scale."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(d + 1, 8 if d == 2 else 6))
-    P = [tuple(Fraction(int(a), int(b)) for a, b in zip(rng.integers(-9, 10, d),
-                                                         rng.integers(1, 5, d)))
-         for _ in range(n)]
-    kind = seed % 4
-    if kind == 1:  # repeated points
-        P += P[:2]
-    elif kind == 2:  # three points on a line through P[0] and P[1]
-        P.append(tuple(2 * b - a for a, b in zip(P[0], P[1])))
-        P.append(tuple((a + 3 * b) / 4 for a, b in zip(P[0], P[1])))
-    elif kind == 3:
-        P = [tuple(10**200 * c for c in p) for p in P]
-    return P
+SUBFAMILY_CASES = (
+    CASES + [(name, F) for name, F, *_ in DEGENERATE] + [("degenerate-d4", _degenerate_d4())]
+)
 
 
-POINT_SETS = [(d, seed) for d in (2, 3) for seed in range(8)]
-
-
-@pytest.mark.parametrize("d, seed", POINT_SETS)
-def test_centerpoint_search_matches_subset_loops(d, seed):
-    P = _point_set(d, seed)
-    hps = _spanned_hyperplanes(P, d)
-    assert hps == spanned_hyperplanes_reference(P, d)
-    candidates = _candidates(P, hps)
-    assert candidates == centerpoint_candidates_reference(P, hps)
-    # below 400 candidates the search is exhaustive: deepest, then nearest, then least
-    best = min(candidates, key=lambda c: (-tukey_depth(P, c), sum(v * v for v in c), c))
-    assert len(candidates) <= 400 and discrete_centerpoint(P) == best
-
-
-def test_spanned_hyperplanes_of_degenerate_sets():
-    line = [(Fraction(t), Fraction(2 * t + 1)) for t in range(4)]
-    assert _spanned_hyperplanes(line, 2) == [((2, -1), -1)]
-    assert _spanned_hyperplanes([(Fraction(1), Fraction(2))] * 3, 2) == []
-    assert _candidates(line, _spanned_hyperplanes(line, 2)) == set(line)
+@pytest.mark.parametrize("F", [F for _, F in SUBFAMILY_CASES],
+                         ids=[name for name, _ in SUBFAMILY_CASES])
+def test_intersect_subfamily_matches_cramer_solve(F):
+    normals, offsets = F.scaled()
+    singular = 0
+    for sub in itertools.combinations(range(F.n), F.dim):
+        hs = [F.hyperplanes[i] for i in sub]
+        sol = solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub])
+        if sol is None:
+            with pytest.raises(DegenerateSubfamilyError) as got:
+                intersect_subfamily(hs)
+            assert got.value.indices == tuple(range(F.dim)), sub
+            singular += 1
+        else:
+            nums, den = sol
+            assert intersect_subfamily(hs) == tuple(Fraction(v, den) for v in nums), sub
+    # a d-subset is singular exactly where general position fails as "degenerate"
+    assert (singular > 0) == (check_general_position(F).reason == "degenerate")

@@ -4,9 +4,11 @@ Every input must end in a report or an ``error:`` line: exit 0, 1 or 2 and
 no traceback, with exit 2 whenever ``parse_instance`` raises ParseError.
 Inputs are random JSON trees and mutated golden instance files for
 ``validate`` and ``center``, mutated instances with random group counts for
-the partition searches ``tverberg-search`` and ``colorful``, and random
-scalar text for ``depth --point``; the runs are derandomized so a failure
-replays.
+the partition searches ``tverberg-search`` and ``colorful``, mutated
+instances, witnesses and partition reports for ``plot``, mutated measure
+stanzas and transversal specs with small sample and probe counts for
+``verify-measure`` and ``verify-transversal``, and random scalar text for
+``depth --point``; the runs are derandomized so a failure replays.
 """
 
 import contextlib
@@ -212,3 +214,103 @@ def test_mutated_golden_bytes(instance_path, data):
         else:
             del raw[at]
     check_instance_command("validate", instance_path, bytes(raw))
+
+
+def _measured(base: bytes, measure: dict) -> bytes:
+    tree = json.loads(base)
+    tree["measure"] = measure
+    return json.dumps(tree).encode()
+
+
+# the triangle under two measure kinds, six lines under the third, and a
+# measure in R^3
+MEASURED_INSTANCES = [
+    _measured(GOLDEN_INSTANCES[0], {"dim": 2, "codim": 1, "kind": "uniform-angle-offset",
+                                    "params": {"radius": 1.0, "center": [0.5, 0.5]}, "seed": 0}),
+    _measured(GOLDEN_INSTANCES[0], {"dim": 2, "codim": 1, "kind": "gaussian-offset",
+                                    "params": {"mean": 0.0, "std": 1.0}, "seed": 1}),
+    _measured(GOLDEN_INSTANCES[1], {"dim": 2, "codim": 1, "kind": "smoothed-points",
+                                    "params": {"flats": [[[1, 0], 0], [[0, 1], 0], [[1, 1], 1]],
+                                               "sigma": 0.1, "weights": [1, 1, 2]}, "seed": 2}),
+    _measured(write_instance(gen_instance("random-rational", 5, 3, seed=1)),
+              {"dim": 3, "codim": 1, "kind": "uniform-angle-offset",
+               "params": {"radius": 2.0}, "seed": 3}),
+]
+# one measure on hyperplanes and a point; two measures on lines and a line
+TRANSVERSAL_SPECS = [
+    json.dumps({"measures": [{"dim": 2, "codim": 1, "kind": "gaussian-offset",
+                              "params": {"std": 1.0}, "seed": 0}],
+                "flat": {"point": ["0", "0"]}}).encode(),
+    json.dumps({"measures": [{"dim": 2, "codim": 2, "kind": "uniform-angle-offset",
+                              "params": {"radius": 1.0, "center": [-2.0, 0.0]}, "seed": k}
+                             for k in range(2)],
+                "flat": {"point": ["0", "0"], "directions": [["1", "0"]]}}).encode(),
+]
+# a triangle's partition and two groups of six lines, as run reports
+PARTITION_REPORTS = [
+    json.dumps({"result": json.loads((GOLDEN / "partition_triangle.json").read_bytes())}).encode(),
+    json.dumps({"result": {"groups": [[0, 1, 2], [3, 4, 5]], "witness": ["0", "0"]}}).encode(),
+]
+# sample counts stay at most 200 so that each run takes milliseconds
+SAMPLES = st.sampled_from(["200", "200", "50", "1", "2", "0", "-5"])
+PROBES = st.sampled_from(["60", "60", "1", "3", "4", "0", "-2"])
+# most measure mutations are rejected when the file is read; more examples
+# let enough of them reach the sampler
+MEASURE_FUZZ = settings(FUZZ, max_examples=100)
+# parameter values: mostly numbers and short numeric lists of every kind
+NUMBERS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3)
+           | st.sampled_from([0.0, -1.0, 1e300, -1e-300, float("inf"), float("nan"), 10**400]))
+NUMERIC = (NUMBERS | st.lists(NUMBERS, max_size=4)
+           | st.lists(st.lists(NUMBERS, max_size=3), max_size=3))
+
+
+def _point_text(data) -> str:
+    return ",".join(data.draw(st.lists(POINT_PART, min_size=1, max_size=3)))
+
+
+def _mutated_within(data, bases, *keys):
+    """A base tree with 1 to 3 positions below any of the given keys replaced."""
+    tree = json.loads(data.draw(st.sampled_from(bases)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = [p for p in _paths(tree) if any(k in p for k in keys)]
+        value = data.draw(st.one_of(NUMBERS, NUMBERS, NUMERIC, SCALARS | JSON))
+        tree = _replace(tree, data.draw(st.sampled_from(paths)), value)
+    return json.dumps(tree).encode()
+
+
+@MEASURE_FUZZ
+@given(data=st.data(), samples=SAMPLES, probes=PROBES)
+def test_verify_measure_on_mutated_trees(instance_path, data, samples, probes):
+    if data.draw(st.booleans()):
+        tree = _mutated_within(data, MEASURED_INSTANCES, "params")
+    else:
+        tree = _mutated_tree(data, MEASURED_INSTANCES, least=0)
+    extra = [f"--samples={samples}", f"--probes={probes}"]
+    if data.draw(st.booleans()):
+        extra.append(f"--point={_point_text(data)}")
+    check_instance_command("verify-measure", instance_path, tree, *extra)
+
+
+@MEASURE_FUZZ
+@given(data=st.data(), samples=SAMPLES, probes=PROBES)
+def test_verify_transversal_on_mutated_specs(instance_path, data, samples, probes):
+    if data.draw(st.booleans()):
+        spec = _mutated_within(data, TRANSVERSAL_SPECS, "params", "flat")
+    else:
+        spec = _mutated_tree(data, TRANSVERSAL_SPECS, least=0)
+    instance_path.write_bytes(spec)
+    run_checked(["verify-transversal", "--spec", str(instance_path),
+                 f"--samples={samples}", f"--probes={probes}"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_plot_on_mutated_trees(instance_path, data):
+    extra = ["--out", str(instance_path.with_name("plot.svg"))]
+    if data.draw(st.booleans()):
+        extra.append(f"--witness={_point_text(data)}")
+    if data.draw(st.booleans()):
+        report = instance_path.with_name("report.json")
+        report.write_bytes(_mutated_tree(data, PARTITION_REPORTS, least=0))
+        extra.append(f"--partition-report={report}")
+    check_instance_command("plot", instance_path, _search_input(data, GOLDEN_INSTANCES), *extra)

@@ -1,4 +1,4 @@
-"""Exact primitive operations: sides, projections, intersections, validation."""
+"""Exact primitive operations: sides, intersections, validation."""
 
 import itertools
 from fractions import Fraction
@@ -13,22 +13,20 @@ from dualdepth import (
     ZeroDirectionError,
     check_general_position,
     intersect_subfamily,
-    project_onto,
     side_of,
 )
 from dualdepth.geometry import (
     as_scalar,
-    cofactor_direction,
     dot,
     fraction_nullspace,
     fraction_rank,
-    int_det,
     primitive,
     rref,
     scale_to_int,
-    solve_int_square,
     solve_underdetermined,
 )
+
+from conftest import cofactor_direction, int_det, solve_int_square
 
 H_X1 = Hyperplane((Fraction(1), Fraction(0)), Fraction(0))  # x1 = 0
 H_X2 = Hyperplane((Fraction(0), Fraction(1)), Fraction(0))  # x2 = 0
@@ -64,25 +62,6 @@ class TestSideOf:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             side_of(H_X1, (Fraction(1),))
-
-
-class TestProjectOnto:
-    def test_drop_coordinate(self):
-        assert project_onto(H_X1, (Fraction(3), Fraction(1))) == (0, 1)
-
-    def test_symmetric_diagonal(self):
-        p = project_onto(H_DIAG, (Fraction(0), Fraction(0)))
-        assert p == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_fixed_point(self):
-        assert project_onto(H_X1, (Fraction(0), Fraction(5))) == (0, 5)
-
-    def test_idempotent_and_on_plane(self):
-        for h in (H_X1, H_DIAG, Hyperplane((Fraction(2), Fraction(-3)), Fraction(5))):
-            for x in ((Fraction(7), Fraction(-2)), (Fraction(1, 3), Fraction(9, 4))):
-                p = project_onto(h, x)
-                assert side_of(h, p) == 0
-                assert project_onto(h, p) == p
 
 
 class TestIntersectSubfamily:

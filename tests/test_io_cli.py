@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import dualdepth
 from dualdepth import (
     FlatMeasureSpec,
     Hyperplane,
@@ -18,6 +19,12 @@ from dualdepth import cli
 from dualdepth.cli import main
 from dualdepth.geometry import side_of
 from dualdepth.io import ParseError, instance_measure, parse_scalar, scalar_to_str
+
+
+def test_exports_resolve_once():
+    assert len(dualdepth.__all__) == len(set(dualdepth.__all__))
+    for name in dualdepth.__all__:
+        assert hasattr(dualdepth, name), name
 
 
 class TestScalarSerialization:
@@ -517,6 +524,69 @@ class TestCli:
         code, report, err = run_cli(capsys, "colorful", "--instance", str(path), f"--r={10**20}")
         assert code == 1 and report["result"]["type"] == "NotFound"
         assert "Traceback" not in err
+
+    def test_gen_without_general_position_exits_two(self, capsys, tmp_path):
+        # 400 points b/a on a line with |a|, |b| <= 99: each of the 64 draws
+        # repeats a point, so none is in general position
+        out = tmp_path / "gen.json"
+        code, report, err = run_cli(
+            capsys, "gen", "--model", "random-rational",
+            "--n", "400", "--d", "1", "--seed", "0", "--out", str(out),
+        )
+        assert code == 2 and report is None and not out.exists()
+        assert err.startswith("error: ") and "general position" in err
+        assert "Traceback" not in err
+
+    def test_verify_measure_search_without_general_position_exits_two(
+            self, capsys, tmp_path, triangle):
+        # every sampled line is x1 = 0, so no subsample is in general position
+        triangle.metadata["_measure"] = FlatMeasureSpec(
+            2, 1, "smoothed-points", {"flats": [[[1, 0], 0]], "sigma": 0}, seed=0
+        )
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(triangle))
+        code, report, err = run_cli(
+            capsys, "verify-measure", "--instance", str(path), "--samples", "200"
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error: ") and "general-position" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,params", [
+        ("uniform-angle-offset", {"radius": None}),
+        ("gaussian-offset", {"std": float("inf")}),
+        # the norm of a subnormal normal underflows to 0
+        ("smoothed-points", {"flats": [[[1e-320, 0.0], 0.0], [[0.0, 1.0], 0.0]]}),
+    ], ids=["radius-null", "std-infinite", "normal-subnormal"])
+    def test_measure_params_not_finite_exit_two(self, capsys, tmp_path, triangle, kind, params):
+        measure = {"dim": 2, "codim": 1, "kind": kind, "params": params, "seed": 0}
+        obj = json.loads(write_instance(triangle))
+        obj["measure"] = measure
+        inst = tmp_path / "measured.json"
+        inst.write_text(json.dumps(obj))
+        spec = tmp_path / "ctr.json"
+        spec.write_text(json.dumps({"measures": [measure], "flat": {"point": [0, 0]}}))
+        for argv in (["verify-measure", "--instance", str(inst)],
+                     ["verify-transversal", "--spec", str(spec)]):
+            code, report, err = run_cli(capsys, *argv, "--samples", "200")
+            assert code == 2 and report is None
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("probes", [1, 3])
+    def test_verify_measure_few_probes(self, capsys, tmp_path, triangle, probes):
+        triangle.metadata["_measure"] = FlatMeasureSpec(
+            2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=0
+        )
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(triangle))
+        code, report, err = run_cli(
+            capsys, "verify-measure", "--instance", str(path), "--point", "0,0",
+            "--samples", "200", "--probes", str(probes),
+        )
+        assert code in (0, 1) and "Traceback" not in err
+        # the planar covering has `probes` directions, then each of the two
+        # refine rounds draws one
+        assert report["result"]["trials"] == probes + 2
 
     def test_report_has_no_threads_field(self, capsys, tri_file):
         code, report, _ = run_cli(capsys, "center", "--instance", tri_file)
