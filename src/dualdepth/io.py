@@ -158,9 +158,14 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
         metadata["_extra_fields"] = {k: obj[k] for k in sorted(unknown)}
     if "measure" in obj and obj["measure"] is not None:
         try:
-            metadata["_measure"] = FlatMeasureSpec.from_json(obj["measure"])
+            measure = FlatMeasureSpec.from_json(obj["measure"])
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ParseError("malformed-json", f"bad measure stanza: {exc}") from exc
+        if measure.dim != dim:
+            raise ParseError(
+                "dimension-mismatch", f"measure dim must be the instance dim {dim}, got {measure.dim}"
+            )
+        metadata["_measure"] = measure
 
     inst = Instance(dim, hyperplanes, colors=colors, metadata=metadata)
     if obj.get("general_position"):

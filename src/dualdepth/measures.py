@@ -369,6 +369,8 @@ def verify_dual_cpt_measure(
     if N < 1 or ray_probes < 1:
         raise ValueError("N and ray_probes must be >= 1")
     d = spec.dim
+    if len(x) != d:
+        raise DimensionMismatchError(f"point must have {d} coordinates, got {len(x)}")
     normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, N))
     xv = np.asarray([float(c) for c in x], dtype=float)
 
@@ -534,6 +536,8 @@ def verify_dual_ctr(
         raise DimensionMismatchError("all measures must share dim and codim")
     if len(specs) != c:
         raise ValueError(f"need d-k = {c} measures, got {len(specs)}")
+    if len(L_point) != d or any(len(row) != d for row in L_directions):
+        raise DimensionMismatchError(f"L's point and directions must have {d} coordinates each")
     L_dirs = np.asarray(L_directions, dtype=float).reshape(-1, d)
     if L_dirs.shape[0] != d - k - 1:
         raise DimensionMismatchError(

@@ -3,7 +3,7 @@
 d+1 hyperplanes in general position in R^d form a simplex whose vertex i is
 the common point of all chosen hyperplanes except the i-th.  A collection of
 such simplices has a common strict interior point exactly when the margin LP
-(maximize the minimum inward slack over every facet) has a positive optimum;
+(the largest minimum inward slack over every facet) has a positive optimum;
 the optimum point doubles as an exact certificate checkable by substitution.
 
 Three partitioners are provided: the constructive planar one (circular order
@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import lp
 from .depth import max_depth_point
 from .geometry import (
     DegenerateSubfamilyError,
@@ -33,6 +32,7 @@ from .geometry import (
     dot,
     ensure_general_position,
     exact_int_array,
+    scale_to_int,
     stacked_cofactors,
 )
 
@@ -99,38 +99,88 @@ def _simplex_cache(F: Instance):
     return functools.cache(lambda g: form_simplex(F, g))
 
 
+@functools.cache
+def _bases(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m) in combinations order, as one (C(m, k), k) index table."""
+    table = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
+    table.setflags(write=False)  # shared by every caller
+    return table
+
+
+def _deeper(u: list, v: list) -> int:
+    """Positive when (x, e, den) u has the larger slack, or the same slack and the smaller x."""
+    du, dv = u[-1], v[-1]
+    if u[-2] * dv != v[-2] * du:
+        return u[-2] * dv - v[-2] * du
+    for a, b in zip(u[:-2], v[:-2]):
+        if a * dv != b * du:
+            return b * du - a * dv
+    return 0
+
+
+def _max_slack(facets) -> tuple[Point, Fraction]:
+    """The largest slack e* over inward facets and the least point of slack e*.
+
+    The LP max e subject to normal . x >= offset + e has the d+1 variables
+    (x, e).  It is feasible, and bounded whenever the facets cut out a
+    bounded set, as those of simplices do; its matrix then has full column
+    rank, so every vertex of its feasible set is a basic solution: d+1
+    linearly independent rows tight.  Each row (-normal, 1, offset) is
+    scaled to integers once, and one ``stacked_cofactors`` call on every
+    (d+1)-subset of rows gives a vector proportional to (x, e, 1), nonzero
+    in its last entry exactly when the subset is nonsingular.  The feasible
+    ones are checked with one matmul in the dtype ``exact_int_array`` picks,
+    and compared by cross-multiplied Python ints: the largest e wins, ties
+    go to the lexicographically smaller x.  The lexicographically least
+    point of the optimal face is one of its vertices, so the witness
+    depends on neither the enumeration order nor a pivoting rule.
+
+    The batch costs C(rows, d+1) bases.  Against the float-guided simplex
+    it replaced it is faster at the sizes the searches pose: 455 bases per
+    LP at d=2 with 5 groups took 2.3 s against 3.1-3.6 s over 5,569 LPs.
+    It stops paying at a few thousand bases (d=2 with 9 to 11 simplices,
+    2,925 to 5,456 bases: 1.8 to 3.3 ms per LP against 0.8 to 2.3 ms; d=3
+    with 6 simplices, 10,626 bases: 13 ms against 11 ms; 2-vCPU x86 host).
+    LPs with many rows in fixed dimension are linear-time problems (Megiddo
+    1984; Seidel 1991), which this module does not implement.
+    """
+    d = len(facets[0][0])
+    M = exact_int_array(
+        [scale_to_int([-c for c in normal] + [Fraction(1), offset]) for normal, offset in facets],
+        d + 2,
+    )
+    cof = stacked_cofactors(M[_bases(len(M), d + 1)])
+    cof = cof[cof[:, d + 1] != 0]
+    cof *= np.sign(cof[:, d + 1])[:, np.newaxis]
+    # with the last entry (the denominator) positive, row . cof <= 0 on every row
+    best = max(cof[(M @ cof.T <= 0).all(axis=0)].tolist(), key=cmp_to_key(_deeper))
+    return tuple(Fraction(num, best[-1]) for num in best[:d]), Fraction(best[d], best[-1])
+
+
 def common_interior_point(simplices: Sequence[SimplexSpec]):
     """Exact LP certificate for a common interior point of simplices.
 
     Maximizes the slack e subject to inward_normal . x >= inward_offset + e
-    over every facet.  There is no cap on e: an intersection of simplices is
-    bounded, so the largest slack e* is attained.  Returns (witness, margin)
-    with margin = min(e*, 1): margin > 0 for a strict interior point,
-    margin == 0 when the intersection is nonempty but has empty interior,
-    and None when even the closed intersection is empty.
+    over every facet (``_max_slack``).  There is no cap on e: an
+    intersection of simplices is bounded, so the largest slack e* is
+    attained.  Returns (witness, margin) with margin = min(e*, 1):
+    margin > 0 for a strict interior point, margin == 0 when the
+    intersection is nonempty but has empty interior, and None when even the
+    closed intersection is empty.
 
-    Witness rule: the witness is a point of slack e*, so its slack is at
-    least the margin.  It is the unique such point (a deepest common point)
-    whenever the max-slack LP has a unique optimum, which ``lp.maximize``
-    then certifies; otherwise it is the point the exact simplex returns.
+    Witness rule: the witness is the lexicographically least point of slack
+    e*, so its slack is at least the margin.  When the max-slack LP has a
+    unique optimum that is the deepest common point.
     """
     if not simplices:
         raise ValueError("need at least one simplex")
     d = simplices[0].dim
     if any(s.dim != d for s in simplices):
         raise DimensionMismatchError("mixed simplex dimensions")
-    # variables (x_1..x_d, e): maximize e
-    A, b = [], []
-    for s in simplices:
-        for normal, offset in s.facets:
-            A.append([-c for c in normal] + [Fraction(1)])
-            b.append(-offset)
-    res = lp.maximize([Fraction(0)] * d + [Fraction(1)], A, b)
-    if res.status != lp.OPTIMAL:
-        raise RuntimeError(f"margin LP ended {res.status}, but it is always feasible and bounded")
-    if res.value < 0:
+    x, e = _max_slack([f for s in simplices for f in s.facets])
+    if e < 0:
         return None
-    return tuple(res.x[:d]), min(res.value, Fraction(1))
+    return x, min(e, Fraction(1))
 
 
 def _containment_margin(simplices: Sequence[SimplexSpec], x: Point) -> Fraction:

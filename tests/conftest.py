@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own search code paths:
 depth is re-derived from mass direction sampling in integer arithmetic,
 partitions are enumerated by a second, separately written generator, and LP
-infeasibility is re-proved by exhaustive constraint-vertex enumeration.
+infeasibility is re-proved by exhaustive constraint-vertex enumeration.  The
+margin LP is re-solved by a Fraction simplex and by a Fraction vertex
+enumeration.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 # The count products and the center polish are small matrix products that
 # slow down many times over when BLAS threads contend with a parallel test
@@ -104,6 +108,178 @@ def cofactor_direction(rows, dim: int) -> tuple[int, ...]:
         minor = [[r[c] for c in range(dim) if c != j] for r in rows]
         out.append((-1) ** j * int_det(minor))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Exact LP references for max c.x subject to A x <= b: a two-phase simplex
+# on Fraction arithmetic with Bland's rule, and an enumeration of every
+# basic solution by Cramer's rule.
+# ---------------------------------------------------------------------------
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+@dataclass(frozen=True)
+class LPResult:
+    status: str
+    x: Optional[tuple[Fraction, ...]]
+    value: Optional[Fraction]
+
+
+def _run(rows, rhs, obj, basis, allowed) -> str:
+    """Pivot until optimal or unbounded.  Bland's rule on column and row."""
+    while True:
+        enter = next((j for j in allowed if obj[j] < 0), None)
+        if enter is None:
+            return OPTIMAL
+        leave = None
+        best_ratio = None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = rhs[i] / row[enter]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            return UNBOUNDED
+        _pivot(rows, rhs, obj, basis, leave, enter)
+
+
+def _pivot(rows, rhs, obj, basis, r, c):
+    pv = rows[r][c]
+    rows[r] = [v / pv for v in rows[r]]
+    rhs[r] = rhs[r] / pv
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            rhs[i] = rhs[i] - f * rhs[r]
+    f = obj[c]
+    if f != 0:
+        for j in range(len(rows[r])):
+            obj[j] = obj[j] - f * rows[r][j]
+        obj[-1] = obj[-1] - f * rhs[r]
+    basis[r] = c
+
+
+def _solve_standard(c, A, b) -> LPResult:
+    """Maximize c.y subject to A y <= b, y >= 0."""
+    m, n = len(A), len(c)
+    n_slack = m
+    art_cols: list[int] = []
+    rows, rhs, basis = [], [], []
+    for i in range(m):
+        row = list(A[i]) + [Fraction(0)] * n_slack
+        bi = b[i]
+        if bi < 0:
+            row = [-v for v in row]
+            bi = -bi
+            row[n + i] = Fraction(-1)
+            art_cols.append(n + n_slack + len(art_cols))
+            basis.append(art_cols[-1])
+        else:
+            row[n + i] = Fraction(1)
+            basis.append(n + i)
+        rows.append(row)
+        rhs.append(bi)
+    n_art = len(art_cols)
+    total = n + n_slack + n_art
+    for i in range(m):
+        rows[i] = rows[i] + [Fraction(0)] * n_art
+        if basis[i] >= n + n_slack:
+            rows[i][basis[i]] = Fraction(1)
+
+    if n_art:
+        obj = [Fraction(0)] * total + [Fraction(0)]
+        for j in art_cols:
+            obj[j] = Fraction(1)
+        for i in range(m):
+            if basis[i] in art_cols:
+                obj = [a - p for a, p in zip(obj, rows[i] + [rhs[i]])]
+        status = _run(rows, rhs, obj, basis, range(total))
+        if status != OPTIMAL:
+            raise RuntimeError(f"phase 1 ended {status}, but it is bounded below by 0")
+        if obj[-1] != 0:
+            return LPResult(INFEASIBLE, None, None)
+        # drive leftover artificials out of the basis
+        keep = []
+        for i in range(m):
+            if basis[i] in art_cols:
+                col = next(
+                    (j for j in range(n + n_slack) if rows[i][j] != 0), None
+                )
+                if col is None:
+                    continue  # redundant row
+                _pivot(rows, rhs, obj, basis, i, col)
+            keep.append(i)
+        rows = [rows[i][: n + n_slack] for i in keep]
+        rhs = [rhs[i] for i in keep]
+        basis = [basis[i] for i in keep]
+        total = n + n_slack
+
+    obj = [Fraction(0)] * total + [Fraction(0)]
+    for j in range(n):
+        obj[j] = -c[j]
+    for i in range(len(rows)):
+        if obj[basis[i]] != 0:
+            f = obj[basis[i]]
+            obj = [a - f * p for a, p in zip(obj, rows[i] + [rhs[i]])]
+    status = _run(rows, rhs, obj, basis, range(total))
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED, None, None)
+    x = [Fraction(0)] * n
+    for i, bcol in enumerate(basis):
+        if bcol < n:
+            x[bcol] = rhs[i]
+    return LPResult(OPTIMAL, tuple(x), obj[-1])
+
+
+def simplex_reference(c, A, b) -> LPResult:
+    """Maximize c.x subject to A x <= b with x free, split as x = u - v."""
+    c = [Fraction(v) for v in c]
+    A = [[Fraction(v) for v in row] for row in A]
+    n = len(c)
+    res = _solve_standard(c + [-v for v in c], [row + [-v for v in row] for row in A],
+                          [Fraction(v) for v in b])
+    if res.status != OPTIMAL:
+        return res
+    return LPResult(OPTIMAL, tuple(res.x[j] - res.x[n + j] for j in range(n)), res.value)
+
+
+def vertex_reference(c, A, b):
+    """(optimum, lexicographically least optimal vertex) of max c.x st A x <= b.
+
+    Solves every len(c)-subset of rows by Cramer's rule and keeps the
+    feasible points; None when no basic solution is feasible.  Exact for a
+    bounded LP whose matrix has full column rank.
+    """
+    c = [Fraction(v) for v in c]
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    ints = [scale_to_int(row + [bi]) for row, bi in zip(A, b)]
+    best = None
+    for sub in itertools.combinations(range(len(A)), len(c)):
+        sol = solve_int_square([ints[i][:-1] for i in sub], [ints[i][-1] for i in sub])
+        if sol is None:
+            continue
+        x = tuple(Fraction(v, sol[1]) for v in sol[0])
+        if all(sum(a * v for a, v in zip(row, x)) <= bi for row, bi in zip(A, b)):
+            key = (-sum(a * v for a, v in zip(c, x)), x)
+            best = key if best is None or key < best else best
+    return None if best is None else (-best[0], best[1])
+
+
+def margin_lp(facets):
+    """The max-slack LP of inward facets: maximize e st normal . x >= offset + e."""
+    d = len(facets[0][0])
+    A = [[-v for v in normal] + [Fraction(1)] for normal, _ in facets]
+    return [Fraction(0)] * d + [Fraction(1)], A, [-offset for _, offset in facets]
 
 
 @pytest.fixture

@@ -21,10 +21,11 @@ from dualdepth import (
     intersect_subfamily,
     max_depth_point,
 )
-from dualdepth.tverberg import form_simplex
+from dualdepth.tverberg import _max_slack, form_simplex
 from dualdepth.geometry import (
     DegenerateSubfamilyError,
     exact_int_array,
+    scale_to_int,
     stacked_cofactors,
     vertex_blocks,
 )
@@ -35,8 +36,11 @@ from conftest import (
     dual_depth_reference,
     form_simplex_reference,
     hemisphere_depth_reference,
+    margin_lp,
     max_depth_point_reference,
+    simplex_reference,
     solve_int_square,
+    vertex_reference,
 )
 
 # (model, d, n); the n=30 and n=14 families span more than one vertex block
@@ -304,3 +308,36 @@ def test_intersect_subfamily_matches_cramer_solve(F):
             assert intersect_subfamily(hs) == tuple(Fraction(v, den) for v in nums), sub
     # a d-subset is singular exactly where general position fails as "degenerate"
     assert (singular > 0) == (check_general_position(F).reason == "degenerate")
+
+
+def _margin_lps(F):
+    """Facets of 1, 2 (and in d <= 3, 3) random nondegenerate simplices of F."""
+    d = F.dim
+    rng = np.random.default_rng(F.n * 10 + d)
+    simplices = []
+    while len(simplices) < (3 if d <= 3 else 2):
+        try:
+            simplices.append(form_simplex(F, rng.choice(F.n, size=d + 1, replace=False).tolist()))
+        except DegenerateSubfamilyError:
+            continue
+    return [[f for s in simplices[:k] for f in s.facets] for k in range(1, len(simplices) + 1)]
+
+
+@pytest.mark.parametrize("F", [F for _, F in SUBFAMILY_CASES],
+                         ids=[name for name, _ in SUBFAMILY_CASES])
+def test_max_slack_matches_vertex_loop(F):
+    for facets in _margin_lps(F):
+        x, e = _max_slack(facets)
+        c, A, b = margin_lp(facets)
+        assert simplex_reference(c, A, b).value == e
+        # the least optimal vertex, whatever the enumeration order
+        assert vertex_reference(c, A, b) == (e, x + (e,))
+
+
+def test_max_slack_families_take_both_dtypes():
+    dtypes = {
+        exact_int_array([scale_to_int([-v for v in n] + [Fraction(1), o]) for n, o in facets],
+                        F.dim + 2).dtype
+        for _, F in SUBFAMILY_CASES for facets in _margin_lps(F)
+    }
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}

@@ -5,10 +5,12 @@ no traceback, with exit 2 whenever ``parse_instance`` raises ParseError.
 Inputs are random JSON trees and mutated golden instance files for
 ``validate`` and ``center``, mutated instances with random group counts for
 the partition searches ``tverberg-search`` and ``colorful``, mutated
+instances for the planar construction ``tverberg-plane``, mutated
 instances, witnesses and partition reports for ``plot``, mutated measure
-stanzas and transversal specs with small sample and probe counts for
-``verify-measure`` and ``verify-transversal``, and random scalar text for
-``depth --point``; the runs are derandomized so a failure replays.
+stanzas (some of another dimension than their instance) and transversal
+specs with small sample and probe counts for ``verify-measure`` and
+``verify-transversal``, and random scalar text for ``depth --point``; the
+runs are derandomized so a failure replays.
 """
 
 import contextlib
@@ -182,6 +184,16 @@ def test_colorful_on_mutated_trees(instance_path, data, r):
     check_instance_command("colorful", instance_path, tree, f"--r={r}")
 
 
+# lines in the plane: 3, 6 and 9 of them, so 1 to 3 triples
+PLANE_INSTANCES = GOLDEN_INSTANCES + [write_instance(gen_instance("random-rational", 9, 2, seed=3))]
+
+
+@FUZZ
+@given(data=st.data())
+def test_tverberg_plane_on_mutated_trees(instance_path, data):
+    check_instance_command("tverberg-plane", instance_path, _search_input(data, PLANE_INSTANCES))
+
+
 POINT_PART = st.sampled_from([
     "0", "-2/3", "1.5", "1e400", "1e5000", "1e100000", "9e4299", "1e-4299", "1/0", "x", "",
 ]) | st.text("0123456789-+./eE ", max_size=8)
@@ -222,8 +234,8 @@ def _measured(base: bytes, measure: dict) -> bytes:
     return json.dumps(tree).encode()
 
 
-# the triangle under two measure kinds, six lines under the third, and a
-# measure in R^3
+# the triangle under two measure kinds, six lines under the third, a
+# measure in R^3, and a measure of another dimension than its instance
 MEASURED_INSTANCES = [
     _measured(GOLDEN_INSTANCES[0], {"dim": 2, "codim": 1, "kind": "uniform-angle-offset",
                                     "params": {"radius": 1.0, "center": [0.5, 0.5]}, "seed": 0}),
@@ -235,6 +247,8 @@ MEASURED_INSTANCES = [
     _measured(write_instance(gen_instance("random-rational", 5, 3, seed=1)),
               {"dim": 3, "codim": 1, "kind": "uniform-angle-offset",
                "params": {"radius": 2.0}, "seed": 3}),
+    _measured(GOLDEN_INSTANCES[0], {"dim": 6, "codim": 1, "kind": "gaussian-offset",
+                                    "params": {"mean": 0.0, "std": 1.0}, "seed": 4}),
 ]
 # one measure on hyperplanes and a point; two measures on lines and a line
 TRANSVERSAL_SPECS = [

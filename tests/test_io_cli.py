@@ -94,6 +94,12 @@ class TestInstanceRoundTrip:
             parse_instance(data)
         assert exc.value.code == "dimension-mismatch"
 
+    def test_measure_dimension_mismatch_rejected(self, triangle):
+        triangle.metadata["_measure"] = FlatMeasureSpec(6, 1, "gaussian-offset", {}, seed=0)
+        with pytest.raises(ParseError, match="instance dim 2, got 6") as exc:
+            parse_instance(write_instance(triangle))
+        assert exc.value.code == "dimension-mismatch"
+
     def test_bad_color_rejected(self):
         data = json.dumps({
             "dim": 2,
@@ -606,3 +612,51 @@ class TestCli:
             report.pop("timing_s")
             runs.append(report)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("args", [["--samples", "200"], ["--point=0,0"]],
+                             ids=["searched", "at-point"])
+    def test_verify_measure_of_other_dimension_exits_two(self, capsys, tmp_path, triangle, args):
+        # a planar instance file with a 6-dimensional measure stanza
+        triangle.metadata["_measure"] = FlatMeasureSpec(6, 1, "gaussian-offset", {}, seed=0)
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(triangle))
+        code, report, err = run_cli(capsys, "verify-measure", "--instance", str(path), *args)
+        assert code == 2 and report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "instance dim 2, got 6" in err
+
+    def test_verify_measure_short_point_exits_two(self, capsys, tmp_path, triangle):
+        triangle.metadata["_measure"] = FlatMeasureSpec(
+            2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=0
+        )
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(triangle))
+        code, report, err = run_cli(
+            capsys, "verify-measure", "--instance", str(path), "--point=5", "--samples", "200"
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "point must have 2 coordinates, got 1" in err
+
+    @pytest.mark.parametrize("flat", [
+        {"point": [5], "directions": [[1, 0, 0]]},
+        {"point": [5, 5], "directions": [[1, 0, 0]]},
+        {"point": [5, 5, 5, 5], "directions": [[1, 0, 0]]},
+        {"point": [5, 5, 5], "directions": [[1, 0]]},
+    ], ids=["point-1", "point-2", "point-4", "direction-2"])
+    def test_verify_transversal_flat_of_other_dimension_exits_two(self, capsys, tmp_path, flat):
+        # two codim-2 measures in d=3 and a line whose point or direction
+        # does not have 3 coordinates
+        measures = [
+            {"dim": 3, "codim": 2, "kind": "uniform-angle-offset",
+             "params": {"radius": 1.0}, "seed": k}
+            for k in range(2)
+        ]
+        path = tmp_path / "ctr.json"
+        path.write_text(json.dumps({"measures": measures, "flat": flat}))
+        code, report, err = run_cli(
+            capsys, "verify-transversal", "--spec", str(path), "--samples", "200"
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must have 3 coordinates each" in err
