@@ -14,14 +14,28 @@ arrangement {u : w_i . u = 0}, so the minimum is attained on a minimal face:
 either the common null space (count 0) or an edge spanned by the null space
 of d-1 of the vectors.  Enumerating those edges is exact and complete.
 
+A depth query runs in integers.  The point is written x = X / L with X
+integer and L > 0 the lcm of its denominators, and each hyperplane in its
+integer form a . y = b (``Instance.scaled``), a positive multiple of the
+rational one, so sign(a . X - b L) is the side of x.  The hemisphere
+vectors are the integer normals (``Instance.normal_ints``) negated by side,
+and they go straight to the integer core of ``hemisphere_depth``.
+
 Depth maximization enumerates only arrangement vertices: moving from any
 face into an incident face with a larger containment set gains one crossing
 per new containment and loses at most one from the hemisphere term, so for
 a general-position family with n >= d the maximum is attained at a vertex.
+The count along any one edge direction is the number of hyperplanes met by
+one ray from the vertex, so it bounds the vertex's depth (the minimum over
+all rays) from above, and so does the minimum over a few probe directions.
+``max_depth_point`` takes that bound for every vertex and runs the full
+count over all edge directions only where the bound reaches the best exact
+depth found so far.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,21 +45,26 @@ import numpy as np
 from .geometry import (
     DimensionMismatchError,
     Direction,
+    GeneralPositionResult,
     Instance,
     Point,
     ZeroDirectionError,
     as_point,
+    block_violation,
     dot,
     ensure_general_position,
     exact_int_array,
     fraction_nullspace,
     scale_to_int,
-    side_of,
     solve_underdetermined,
     stacked_cofactors,
     subset_blocks,
     vertex_blocks,
 )
+
+
+# Edge directions whose counts bound each vertex's depth in ``max_depth_point``.
+_PROBES = 64
 
 
 def _unit(dim: int) -> Direction:
@@ -71,27 +90,13 @@ def _edge_blocks(ints: list[tuple[int, ...]], dim: int):
         yield dirs, dirs @ A.T
 
 
-def hemisphere_depth(vectors: Sequence[Sequence], dim: Optional[int] = None):
-    """Exact min over directions u != 0 of #{w : w . u > 0}, with a witness.
-
-    Vectors must be nonzero.  Empty input returns (0, e_1); ``dim`` is then
-    required.
-    """
-    vecs = [as_point(v) for v in vectors]
-    if vecs:
-        dim = len(vecs[0])
-        if any(len(v) != dim for v in vecs):
-            raise DimensionMismatchError("mixed vector dimensions")
-        if any(all(c == 0 for c in v) for v in vecs):
-            raise ZeroDirectionError("hemisphere_depth requires nonzero vectors")
-    elif dim is None:
-        raise DimensionMismatchError("dim required for empty vector list")
-    if not vecs:
+def _hemisphere_ints(ints: list[tuple[int, ...]], dim: int):
+    """``hemisphere_depth`` on nonzero integer vectors, with no checks."""
+    if not ints:
         return 0, _unit(dim)
-
     best = None
     witness = None
-    for dirs, D in _edge_blocks([scale_to_int(v) for v in vecs], dim):
+    for dirs, D in _edge_blocks(ints, dim):
         if not len(dirs):
             continue
         if best is None and not (D[0] != 0).any():
@@ -107,8 +112,28 @@ def hemisphere_depth(vectors: Sequence[Sequence], dim: Optional[int] = None):
         if best == 0:
             break
     if best is None:
-        return 0, fraction_nullspace(vecs, dim)[0]
+        # positive row scalings leave the reduced row echelon form, and so
+        # this basis, as it is for the rational vectors
+        return 0, fraction_nullspace(ints, dim)[0]
     return best, tuple(Fraction(c) for c in witness)
+
+
+def hemisphere_depth(vectors: Sequence[Sequence], dim: Optional[int] = None):
+    """Exact min over directions u != 0 of #{w : w . u > 0}, with a witness.
+
+    Vectors must be nonzero.  Empty input returns (0, e_1); ``dim`` is then
+    required.
+    """
+    vecs = [as_point(v) for v in vectors]
+    if vecs:
+        dim = len(vecs[0])
+        if any(len(v) != dim for v in vecs):
+            raise DimensionMismatchError("mixed vector dimensions")
+        if any(all(c == 0 for c in v) for v in vecs):
+            raise ZeroDirectionError("hemisphere_depth requires nonzero vectors")
+    elif dim is None:
+        raise DimensionMismatchError("dim required for empty vector list")
+    return _hemisphere_ints([scale_to_int(v) for v in vecs], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +169,27 @@ def signature_of(F: Instance, x: Point) -> CellSignature:
     x = as_point(x)
     if len(x) != F.dim:
         raise DimensionMismatchError("point dimension mismatch")
-    return CellSignature(tuple(side_of(h, x) for h in F.hyperplanes))
+    # x = X / L with X integer and L > 0; each integer hyperplane a . y = b
+    # is a positive multiple of the rational one, so sign(a . X - b L) is
+    # the side of x
+    L = math.lcm(*(c.denominator for c in x))
+    X = [c.numerator * (L // c.denominator) for c in x]
+    signs = []
+    for a, b in zip(*F.scaled()):
+        v = sum(p * q for p, q in zip(a, X)) - b * L
+        signs.append((v > 0) - (v < 0))
+    return CellSignature(tuple(signs))
 
 
 def depth_from_signature(F: Instance, sig: CellSignature):
     """Depth and witness direction for any point with the given signature."""
     contained = sum(1 for s in sig.signs if s == 0)
     w = [
-        tuple(-s * c for c in h.normal)
-        for s, h in zip(sig.signs, F.hyperplanes)
+        tuple(-s * c for c in a)
+        for s, a in zip(sig.signs, F.normal_ints())
         if s != 0
     ]
-    hemi, witness = hemisphere_depth(w, dim=F.dim)
+    hemi, witness = _hemisphere_ints(w, F.dim)
     return contained + hemi, witness
 
 
@@ -190,12 +224,19 @@ def max_depth_point(F: Instance) -> DepthCertificate:
     the lexicographically smallest exact point; a vertex's witness is the
     first direction of least count on the side (pos or neg) whose least
     count is smaller, pos on a tie.
+
+    One pass over the vertex table both checks general position (unless
+    the verdict is cached) and searches.  The counts along ``_PROBES``
+    evenly spread edge directions bound each vertex's depth from above, and
+    only vertices whose bound reaches the best exact depth known so far get
+    the full count product.  A pruned vertex is strictly shallower than a
+    vertex already found, so neither the winner nor its witness can change.
     """
-    ensure_general_position(F)
     n, d = F.n, F.dim
     bound = (n + d) // (d + 1)
 
     if n < d:
+        ensure_general_position(F)
         # all hyperplanes pass through a common flat; depth there is n,
         # and no face can beat containment of the whole family.  With no
         # hyperplanes at all that flat is R^d; take its origin.
@@ -204,6 +245,9 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         point = solve_underdetermined(rows, rhs) if rows else (Fraction(0),) * d
         return DepthCertificate(point, n, _unit(d), bound, n >= bound)
 
+    check = F._gp is None
+    if not check:
+        ensure_general_position(F)  # raises on a cached violation
     normals, offsets = F.scaled()
     blocks = list(_edge_blocks(normals, d))
     dirs = np.concatenate([b[0] for b in blocks])
@@ -213,12 +257,26 @@ def max_depth_point(F: Instance) -> DepthCertificate:
     # as 0/1 products in float32 (exact: every count is at most n)
     same = np.concatenate([S > 0, S < 0], axis=1).astype(np.float32).T
     opposite = np.concatenate([S < 0, S > 0], axis=1).astype(np.float32).T
+    probes = np.arange(_PROBES) * len(dirs) // _PROBES if len(dirs) > _PROBES else slice(None)
+    probed = np.concatenate([same[:, probes], opposite[:, probes]], axis=1)
 
     best_depth = -1
     best_point: Optional[Point] = None
     best_witness: Optional[Direction] = None
-    for _, nums, den, R in vertex_blocks(normals, offsets):
+    for subsets, nums, den, R in vertex_blocks(normals, offsets):
+        if check and block_violation(subsets, den, R) is not None:
+            ensure_general_position(F)
         sides = np.concatenate([R > 0, R < 0], axis=1).astype(np.float32)
+        # least count over the probes, an upper bound on the depth
+        reach = d + (sides @ probed).min(axis=1).astype(np.int64)
+        r = int(reach.argmax())
+        if reach[r] < best_depth:
+            continue
+        # the vertex of largest bound attains its full count, so anything
+        # bounded below that goes too
+        attained = min((sides[r] @ same).min(), (sides[r] @ opposite).min())
+        keep = reach >= max(best_depth, d + int(attained))
+        sides, nums, den = sides[keep], nums[keep], den[keep]
         jp, least_pos = _first_min(sides @ same)
         jn, least_neg = _first_min(sides @ opposite)
         use_pos = least_pos <= least_neg
@@ -237,4 +295,6 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         best_point = points[v]
         flip, j = (1, jp[v]) if use_pos[v] else (-1, jn[v])
         best_witness = tuple(Fraction(flip * c) for c in dirs[j].tolist())
+    if check:
+        F._gp = GeneralPositionResult(True)
     return DepthCertificate(best_point, best_depth, best_witness, bound, best_depth >= bound)

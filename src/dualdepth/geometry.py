@@ -323,6 +323,7 @@ class Instance:
     metadata: dict = field(default_factory=dict)
 
     _scaled: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _normal_ints: Optional[list] = field(default=None, repr=False, compare=False)
     _gp: Optional[GeneralPositionResult] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -347,6 +348,12 @@ class Instance:
             pairs = [h.scaled() for h in self.hyperplanes]
             self._scaled = ([a for a, _ in pairs], [b for _, b in pairs])
         return self._scaled
+
+    def normal_ints(self) -> list[tuple[int, ...]]:
+        """Each normal alone scaled to integers (``scale_to_int``), a positive multiple of it."""
+        if self._normal_ints is None:
+            self._normal_ints = [scale_to_int(h.normal) for h in self.hyperplanes]
+        return self._normal_ints
 
     def color_classes(self) -> dict[int, list[int]]:
         if self.colors is None:
@@ -381,6 +388,27 @@ def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
         yield subsets, nums, den, b * den[:, np.newaxis] - nums @ A.T
 
 
+def block_violation(subsets: np.ndarray, den: np.ndarray, R: np.ndarray):
+    """First general-position violation in one block of ``vertex_blocks``, or None.
+
+    The first singular d-subset of the block, as ``(subset, "degenerate")``;
+    else the first (d+1)-subset, in combinations order, whose members share
+    the vertex of one of the block's d-subsets, as ``(subset, "concurrent")``.
+    A block has a violation exactly when some den is 0 or some row of R has
+    more than d zeros.
+    """
+    singular = np.flatnonzero(den == 0)
+    if singular.size:
+        return tuple(subsets[singular[0]].tolist()), "degenerate"
+    # (d+1)-subset sub + (j,) with j > max(sub), in combinations order
+    n = R.shape[1]
+    hits = np.flatnonzero((R == 0) & (np.arange(n) > subsets[:, -1:]))
+    if hits.size:
+        v, j = divmod(int(hits[0]), n)
+        return tuple(subsets[v].tolist()) + (j,), "concurrent"
+    return None
+
+
 def check_general_position(F: Instance) -> GeneralPositionResult:
     """Exhaustive general-position check over all d- and (d+1)-subsets.
 
@@ -401,16 +429,11 @@ def check_general_position(F: Instance) -> GeneralPositionResult:
         # a singular d-subset anywhere outranks every concurrent (d+1)-subset
         violation = None
         for subsets, _, den, R in vertex_blocks(*F.scaled()):
-            singular = np.flatnonzero(den == 0)
-            if singular.size:
-                violation = (tuple(subsets[singular[0]].tolist()), "degenerate")
+            found = block_violation(subsets, den, R)
+            if found is not None and found[1] == "degenerate":
+                violation = found
                 break
-            if violation is None:
-                # (d+1)-subset sub + (j,) with j > max(sub), in combinations order
-                hits = np.flatnonzero((R == 0) & (np.arange(n) > subsets[:, -1:]))
-                if hits.size:
-                    v, j = divmod(int(hits[0]), n)
-                    violation = (tuple(subsets[v].tolist()) + (j,), "concurrent")
+            violation = violation or found
         if violation is not None:
             result = GeneralPositionResult(False, *violation)
     F._gp = result

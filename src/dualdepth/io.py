@@ -43,10 +43,9 @@ def scalar_to_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-# A decimal with an exponent, as Fraction reads it: digits, fraction digits, exponent.
-_EXPONENT_FORM = re.compile(
-    r"\s*[-+]?(\d[\d_]*)?(?:\.([\d_]*))?[eE]([-+]?\d[\d_]*)\s*", re.ASCII
-)
+# A decimal with an exponent, as Fraction reads it: digits, fraction digits,
+# exponent.  Like Fraction it takes any Unicode decimal digit.
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(\d[\d_]*)?(?:\.([\d_]*))?[eE]([-+]?\d[\d_]*)\s*")
 
 
 def _exponent_digits(text: str) -> int:
@@ -73,6 +72,15 @@ def parse_scalar(raw) -> Fraction:
     if isinstance(raw, str):
         limit = sys.get_int_max_str_digits()
         try:
+            # plain ASCII "p" and "p/q" with q != 0, the form write_instance
+            # emits; every other spelling takes Fraction's own parser
+            num, slash, den = raw.partition("/")
+            if (
+                raw.isascii()
+                and (num[1:] if num[:1] == "-" else num).isdigit()
+                and (not slash or den.isdigit() and den.strip("0"))
+            ):
+                return Fraction(int(num), int(den) if slash else 1)
             if limit and _exponent_digits(raw) > limit:
                 raise ParseError("bad-scalar", f"scalar {raw!r} has more than {limit} digits")
             return Fraction(raw)

@@ -30,6 +30,7 @@ from .geometry import (
     Instance,
     Point,
     check_general_position,
+    fraction_rank,
 )
 
 KINDS = ("uniform-angle-offset", "gaussian-offset", "smoothed-points")
@@ -543,6 +544,8 @@ def verify_dual_ctr(
         raise DimensionMismatchError(
             f"L must have dimension d-k-1 = {d - k - 1}, got {L_dirs.shape[0]}"
         )
+    if fraction_rank([[Fraction(c) for c in row] for row in L_dirs.tolist()]) < L_dirs.shape[0]:
+        raise ValueError("L's directions must be linearly independent")
     l0 = np.asarray(L_point, dtype=float)
 
     # orthonormalize L's directions and take the (k+1)-dim complement

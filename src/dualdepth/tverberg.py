@@ -99,6 +99,10 @@ def _simplex_cache(F: Instance):
     return functools.cache(lambda g: form_simplex(F, g))
 
 
+# Bases per ``stacked_cofactors`` call of ``_max_slack``; bounds its working memory.
+_SLICE = 4096
+
+
 @functools.cache
 def _bases(m: int, k: int) -> np.ndarray:
     """The k-subsets of range(m) in combinations order, as one (C(m, k), k) index table."""
@@ -126,18 +130,21 @@ def _max_slack(facets) -> tuple[Point, Fraction]:
     bounded set, as those of simplices do; its matrix then has full column
     rank, so every vertex of its feasible set is a basic solution: d+1
     linearly independent rows tight.  Each row (-normal, 1, offset) is
-    scaled to integers once, and one ``stacked_cofactors`` call on every
-    (d+1)-subset of rows gives a vector proportional to (x, e, 1), nonzero
-    in its last entry exactly when the subset is nonsingular.  The feasible
-    ones are checked with one matmul in the dtype ``exact_int_array`` picks,
-    and compared by cross-multiplied Python ints: the largest e wins, ties
-    go to the lexicographically smaller x.  The lexicographically least
-    point of the optimal face is one of its vertices, so the witness
-    depends on neither the enumeration order nor a pivoting rule.
+    scaled to integers once, and ``stacked_cofactors`` on the (d+1)-subsets
+    of rows, ``_SLICE`` subsets per call, gives for each a vector
+    proportional to (x, e, 1), nonzero in its last entry exactly when the
+    subset is nonsingular.  The feasible ones are checked with one matmul
+    per slice in the dtype ``exact_int_array`` picks, and compared by
+    cross-multiplied Python ints: the largest e wins, ties go to the
+    lexicographically smaller x.  The slices' winners compete by the same
+    rule.  The lexicographically least point of the optimal face is one of
+    its vertices, so the witness depends on neither the enumeration order,
+    the slicing nor a pivoting rule.
 
-    The batch costs C(rows, d+1) bases.  Against the float-guided simplex
-    it replaced it is faster at the sizes the searches pose: 455 bases per
-    LP at d=2 with 5 groups took 2.3 s against 3.1-3.6 s over 5,569 LPs.
+    The enumeration costs C(rows, d+1) bases.  Against the float-guided
+    simplex it replaced it is faster at the sizes the searches pose: 455
+    bases per LP at d=2 with 5 groups took 2.3 s against 3.1-3.6 s over
+    5,569 LPs.
     It stops paying at a few thousand bases (d=2 with 9 to 11 simplices,
     2,925 to 5,456 bases: 1.8 to 3.3 ms per LP against 0.8 to 2.3 ms; d=3
     with 6 simplices, 10,626 bases: 13 ms against 11 ms; 2-vCPU x86 host).
@@ -149,11 +156,17 @@ def _max_slack(facets) -> tuple[Point, Fraction]:
         [scale_to_int([-c for c in normal] + [Fraction(1), offset]) for normal, offset in facets],
         d + 2,
     )
-    cof = stacked_cofactors(M[_bases(len(M), d + 1)])
-    cof = cof[cof[:, d + 1] != 0]
-    cof *= np.sign(cof[:, d + 1])[:, np.newaxis]
-    # with the last entry (the denominator) positive, row . cof <= 0 on every row
-    best = max(cof[(M @ cof.T <= 0).all(axis=0)].tolist(), key=cmp_to_key(_deeper))
+    bases = _bases(len(M), d + 1)
+    winners = []
+    for start in range(0, len(bases), _SLICE):
+        cof = stacked_cofactors(M[bases[start:start + _SLICE]])
+        cof = cof[cof[:, d + 1] != 0]
+        cof *= np.sign(cof[:, d + 1])[:, np.newaxis]
+        # with the last entry (the denominator) positive, row . cof <= 0 on every row
+        feasible = cof[(M @ cof.T <= 0).all(axis=0)].tolist()
+        if feasible:
+            winners.append(max(feasible, key=cmp_to_key(_deeper)))
+    best = max(winners, key=cmp_to_key(_deeper))
     return tuple(Fraction(num, best[-1]) for num in best[:d]), Fraction(best[d], best[-1])
 
 

@@ -34,12 +34,14 @@ from dualdepth import (  # noqa: E402
     common_interior_point,
     ensure_general_position,
 )
+from dualdepth.depth import _edge_blocks, _first_min  # noqa: E402
 from dualdepth.geometry import (  # noqa: E402
     DegenerateSubfamilyError,
     DimensionMismatchError,
     fraction_nullspace,
     fraction_rank,
     scale_to_int,
+    vertex_blocks,
 )
 
 
@@ -480,6 +482,48 @@ def max_depth_point_reference(F: Instance) -> DepthCertificate:
     (neg_depth, point), witness = best
     bound = (n + d) // (d + 1)
     return DepthCertificate(point, -neg_depth, witness, bound, -neg_depth >= bound)
+
+
+def max_depth_point_unpruned(F: Instance) -> DepthCertificate:
+    """``max_depth_point`` without the probe bound (n >= d only).
+
+    The library's batched vertex and edge tables with the full count
+    product on every vertex, after a separate general-position pass, and
+    the same tie and witness rules.  It checks the pruned search at sizes
+    where ``max_depth_point_reference`` takes seconds.
+    """
+    ensure_general_position(F)
+    n, d = F.n, F.dim
+    normals, offsets = F.scaled()
+    blocks = list(_edge_blocks(normals, d))
+    dirs = np.concatenate([b[0] for b in blocks])
+    S = np.concatenate([b[1] for b in blocks])
+    same = np.concatenate([S > 0, S < 0], axis=1).astype(np.float32).T
+    opposite = np.concatenate([S < 0, S > 0], axis=1).astype(np.float32).T
+    best_depth = -1
+    best_point = best_witness = None
+    for _, nums, den, R in vertex_blocks(normals, offsets):
+        sides = np.concatenate([R > 0, R < 0], axis=1).astype(np.float32)
+        jp, least_pos = _first_min(sides @ same)
+        jn, least_neg = _first_min(sides @ opposite)
+        use_pos = least_pos <= least_neg
+        depth = d + np.where(use_pos, least_pos, least_neg).astype(np.int64)
+        top = int(depth.max())
+        if top < best_depth:
+            continue
+        points = {
+            int(v): tuple(Fraction(c, int(den[v])) for c in nums[v].tolist())
+            for v in np.flatnonzero(depth == top)
+        }
+        v = min(points, key=points.__getitem__)
+        if top == best_depth and not points[v] < best_point:
+            continue
+        best_depth = top
+        best_point = points[v]
+        flip, j = (1, jp[v]) if use_pos[v] else (-1, jn[v])
+        best_witness = tuple(Fraction(flip * c) for c in dirs[j].tolist())
+    bound = (n + d) // (d + 1)
+    return DepthCertificate(best_point, best_depth, best_witness, bound, best_depth >= bound)
 
 
 def form_simplex_reference(F: Instance, idx):

@@ -6,21 +6,26 @@ families in d >= 3 and float-lifted families always take that path).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dualdepth import (
+    DegenerateInstanceError,
+    GeneralPositionResult,
     Hyperplane,
     Instance,
     check_general_position,
     dual_depth,
+    ensure_general_position,
     gen_instance,
     hemisphere_depth,
     intersect_subfamily,
     max_depth_point,
 )
+from dualdepth import depth, tverberg
 from dualdepth.tverberg import _max_slack, form_simplex
 from dualdepth.geometry import (
     DegenerateSubfamilyError,
@@ -38,6 +43,7 @@ from conftest import (
     hemisphere_depth_reference,
     margin_lp,
     max_depth_point_reference,
+    max_depth_point_unpruned,
     simplex_reference,
     solve_int_square,
     vertex_reference,
@@ -102,6 +108,45 @@ def test_dual_depth_matches_direction_loop(F):
     ]
     for x in points:
         assert dual_depth(F, x) == dual_depth_reference(F, x)
+
+
+@pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
+def test_pruning_with_few_probes_matches_vertex_loop(F, monkeypatch):
+    # one or two probes give loose bounds, so more vertices reach the full product
+    ref = max_depth_point_reference(F)
+    for probes in (1, 2):
+        monkeypatch.setattr(depth, "_PROBES", probes)
+        assert max_depth_point(F) == ref
+
+
+@pytest.mark.parametrize("model,d,n,seed", [
+    ("random-rational", 3, 24, 0),
+    ("random-rational", 3, 24, 1),
+    ("random-rational", 4, 16, 0),
+    ("random-rational", 4, 16, 1),
+    ("uniform-sphere-tangent", 3, 24, 0),
+    ("uniform-sphere-tangent", 4, 16, 0),
+])
+def test_pruned_search_matches_unpruned_at_size(model, d, n, seed):
+    # past the probe count: 276 edge directions at d=3, 560 at d=4
+    F = gen_instance(model, n, d, seed=seed)
+    assert max_depth_point(F) == max_depth_point_unpruned(F)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dual_depth_with_long_denominators(seed):
+    # float-lifted and object-path families, at points x = X / L with
+    # 30-digit denominators
+    rng = np.random.default_rng(seed)
+    cases = [_float_lifted(10, 2, seed), _float_lifted(10, 3, seed),
+             gen_instance("uniform-sphere-tangent", 7, 4, seed=seed)]
+    for F in cases:
+        for _ in range(3):
+            x = tuple(Fraction(int(rng.integers(-10**6, 10**6)) * 10**24 + int(rng.integers(10**6)),
+                               10**29 + int(rng.integers(10**9)))
+                      for _ in range(F.dim))
+            assert max(c.denominator for c in x) > 10**28
+            assert dual_depth(F, x) == dual_depth_reference(F, x)
 
 
 @pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
@@ -243,6 +288,28 @@ def test_first_violation_matches_subset_loop(F, violation, reason):
     assert all(type(i) is int for i in gp.violation)
 
 
+@pytest.mark.parametrize(
+    "F", [case[1] for case in DEGENERATE], ids=[case[0] for case in DEGENERATE]
+)
+def test_center_raises_the_general_position_error(F):
+    # a fresh copy has no cached verdict, so the vertex pass itself finds it
+    fresh = Instance(F.dim, F.hyperplanes)
+    with pytest.raises(DegenerateInstanceError) as got:
+        max_depth_point(fresh)
+    with pytest.raises(DegenerateInstanceError) as want:
+        ensure_general_position(Instance(F.dim, F.hyperplanes))
+    assert str(got.value) == str(want.value)
+    assert fresh._gp == check_general_position_reference(F)
+
+
+def test_center_caches_the_general_position_verdict():
+    for name, F in CASES[::2]:
+        fresh = Instance(F.dim, F.hyperplanes)
+        assert fresh._gp is None, name
+        assert max_depth_point(fresh) == max_depth_point(F)
+        assert fresh._gp == GeneralPositionResult(True) == check_general_position_reference(F)
+
+
 def _degenerate_d4():
     # d=4: planes 0 and 5 parallel, planes 1, 2, 3, 4 and 6 through one point
     hs = _random_planes(8, 4, seed=8)
@@ -341,3 +408,14 @@ def test_max_slack_families_take_both_dtypes():
         for _, F in SUBFAMILY_CASES for facets in _margin_lps(F)
     }
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_max_slack_slices_keep_the_answer(size, monkeypatch):
+    # every fourth family keeps each dimension, dtype and simplex count; at
+    # most 500 bases per LP keeps one base per slice fast
+    lps = [facets for _, F in SUBFAMILY_CASES[::4] for facets in _margin_lps(F)
+           if math.comb(len(facets), F.dim + 1) <= 500]
+    whole = [_max_slack(facets) for facets in lps]
+    monkeypatch.setattr(tverberg, "_SLICE", size)
+    assert [_max_slack(facets) for facets in lps] == whole

@@ -9,13 +9,16 @@ instances for the planar construction ``tverberg-plane``, mutated
 instances, witnesses and partition reports for ``plot``, mutated measure
 stanzas (some of another dimension than their instance) and transversal
 specs with small sample and probe counts for ``verify-measure`` and
-``verify-transversal``, and random scalar text for ``depth --point``; the
-runs are derandomized so a failure replays.
+``verify-transversal``, and random scalar text for ``depth --point``.
+``parse_scalar`` is also checked directly against ``Fraction``'s own parser
+on random scalar text.  The runs are derandomized so a failure replays.
 """
 
 import contextlib
 import io
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualdepth import gen_instance
 from dualdepth.cli import main
-from dualdepth.io import ParseError, parse_instance, parse_scalar, write_instance
+from dualdepth.io import ParseError, _exponent_digits, parse_instance, parse_scalar, write_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INSTANCES = [(GOLDEN / name).read_bytes() for name in ("triangle.json", "six.json")]
@@ -209,6 +212,39 @@ def test_depth_point_text(parts):
     except ParseError:
         ok = False
     assert code == (0 if ok else 2)
+
+
+PLAIN_SCALARS = st.builds(
+    lambda p, q: f"{p}/{q}" if q is not None else str(p),
+    st.integers(-10**6, 10**6), st.none() | st.integers(0, 10**6),
+)
+
+
+@settings(FUZZ, max_examples=200)
+@given(text=PLAIN_SCALARS | st.text("0123456789-+/_. e\u0663", max_size=10))
+def test_parse_scalar_agrees_with_fraction(text):
+    # the plain "p" and "p/q" path and Fraction's parser give one value, or
+    # both refuse; an exponent past the digit limit is refused unparsed
+    if _exponent_digits(text) > sys.get_int_max_str_digits():
+        want = None
+    else:
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            want = None
+    if want is None:
+        with pytest.raises(ParseError) as got:
+            parse_scalar(text)
+        assert got.value.code == "bad-scalar"
+    else:
+        assert parse_scalar(text) == want
+
+
+def test_parse_scalar_refuses_long_unicode_exponents():
+    # "\u0663" is ARABIC-INDIC DIGIT THREE, which Fraction reads as 3
+    assert parse_scalar("1e\u0663\u0663") == 10**33
+    with pytest.raises(ParseError, match="more than"):
+        parse_scalar("1e" + "\u0663" * 8)
 
 
 @FUZZ

@@ -638,6 +638,30 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "point must have 2 coordinates, got 1" in err
 
+    @pytest.mark.parametrize("dim,codim,directions", [
+        (3, 2, [[0, 0, 0]]),
+        (5, 3, [[1, 2, 0, 0, 3], ["-1/2", -1, 0, 0, "-3/2"]]),
+    ], ids=["zero-direction-d3", "parallel-directions-d5"])
+    def test_verify_transversal_dependent_directions_exit_two(
+        self, capsys, tmp_path, dim, codim, directions
+    ):
+        # a zero or dependent direction does not span L; it used to be
+        # replaced silently by some unit vector
+        measures = [
+            {"dim": dim, "codim": codim, "kind": "uniform-angle-offset",
+             "params": {"radius": 1.0}, "seed": k}
+            for k in range(codim)
+        ]
+        flat = {"point": [0] * dim, "directions": directions}
+        path = tmp_path / "ctr.json"
+        path.write_text(json.dumps({"measures": measures, "flat": flat}))
+        code, report, err = run_cli(
+            capsys, "verify-transversal", "--spec", str(path), "--samples", "200"
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "linearly independent" in err
+
     @pytest.mark.parametrize("flat", [
         {"point": [5], "directions": [[1, 0, 0]]},
         {"point": [5, 5], "directions": [[1, 0, 0]]},

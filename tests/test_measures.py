@@ -410,6 +410,20 @@ class TestVerifyDualCtr:
         with pytest.raises(ValueError):
             verify_dual_ctr([spec], (0.0, 0.0), [[1.0, 0.0]], 100, 8)
 
+    def test_zero_direction_refused_in_d3(self):
+        specs = [FlatMeasureSpec(3, 2, "uniform-angle-offset", {"radius": 1.0}, seed=k)
+                 for k in range(2)]
+        with pytest.raises(ValueError, match="linearly independent"):
+            verify_dual_ctr(specs, (0.0, 0.0, 0.0), [[0.0, 0.0, 0.0]], 100, 8)
+
+    def test_parallel_directions_refused_in_d5(self):
+        # three codim-3 measures: L is a plane, here spanned by two parallel vectors
+        specs = [FlatMeasureSpec(5, 3, "uniform-angle-offset", {"radius": 1.0}, seed=k)
+                 for k in range(3)]
+        dirs = [[1.0, 2.0, 0.0, 0.0, 3.0], [-0.5, -1.0, 0.0, 0.0, -1.5]]
+        with pytest.raises(ValueError, match="linearly independent"):
+            verify_dual_ctr(specs, (0.0,) * 5, dirs, 100, 8)
+
 
 class TestEstimatorConsistency:
     def test_standard_error_scales_with_sample_size(self):
