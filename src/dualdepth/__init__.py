@@ -41,11 +41,8 @@ from .tverberg import (
     form_simplex,
 )
 from .measures import (
-    Flat,
     FlatMeasureSpec,
     VerificationReport,
-    flat_intersects_ray,
-    sample_flats,
     search_center_sampled,
     sphere_covering,
     verify_dual_cpt_measure,
@@ -92,11 +89,8 @@ __all__ = [
     "dual_tverberg_plane",
     "dual_tverberg_search",
     "form_simplex",
-    "Flat",
     "FlatMeasureSpec",
     "VerificationReport",
-    "flat_intersects_ray",
-    "sample_flats",
     "search_center_sampled",
     "sphere_covering",
     "verify_dual_cpt_measure",

@@ -225,14 +225,6 @@ def solve_underdetermined(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Frac
     return tuple(x)
 
 
-def primitive(ints: Sequence[int]) -> tuple[int, ...]:
-    """A nonzero integer vector over its gcd, first nonzero entry positive."""
-    g = math.gcd(*ints)
-    if next(v for v in ints if v != 0) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
-
-
 # ---------------------------------------------------------------------------
 # Hyperplanes and instances
 # ---------------------------------------------------------------------------
@@ -258,11 +250,6 @@ class Hyperplane:
         """Integer form (a, b) with a . y = b defining the same hyperplane."""
         ints = scale_to_int(tuple(self.normal) + (self.offset,))
         return ints[:-1], ints[-1]
-
-    def canonicalized(self) -> "Hyperplane":
-        """Primitive integer form with positive leading normal coordinate."""
-        *a, b = primitive(scale_to_int(tuple(self.normal) + (self.offset,)))
-        return Hyperplane(tuple(Fraction(v) for v in a), Fraction(b))
 
 
 def side_of(h: Hyperplane, x: Point) -> int:

@@ -1,10 +1,11 @@
 """Samplers for measures on affine flats and Monte Carlo bound verifiers.
 
-A flat of codimension c in R^d is stored as (basis, point): ``basis`` is an
-orthonormal c x d row basis of the linear subspace orthogonal to the flat,
-and ``point`` is the unique point of the flat inside that subspace.  For
-c = 1 this is the familiar (unit normal, foot of perpendicular) form of a
-hyperplane; for c = d the flat is a single point.
+N sampled flats of codimension c in R^d are stored as arrays (bases,
+points): ``bases[i]`` is an orthonormal c x d row basis of the linear
+subspace orthogonal to flat i, and ``points[i]`` is the unique point of the
+flat inside that subspace.  For c = 1 this is the familiar (unit normal,
+foot of perpendicular) form of a hyperplane; for c = d the flat is a single
+point.
 
 Measures are specified generatively: a kind, its parameters, and a seed.
 Verification is Monte Carlo against the theoretical lower bounds (1/(d+1)
@@ -16,7 +17,7 @@ counts reported so stricter post-hoc analysis stays possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,33 +30,10 @@ from .geometry import (
     Hyperplane,
     Instance,
     Point,
-    check_general_position,
     fraction_rank,
 )
 
 KINDS = ("uniform-angle-offset", "gaussian-offset", "smoothed-points")
-
-
-@dataclass(frozen=True)
-class Flat:
-    """Affine flat of codimension len(basis) in R^d."""
-
-    basis: np.ndarray  # (c, d) orthonormal rows spanning the normal space
-    point: np.ndarray  # (d,) point of the flat, lies in span(basis)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def codim(self) -> int:
-        return self.basis.shape[0]
-
-    def as_hyperplane(self) -> tuple[np.ndarray, float]:
-        if self.codim != 1:
-            raise DimensionMismatchError("not a hyperplane")
-        n = self.basis[0]
-        return n, float(n @ self.point)
 
 
 # the numeric parameters of each measure kind; a center is a point of R^dim
@@ -261,39 +239,11 @@ def _sample_arrays(spec: FlatMeasureSpec, N: int) -> tuple[np.ndarray, np.ndarra
     return normals[:, np.newaxis, :], normals * offsets[:, np.newaxis]
 
 
-def sample_flats(spec: FlatMeasureSpec, N: int) -> list[Flat]:
-    """Draw N flats; bit-exact replayable for a fixed spec and seed."""
-    bases, points = _sample_arrays(spec, N)
-    return [Flat(b, p) for b, p in zip(bases, points)]
-
-
 def _hyperplane_arrays(bases: np.ndarray, points: np.ndarray):
     """Unit normals (N, d) and offsets (N,) of sampled codimension-1 flats."""
     normals = np.ascontiguousarray(bases[:, 0, :])
     offsets = np.einsum("ij,ij->i", normals, points)
     return normals, offsets
-
-
-# ---------------------------------------------------------------------------
-# Intersection predicates
-# ---------------------------------------------------------------------------
-
-def flat_intersects_ray(flat: Flat, origin, direction) -> bool:
-    """Does a codimension-1 flat meet the ray origin + t*direction, t >= 0?
-
-    Containment (origin exactly on the flat) always counts; a parallel
-    hyperplane not containing the origin never does — the same semantics as
-    the exact ray_crossings predicate.
-    """
-    if flat.codim != 1:
-        raise DimensionMismatchError("ray predicate needs a hyperplane")
-    n, c = flat.as_hyperplane()
-    o = np.asarray(origin, dtype=float)
-    u = np.asarray(direction, dtype=float)
-    r = c - float(n @ o)
-    if r == 0.0:
-        return True
-    return r * float(n @ u) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +377,18 @@ def search_center_sampled(spec: FlatMeasureSpec, N: int) -> Point:
     """
     if spec.codim != 1:
         raise DimensionMismatchError("center search needs codim 1")
-    bases, points = _sample_arrays(spec, N)
-    attempts = 0
-    while True:
+    for attempt in range(9):
+        seed = spec.seed + 1000 + attempt if attempt else spec.seed
+        bases, points = _sample_arrays(replace(spec, seed=seed), N)
         inst = _exact_instance(bases, points, min(_EXACT_SUBSAMPLE, N))
-        if check_general_position(inst).ok:
+        try:
+            center = max_depth_point(inst)  # its vertex pass checks general position
             break
-        attempts += 1
-        if attempts > 8:
-            raise DegenerateInstanceError("could not draw a general-position subsample")
-        bases, points = _sample_arrays(
-            FlatMeasureSpec(spec.dim, spec.codim, spec.kind, spec.params,
-                            seed=spec.seed + 1000 + attempts),
-            N,
-        )
-    starts = (max_depth_point(inst).point, points.mean(axis=0))
+        except DegenerateInstanceError:
+            pass
+    else:
+        raise DegenerateInstanceError("could not draw a general-position subsample")
+    starts = (center.point, points.mean(axis=0))
     return _polish_center(spec, *_hyperplane_arrays(bases, points), starts)
 
 

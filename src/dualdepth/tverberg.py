@@ -223,70 +223,44 @@ def dual_tverberg_plane(F: Instance) -> PartitionResult:
     """Constructive planar partition of 3n lines into n witness-sharing triples.
 
     Orders the lines circularly by the direction from a depth-maximizing
-    point x to its projection on each line (a line through x takes the
-    direction of its stored normal) and groups positions k, k+n, k+2n.
+    point x to its projection on each line and groups positions k, k+n,
+    k+2n.  In general position x is a vertex of the arrangement, so exactly
+    two lines a < b pass through it.  They are first ordered by their
+    stored normals; if that grouping leaves x outside a triangle, a is put
+    at each slot of the other lines' order in turn and, for each, b at each
+    slot of the result, until x lies in every triangle.  With no such order
+    the grouping of the best margin is returned.
     """
     if F.dim != 2:
         raise DimensionMismatchError("dual_tverberg_plane requires d = 2")
     if F.n == 0 or F.n % 3 != 0:
         raise ValueError(f"line count {F.n} is not a positive multiple of 3")
-    ensure_general_position(F)
     n = F.n // 3
-    cert = max_depth_point(F)
+    cert = max_depth_point(F)  # raises DegenerateInstanceError off general position
     x = cert.point
 
-    off_dirs, on_idx = [], []
-    for i, h in enumerate(F.hyperplanes):
-        r = h.offset - dot(h.normal, x)
-        if r == 0:
-            on_idx.append(i)
-        else:
-            sign = 1 if r > 0 else -1
-            off_dirs.append((tuple(sign * c for c in h.normal), i))
+    residuals = [h.offset - dot(h.normal, x) for h in F.hyperplanes]
+    dirs = [
+        tuple(-c for c in h.normal) if r < 0 else h.normal
+        for h, r in zip(F.hyperplanes, residuals)
+    ]
+    # sorted() is stable, so lines of one angle keep their index order
+    naive = sorted(range(F.n), key=cmp_to_key(lambda i, j: _angle_cmp(dirs[i], dirs[j])))
+    a, b = (i for i, r in enumerate(residuals) if r == 0)
+    base = [i for i in naive if i not in (a, b)]
 
-    def groups_from(order):
-        gs = [
-            tuple(sorted((order[k], order[k + n], order[k + 2 * n])))
-            for k in range(n)
-        ]
-        gs.sort()
-        return tuple(gs)
+    def orders():
+        yield naive
+        for s in range(len(base)):
+            trial = base[:s] + [a] + base[s:]
+            for t in range(len(base) + 1):
+                yield trial[:t] + [b] + trial[t:]
 
-    ordered = sorted(
-        off_dirs, key=cmp_to_key(lambda p, q: _angle_cmp(p[0], q[0]) or (p[1] - q[1]))
-    )
-    base = [i for _, i in ordered]
-
-    # Lines through x can go anywhere in the circular order, but not every
-    # slot yields triangles containing x; the natural choice (the line's
-    # normal angle) is tried first and the remaining insertion slots are
-    # scanned in order until the containment check passes.  At most two
-    # lines pass through x in general position.
-    candidates = []
-    if on_idx:
-        naive = sorted(
-            off_dirs + [(tuple(F.hyperplanes[i].normal), i) for i in on_idx],
-            key=cmp_to_key(lambda p, q: _angle_cmp(p[0], q[0]) or (p[1] - q[1])),
-        )
-        candidates.append([i for _, i in naive])
-        m = len(base)
-        if len(on_idx) == 1:
-            for s in range(m):
-                candidates.append(base[:s] + [on_idx[0]] + base[s:])
-        else:
-            a, b = on_idx
-            for s in range(m):
-                trial = base[:s] + [a] + base[s:]
-                for t in range(m + 1):
-                    candidates.append(trial[:t] + [b] + trial[t:])
-    else:
-        candidates.append(base)
-
+    simplex = _simplex_cache(F)
     best = None
-    for order in candidates:
-        groups = groups_from(order)
-        simplices = [form_simplex(F, g) for g in groups]
-        margin = _containment_margin(simplices, x)
+    for order in orders():
+        groups = tuple(sorted(tuple(sorted(order[k::n])) for k in range(n)))
+        margin = _containment_margin([simplex(g) for g in groups], x)
         if best is None or margin > best[1]:
             best = (groups, margin)
         if margin >= 0:
@@ -329,8 +303,7 @@ def dual_tverberg_search(F: Instance, n: int) -> Optional[PartitionResult]:
         raise ValueError(f"need at least one group, got {n}")
     if F.n != (d + 1) * n:
         raise ValueError(f"need (d+1)*n = {(d + 1) * n} hyperplanes, got {F.n}")
-    ensure_general_position(F)
-    cert = max_depth_point(F)
+    cert = max_depth_point(F)  # raises DegenerateInstanceError off general position
     x_star = cert.point
 
     simplex = _simplex_cache(F)

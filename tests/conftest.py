@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional
 
 # The count products and the center polish are small matrix products that
@@ -31,8 +32,11 @@ from dualdepth import (  # noqa: E402
     GeneralPositionResult,
     Hyperplane,
     Instance,
+    PartitionResult,
     common_interior_point,
     ensure_general_position,
+    form_simplex,
+    max_depth_point,
 )
 from dualdepth.depth import _edge_blocks, _first_min  # noqa: E402
 from dualdepth.geometry import (  # noqa: E402
@@ -43,6 +47,7 @@ from dualdepth.geometry import (  # noqa: E402
     scale_to_int,
     vertex_blocks,
 )
+from dualdepth.tverberg import _angle_cmp  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -571,3 +576,65 @@ def check_general_position_reference(F: Instance) -> GeneralPositionResult:
         if sum(a * v for a, v in zip(normals[j], nums)) == offsets[j] * den:
             return GeneralPositionResult(False, sub, "concurrent")
     return GeneralPositionResult(True)
+
+
+def dual_tverberg_plane_reference(F: Instance) -> PartitionResult:
+    """The planar construction with every candidate order built up front.
+
+    A separate general-position pass, then every line sorted by the
+    direction from the center x to it (its stored normal when it passes
+    through x), and branches for zero, one and two lines through x; each
+    candidate's triangles come from ``form_simplex`` directly.
+    """
+    ensure_general_position(F)
+    n = F.n // 3
+    cert = max_depth_point(F)
+    x = cert.point
+
+    off_dirs, on_idx = [], []
+    for i, h in enumerate(F.hyperplanes):
+        r = h.offset - sum(a * b for a, b in zip(h.normal, x))
+        if r == 0:
+            on_idx.append(i)
+        else:
+            sign = 1 if r > 0 else -1
+            off_dirs.append((tuple(sign * c for c in h.normal), i))
+
+    def groups_from(order):
+        gs = [tuple(sorted((order[k], order[k + n], order[k + 2 * n]))) for k in range(n)]
+        gs.sort()
+        return tuple(gs)
+
+    by_angle = cmp_to_key(lambda p, q: _angle_cmp(p[0], q[0]) or (p[1] - q[1]))
+    base = [i for _, i in sorted(off_dirs, key=by_angle)]
+    candidates = []
+    if on_idx:
+        naive = sorted(off_dirs + [(tuple(F.hyperplanes[i].normal), i) for i in on_idx],
+                       key=by_angle)
+        candidates.append([i for _, i in naive])
+        m = len(base)
+        if len(on_idx) == 1:
+            for s in range(m):
+                candidates.append(base[:s] + [on_idx[0]] + base[s:])
+        else:
+            a, b = on_idx
+            for s in range(m):
+                trial = base[:s] + [a] + base[s:]
+                for t in range(m + 1):
+                    candidates.append(trial[:t] + [b] + trial[t:])
+    else:
+        candidates.append(base)
+
+    best = None
+    for order in candidates:
+        groups = groups_from(order)
+        margin = min(
+            sum(p * q for p, q in zip(normal, x)) - offset
+            for g in groups for normal, offset in form_simplex(F, g).facets
+        )
+        if best is None or margin > best[1]:
+            best = (groups, margin)
+        if margin >= 0:
+            break
+    groups, margin = best
+    return PartitionResult(groups, x, margin, margin > 0, {"depth": cert.depth, "bound": cert.bound})

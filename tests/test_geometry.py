@@ -20,7 +20,6 @@ from dualdepth.geometry import (
     dot,
     fraction_nullspace,
     fraction_rank,
-    primitive,
     rref,
     scale_to_int,
     solve_underdetermined,
@@ -132,11 +131,6 @@ class TestHyperplane:
         a, b = h.scaled()
         assert (a, b) == ((3, 2), 1)
 
-    def test_canonicalized_leading_positive(self):
-        h = Hyperplane((Fraction(-2), Fraction(4)), Fraction(-6))
-        c = h.canonicalized()
-        assert c.normal == (1, -2) and c.offset == 3
-
     def test_instance_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
             Instance(3, [H_X1])
@@ -194,9 +188,3 @@ class TestLinearAlgebraHelpers:
         assert solve_underdetermined([(0, 0), (1, 0)], [0, 4]) == (4, 0)
         assert solve_underdetermined([(0, 0)], [1]) is None
         assert solve_underdetermined([], []) == ()
-
-    def test_primitive(self):
-        assert primitive((-4, 6, 0)) == (2, -3, 0)
-        assert primitive((0, 3, -9)) == (0, 1, -3)
-        h = Hyperplane((Fraction(-2, 3), Fraction(4, 3)), Fraction(2))
-        assert h.canonicalized() == Hyperplane((Fraction(1), Fraction(-2)), Fraction(-3))

@@ -15,7 +15,7 @@ from dualdepth import (
     parse_instance,
     write_instance,
 )
-from dualdepth import cli
+from dualdepth import cli, depth, geometry
 from dualdepth.cli import main
 from dualdepth.geometry import side_of
 from dualdepth.io import ParseError, instance_measure, parse_scalar, scalar_to_str
@@ -25,6 +25,12 @@ def test_exports_resolve_once():
     assert len(dualdepth.__all__) == len(set(dualdepth.__all__))
     for name in dualdepth.__all__:
         assert hasattr(dualdepth, name), name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from dualdepth import *", namespace)
+    assert set(dualdepth.__all__) <= set(namespace)
 
 
 class TestScalarSerialization:
@@ -254,6 +260,36 @@ class TestCli:
         code, report, _ = run_cli(capsys, "tverberg-plane", "--instance", six_file)
         assert code == 0
         assert len(report["result"]["groups"]) == 2
+
+    @pytest.mark.parametrize("cmd", [["tverberg-plane"], ["tverberg-search", "--groups", "2"]])
+    def test_partition_commands_make_one_vertex_pass(self, capsys, monkeypatch, six_file, cmd):
+        # six_file declares nothing, so parsing runs no general-position check
+        passes = []
+        real = geometry.vertex_blocks
+
+        def counting(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "vertex_blocks", counting)
+        monkeypatch.setattr(depth, "vertex_blocks", counting)
+        code, report, _ = run_cli(capsys, *cmd, "--instance", six_file)
+        assert code == 0 and report["result"]["type"] == "PartitionResult"
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("cmd", [["tverberg-plane"], ["tverberg-search", "--groups", "2"]])
+    @pytest.mark.parametrize("lines", [
+        [((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((1, 2), 5), ((3, -1), 7), ((1, -4), 9)],
+        [((1, 2), 5), ((3, -1), 7), ((1, -4), 9), ((2, 4), 1), ((0, 1), 3), ((5, 1), -2)],
+    ], ids=["concurrent", "parallel"])
+    def test_partition_commands_refuse_non_general_position(self, capsys, tmp_path, cmd, lines):
+        path = tmp_path / "degenerate.json"
+        path.write_bytes(write_instance(Instance(2, [Hyperplane(a, b) for a, b in lines])))
+        gp = check_general_position(parse_instance(path.read_bytes()))
+        assert not gp.ok
+        code, report, err = run_cli(capsys, *cmd, "--instance", str(path))
+        assert code == 2 and report is None
+        assert err == f"error: instance is not in general position: {gp.reason} subset {gp.violation}\n"
 
     def test_gen_and_validate(self, capsys, tmp_path):
         out = str(tmp_path / "gen.json")

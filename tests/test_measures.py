@@ -7,17 +7,14 @@ import pytest
 
 from dualdepth import (
     FlatMeasureSpec,
-    flat_intersects_ray,
     gen_instance,
     ray_crossings,
-    sample_flats,
     search_center_sampled,
     verify_dual_cpt_measure,
     verify_dual_ctr,
 )
 from dualdepth.geometry import DimensionMismatchError
 from dualdepth.measures import (
-    Flat,
     _halfflat_min_fraction,
     _hyperplane_arrays,
     _ray_fractions,
@@ -27,43 +24,46 @@ from dualdepth.measures import (
 
 
 def flats_equal(a, b):
-    return np.array_equal(a.basis, b.basis) and np.array_equal(a.point, b.point)
+    """Equality of two flats given as (basis, point) pairs."""
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestSampleFlats:
+    """The array sampler ``_sample_arrays``: replay, shapes and the law of each kind."""
+
     def test_deterministic_replay(self):
         spec = FlatMeasureSpec(2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=1)
-        first = sample_flats(spec, 3)
-        second = sample_flats(spec, 3)
-        assert len(first) == 3
-        assert all(flats_equal(a, b) for a, b in zip(first, second))
+        first = _sample_arrays(spec, 3)
+        second = _sample_arrays(spec, 3)
+        assert first[0].shape == (3, 1, 2) and first[1].shape == (3, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_smoothed_sigma_zero_copies(self):
         spec = FlatMeasureSpec(
             2, 1, "smoothed-points",
             {"flats": [[[3.0, 4.0], 2.0]], "sigma": 0.0}, seed=7,
         )
-        flats = sample_flats(spec, 5)
-        n, c = flats[0].as_hyperplane()
-        assert np.allclose(n, [0.6, 0.8]) and abs(c - 2.0) < 1e-12
-        assert all(flats_equal(f, flats[0]) for f in flats)
+        bases, points = _sample_arrays(spec, 5)
+        normals, offsets = _hyperplane_arrays(bases, points)
+        assert np.allclose(normals[0], [0.6, 0.8]) and abs(offsets[0] - 2.0) < 1e-12
+        assert (bases == bases[0]).all() and (points == points[0]).all()
 
     def test_gaussian_offset_mean(self):
         spec = FlatMeasureSpec(3, 1, "gaussian-offset", {"mean": 2.0, "std": 0.5}, seed=3)
-        flats = sample_flats(spec, 10_000)
-        offsets = [float(f.basis[0] @ f.point) for f in flats]
+        _, offsets = _hyperplane_arrays(*_sample_arrays(spec, 10_000))
         assert abs(np.mean(offsets) - 2.0) <= 3 * 0.5 / math.sqrt(10_000)
 
     def test_uniform_support_radius(self):
         spec = FlatMeasureSpec(2, 1, "uniform-angle-offset", {"radius": 1.5}, seed=2)
-        for f in sample_flats(spec, 200):
-            assert np.linalg.norm(f.point) <= 1.5 + 1e-9
+        _, points = _sample_arrays(spec, 200)
+        assert (np.linalg.norm(points, axis=1) <= 1.5 + 1e-9).all()
 
     def test_orthonormal_bases(self):
         spec = FlatMeasureSpec(3, 2, "uniform-angle-offset", {"radius": 1.0}, seed=4)
-        for f in sample_flats(spec, 50):
-            assert f.codim == 2 and f.dim == 3
-            assert np.allclose(f.basis @ f.basis.T, np.eye(2), atol=1e-12)
+        bases, points = _sample_arrays(spec, 50)
+        assert bases.shape == (50, 2, 3) and points.shape == (50, 3)
+        for B in bases:
+            assert np.allclose(B @ B.T, np.eye(2), atol=1e-12)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ class TestSampleFlats:
             FlatMeasureSpec(2, 1, "smoothed-points", {})
         spec = FlatMeasureSpec(2, 1, "uniform-angle-offset")
         with pytest.raises(ValueError):
-            sample_flats(spec, 0)
+            _sample_arrays(spec, 0)
 
     @pytest.mark.parametrize("normal", [[0.0, 0.0], [1.0], [1.0, 0.0, 0.0]],
                              ids=["zero", "short", "long"])
@@ -100,7 +100,8 @@ class TestSampleFlats:
 def per_flat_sample(spec, N):
     """Reference sampler: one flat at a time, one QR per flat.
 
-    The vectorised sampler must reproduce this random stream exactly.
+    Returns (basis, point) pairs; the vectorised sampler must reproduce
+    this random stream exactly.
     """
     rng = np.random.default_rng(spec.seed)
     d, c = spec.dim, spec.codim
@@ -118,13 +119,13 @@ def per_flat_sample(spec, N):
             u = rng.normal(size=c)
             u /= np.linalg.norm(u)
             rad = radius * rng.random() ** (1.0 / c)
-            out.append(Flat(B, B.T @ (u * rad) + B.T @ (B @ center)))
+            out.append((B, B.T @ (u * rad) + B.T @ (B @ center)))
     elif spec.kind == "gaussian-offset":
         mean = float(spec.params.get("mean", 0.0))
         std = float(spec.params.get("std", 1.0))
         for _ in range(N):
             B = frame()
-            out.append(Flat(B, B.T @ (mean + std * rng.normal(size=c))))
+            out.append((B, B.T @ (mean + std * rng.normal(size=c))))
     else:
         sigma = float(spec.params.get("sigma", 0.0))
         bases = spec.params["flats"]
@@ -139,7 +140,7 @@ def per_flat_sample(spec, N):
                 normal = normal + sigma * rng.normal(size=d)
                 normal = normal / np.linalg.norm(normal)
                 offset = offset + sigma * rng.normal()
-            out.append(Flat(normal[np.newaxis, :], normal * offset))
+            out.append((normal[np.newaxis, :], normal * offset))
     return out
 
 
@@ -165,25 +166,17 @@ class TestSamplerStreamContract:
     def test_codim_one_bit_identical(self, d):
         for seed in (0, 5):
             for spec in stream_specs(d, 1, seed):
-                got = sample_flats(spec, 2000)
+                got = zip(*_sample_arrays(spec, 2000))
                 ref = per_flat_sample(spec, 2000)
                 assert all(flats_equal(a, b) for a, b in zip(got, ref)), spec.kind
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_codim_two_bases_equal(self, d):
         for spec in stream_specs(d, 2, 3):
-            got = sample_flats(spec, 2000)
+            bases, points = _sample_arrays(spec, 2000)
             ref = per_flat_sample(spec, 2000)
-            assert all(np.array_equal(a.basis, b.basis) for a, b in zip(got, ref))
-            assert max(np.abs(a.point - b.point).max() for a, b in zip(got, ref)) <= 1e-15
-
-    def test_arrays_match_flats(self):
-        spec = stream_specs(3, 2, 1)[0]
-        bases, points = _sample_arrays(spec, 50)
-        assert bases.shape == (50, 2, 3) and points.shape == (50, 3)
-        flats = sample_flats(spec, 50)
-        assert np.array_equal(np.stack([f.basis for f in flats]), bases)
-        assert np.array_equal(np.stack([f.point for f in flats]), points)
+            assert all(np.array_equal(a, B) for a, (B, _) in zip(bases, ref))
+            assert max(np.abs(a - p).max() for a, (_, p) in zip(points, ref)) <= 1e-15
 
     def test_bad_weights_rejected(self):
         spec = FlatMeasureSpec(
@@ -191,7 +184,7 @@ class TestSamplerStreamContract:
             {"flats": [[[1.0, 0.0], 0.0], [[0.0, 1.0], 0.0]], "weights": [1.0, -0.5]},
         )
         with pytest.raises(ValueError):
-            sample_flats(spec, 10)
+            _sample_arrays(spec, 10)
 
 
 def halfflat_reference(bases, points, l0, D, probe_dirs):
@@ -249,40 +242,41 @@ class TestRayFractionBlocking:
 
 
 class TestFlatIntersectsRay:
-    def line_x1(self):
-        return Flat(np.array([[1.0, 0.0]]), np.array([0.0, 0.0]))
+    """``_ray_fractions`` on single lines: containment always counts, parallel never."""
+
+    def fraction(self, x, u):
+        # the line x1 = 0
+        return _ray_fractions(np.array([[1.0, 0.0]]), np.array([0.0]),
+                              np.asarray(x, dtype=float), np.array([u], dtype=float))[0]
 
     def test_ray_into_line(self):
-        assert flat_intersects_ray(self.line_x1(), (1, 0), (-1, 0))
+        assert self.fraction((1, 0), (-1, 0)) == 1.0
 
     def test_parallel_ray(self):
-        assert not flat_intersects_ray(self.line_x1(), (1, 0), (0, 1))
+        assert self.fraction((1, 0), (0, 1)) == 0.0
 
     def test_origin_on_line(self):
         for u in ((0, 1), (1, 0), (-1, -1)):
-            assert flat_intersects_ray(self.line_x1(), (0, 3), u)
+            assert self.fraction((0, 3), u) == 1.0
 
     def test_agrees_with_exact_ray_crossings(self):
         rng = np.random.default_rng(11)
         F = gen_instance("random-rational", 6, 2, seed=1)
+        bases, points = [], []
+        for h in F.hyperplanes:
+            n = np.array([float(c) for c in h.normal])
+            n_unit = n / np.linalg.norm(n)
+            bases.append(n_unit[np.newaxis, :])
+            points.append(n_unit * (float(h.offset) / np.linalg.norm(n)))
+        normals, offsets = _hyperplane_arrays(np.array(bases), np.array(points))
         for _ in range(40):
             x = tuple(int(v) for v in rng.integers(-4, 5, size=2))
             u = tuple(int(v) for v in rng.integers(-5, 6, size=2))
             if u == (0, 0):
                 continue
-            exact = ray_crossings(F, x, u)
-            approx = 0
-            for h in F.hyperplanes:
-                n = np.array([float(c) for c in h.normal])
-                n_unit = n / np.linalg.norm(n)
-                flat = Flat(n_unit[np.newaxis, :], n_unit * (float(h.offset) / np.linalg.norm(n)))
-                approx += flat_intersects_ray(flat, x, u)
-            assert approx == exact
-
-    def test_codimension_checked(self):
-        flat = Flat(np.eye(2), np.zeros(2))
-        with pytest.raises(DimensionMismatchError):
-            flat_intersects_ray(flat, (0, 0), (1, 0))
+            fr = _ray_fractions(normals, offsets, np.array(x, dtype=float),
+                                np.array([u], dtype=float))
+            assert fr[0] == ray_crossings(F, x, u) / F.n
 
 
 class TestSphereCovering:
@@ -429,12 +423,10 @@ class TestEstimatorConsistency:
     def test_standard_error_scales_with_sample_size(self):
         def estimate(seed, N):
             spec = FlatMeasureSpec(2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=seed)
-            hit = 0
-            for f in sample_flats(spec, N):
-                n, c = f.as_hyperplane()
-                r = c  # ray origin at (0, 0)
-                hit += (r == 0.0) or (r * float(n @ np.array([1.0, 0.0]))) > 0.0
-            return hit / N
+            normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, N))
+            # ray from the origin along (1, 0): r is the offset
+            hit = (offsets == 0.0) | (offsets * normals[:, 0] > 0.0)
+            return np.count_nonzero(hit) / N
 
         small = np.std([estimate(s, 200) for s in range(100)])
         large = np.std([estimate(s + 1000, 400) for s in range(100)])

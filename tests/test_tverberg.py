@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dualdepth import (
+    MODELS,
     DegenerateSubfamilyError,
     Hyperplane,
     Instance,
@@ -15,12 +16,22 @@ from dualdepth import (
     form_simplex,
     gen_instance,
     max_depth_point,
+    parse_instance,
     side_of,
+    write_instance,
 )
+from dualdepth import tverberg
 from dualdepth.geometry import DimensionMismatchError, dot
 from dualdepth.tverberg import _partitions
 
-from conftest import strict_partitions_oracle
+from conftest import dual_tverberg_plane_reference, strict_partitions_oracle
+
+
+def parsed(model, n, seed):
+    """A generated planar instance read back from a file that declares
+    nothing, so no general-position verdict is cached on it."""
+    F = gen_instance(model, n, 2, seed=seed)
+    return parse_instance(write_instance(Instance(2, F.hyperplanes)))
 
 
 def containment_margin(simplices, x):
@@ -191,6 +202,29 @@ class TestDualTverbergPlane:
         res = dual_tverberg_plane(F)
         flat = sorted(i for g in res.groups for i in g)
         assert flat == list(range(12))
+
+    @pytest.mark.parametrize("n", [3, 6, 9, 12, 15, 18])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_eager_reference(self, model, n):
+        for seed in range(10):
+            assert dual_tverberg_plane(parsed(model, n, seed)) == \
+                dual_tverberg_plane_reference(parsed(model, n, seed))
+
+    def test_answer_from_insertion_scan(self, monkeypatch):
+        # the stored-normal order leaves the center outside a triangle, so
+        # the answer is the sixth order of the scan over slots of a and b
+        margins = []
+        real = tverberg._containment_margin
+
+        def recording(simplices, x):
+            margins.append(real(simplices, x))
+            return margins[-1]
+
+        monkeypatch.setattr(tverberg, "_containment_margin", recording)
+        res = dual_tverberg_plane(parsed("random-rational", 9, 4))
+        assert len(margins) == 7 and all(m < 0 for m in margins[:-1])
+        assert res.margin == margins[-1] == 0 and not res.strict
+        assert res == dual_tverberg_plane_reference(parsed("random-rational", 9, 4))
 
 
 class TestDualTverbergSearch:
