@@ -161,6 +161,10 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("bad-type", "metadata must be an object")
+    reserved = sorted(k for k in metadata if k.startswith("_"))
+    if reserved:
+        # the parser's own keys; write_instance never emits them
+        raise ParseError("reserved-field", f"metadata keys {reserved} are reserved")
     metadata = dict(metadata)
     if unknown:
         metadata["_extra_fields"] = {k: obj[k] for k in sorted(unknown)}

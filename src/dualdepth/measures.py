@@ -275,7 +275,7 @@ def sphere_covering(dim: int, count: int) -> np.ndarray:
 _BLOCK = 64
 
 
-def _ray_fractions(normals, offsets, x, dirs, block: int = _BLOCK) -> np.ndarray:
+def _ray_fractions(normals, offsets, x, dirs) -> np.ndarray:
     """Fraction of sampled hyperplanes met by the ray from x, per direction.
 
     A hyperplane containing x is met by every ray.  Any other is met when
@@ -286,9 +286,9 @@ def _ray_fractions(normals, offsets, x, dirs, block: int = _BLOCK) -> np.ndarray
     contained = np.count_nonzero(r == 0.0)
     toward = normals * np.sign(r)[:, np.newaxis]  # zero rows for contained
     hits = np.empty(len(dirs))
-    for lo in range(0, len(dirs), block):
-        proj = toward @ dirs[lo:lo + block].T
-        hits[lo:lo + block] = np.count_nonzero(proj > 0.0, axis=0)
+    for lo in range(0, len(dirs), _BLOCK):
+        proj = toward @ dirs[lo:lo + _BLOCK].T
+        hits[lo:lo + _BLOCK] = np.count_nonzero(proj > 0.0, axis=0)
     return (hits + contained) / len(r)
 
 
@@ -536,7 +536,7 @@ def verify_dual_ctr(
     )
 
 
-def _halfflat_min_fraction(bases, points, l0, D, probe_dirs, block: int = _BLOCK) -> float:
+def _halfflat_min_fraction(bases, points, l0, D, probe_dirs) -> float:
     """Minimum over probes of the fraction of flats meeting the half-flat.
 
     A sampled flat G (codim c, basis B, point p) meets the half-flat
@@ -557,8 +557,8 @@ def _halfflat_min_fraction(bases, points, l0, D, probe_dirs, block: int = _BLOCK
     h = np.einsum("nc,ncd->nd", cof, bases)
     num = np.einsum("nc,nc->n", cof, rhs)
     best = 1.0
-    for lo in range(0, len(probe_dirs), block):
-        hw = h @ probe_dirs[lo:lo + block].T
+    for lo in range(0, len(probe_dirs), _BLOCK):
+        hw = h @ probe_dirs[lo:lo + _BLOCK].T
         hits = (np.abs(hw) > 1e-12) & (num[:, np.newaxis] * hw >= 0.0)
         best = min(best, float(hits.mean(axis=0).min()))
     return best

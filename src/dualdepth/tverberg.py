@@ -141,13 +141,8 @@ def _max_slack(facets) -> tuple[Point, Fraction]:
     its vertices, so the witness depends on neither the enumeration order,
     the slicing nor a pivoting rule.
 
-    The enumeration costs C(rows, d+1) bases.  Against the float-guided
-    simplex it replaced it is faster at the sizes the searches pose: 455
-    bases per LP at d=2 with 5 groups took 2.3 s against 3.1-3.6 s over
-    5,569 LPs.
-    It stops paying at a few thousand bases (d=2 with 9 to 11 simplices,
-    2,925 to 5,456 bases: 1.8 to 3.3 ms per LP against 0.8 to 2.3 ms; d=3
-    with 6 simplices, 10,626 bases: 13 ms against 11 ms; 2-vCPU x86 host).
+    The enumeration costs C(rows, d+1) bases, a few hundred at the sizes
+    the searches pose.
     LPs with many rows in fixed dimension are linear-time problems (Megiddo
     1984; Seidel 1991), which this module does not implement.
     """
@@ -290,27 +285,16 @@ def _partitions(indices: list[int], size: int):
             yield [group] + sub
 
 
-def dual_tverberg_search(F: Instance, n: int) -> Optional[PartitionResult]:
-    """First (lexicographic) partition into n simplices with a strict common point.
+def _first_strict(F: Instance, candidates, metadata: dict) -> Optional[PartitionResult]:
+    """First candidate group tuple whose simplices share a strict interior point.
 
-    Exhaustive and certified: a partition is accepted exactly when the
-    margin LP is strictly positive.  Returns None (NotFound) when no
-    partition qualifies; for prime-power n in general position that signals
-    a bug rather than a legitimate outcome.
+    Exhaustive and certified: a candidate is accepted exactly when the
+    margin LP is strictly positive.  Candidates whose vertex boxes fail to
+    overlap openly skip the LP; the result's metadata is the number of
+    candidates checked followed by ``metadata``.
     """
     d = F.dim
-    if n < 1:
-        raise ValueError(f"need at least one group, got {n}")
-    if F.n != (d + 1) * n:
-        raise ValueError(f"need (d+1)*n = {(d + 1) * n} hyperplanes, got {F.n}")
-    cert = max_depth_point(F)  # raises DegenerateInstanceError off general position
-    x_star = cert.point
-
     simplex = _simplex_cache(F)
-
-    @functools.cache
-    def star_margin(g):
-        return _containment_margin([simplex(g)], x_star)
 
     @functools.cache
     def box(g):
@@ -325,29 +309,35 @@ def dual_tverberg_search(F: Instance, n: int) -> Optional[PartitionResult]:
         (glo, ghi), (hlo, hhi) = box(g), box(h)
         return all(glo[k] < hhi[k] and hlo[k] < ghi[k] for k in range(d))
 
-    def boxes_overlap(groups) -> bool:
+    checked = 0
+    for groups in candidates:
+        checked += 1
         # open overlap of the vertex bounding boxes is necessary for a
         # strict common point, so a degenerate overlap rules the LP out;
         # open intervals share a point when every two of them do (1-D Helly)
-        return all(pair_overlap(g, h) for g, h in itertools.combinations(groups, 2))
-
-    checked = 0
-    for part in _partitions(list(range(F.n)), d + 1):
-        checked += 1
-        groups = tuple(part)
-        if all(star_margin(g) > 0 for g in groups):
-            margin = min(star_margin(g) for g in groups)
-            return PartitionResult(
-                groups, x_star, margin, True, {"candidates_checked": checked}
-            )
-        if not boxes_overlap(groups):
+        if not all(pair_overlap(g, h) for g, h in itertools.combinations(groups, 2)):
             continue
         res = common_interior_point([simplex(g) for g in groups])
         if res is not None and res[1] > 0:
             return PartitionResult(
-                groups, res[0], res[1], True, {"candidates_checked": checked}
+                groups, res[0], res[1], True, {"candidates_checked": checked, **metadata}
             )
     return None
+
+
+def dual_tverberg_search(F: Instance, n: int) -> Optional[PartitionResult]:
+    """First (lexicographic) partition into n simplices with a strict common point.
+
+    Returns None (NotFound) when no partition qualifies; for prime-power n
+    in general position that signals a bug rather than a legitimate outcome.
+    """
+    d = F.dim
+    if n < 1:
+        raise ValueError(f"need at least one group, got {n}")
+    if F.n != (d + 1) * n:
+        raise ValueError(f"need (d+1)*n = {(d + 1) * n} hyperplanes, got {F.n}")
+    ensure_general_position(F)
+    return _first_strict(F, map(tuple, _partitions(list(range(F.n)), d + 1)), {})
 
 
 def colorful_dual_tverberg_search(F: Instance, r: int) -> Optional[PartitionResult]:
@@ -383,23 +373,12 @@ def colorful_dual_tverberg_search(F: Instance, r: int) -> Optional[PartitionResu
         tuple(sorted(pick))
         for pick in itertools.product(*(classes[c] for c in range(d + 1)))
     )
-    simplex = _simplex_cache(F)
-    checked = 0
-    for combo in itertools.combinations(colorful, r):
-        flat = [i for g in combo for i in g]
-        if len(set(flat)) != len(flat):
-            continue
-        checked += 1
-        res = common_interior_point([simplex(g) for g in combo])
-        if res is not None and res[1] > 0:
-            return PartitionResult(
-                tuple(combo),
-                res[0],
-                res[1],
-                True,
-                {"candidates_checked": checked, "preconditions": preconditions},
-            )
-    return None
+    disjoint = (
+        combo
+        for combo in itertools.combinations(colorful, r)
+        if len({i for g in combo for i in g}) == r * (d + 1)
+    )
+    return _first_strict(F, disjoint, {"preconditions": preconditions})
 
 
 def _is_prime_power(n: int) -> bool:

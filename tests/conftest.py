@@ -10,6 +10,7 @@ enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -47,7 +48,7 @@ from dualdepth.geometry import (  # noqa: E402
     scale_to_int,
     vertex_blocks,
 )
-from dualdepth.tverberg import _angle_cmp  # noqa: E402
+from dualdepth.tverberg import _angle_cmp, _is_prime_power  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -638,3 +639,85 @@ def dual_tverberg_plane_reference(F: Instance) -> PartitionResult:
             break
     groups, margin = best
     return PartitionResult(groups, x, margin, margin > 0, {"depth": cert.depth, "bound": cert.bound})
+
+
+def dual_tverberg_search_reference(F: Instance, n: int):
+    """The exhaustive search with its former center stage.
+
+    Computes the depth-maximizing center x* and, before each partition's
+    box test and margin LP, accepts the partition when every simplex holds
+    x* strictly.  Partitions come from ``enumerate_partitions_oracle``.  In
+    general position x* lies on d hyperplanes, each a facet hyperplane of
+    some group, so that stage never accepts and the answers equal the
+    search without it.
+    """
+    d = F.dim
+    if n < 1:
+        raise ValueError(f"need at least one group, got {n}")
+    if F.n != (d + 1) * n:
+        raise ValueError(f"need (d+1)*n = {(d + 1) * n} hyperplanes, got {F.n}")
+    x_star = max_depth_point(F).point
+    simplex = functools.cache(lambda g: form_simplex(F, g))
+
+    @functools.cache
+    def star_margin(g):
+        return min(
+            sum(a * b for a, b in zip(normal, x_star)) - offset
+            for normal, offset in simplex(g).facets
+        )
+
+    @functools.cache
+    def box(g):
+        vs = simplex(g).vertices
+        return [(min(v[k] for v in vs), max(v[k] for v in vs)) for k in range(d)]
+
+    checked = 0
+    for groups in enumerate_partitions_oracle(range(F.n), d + 1):
+        checked += 1
+        if all(star_margin(g) > 0 for g in groups):
+            margin = min(star_margin(g) for g in groups)
+            return PartitionResult(groups, x_star, margin, True, {"candidates_checked": checked})
+        if not all(
+            all(glo < hhi and hlo < ghi for (glo, ghi), (hlo, hhi) in zip(box(g), box(h)))
+            for g, h in itertools.combinations(groups, 2)
+        ):
+            continue
+        res = common_interior_point([simplex(g) for g in groups])
+        if res is not None and res[1] > 0:
+            return PartitionResult(groups, res[0], res[1], True, {"candidates_checked": checked})
+    return None
+
+
+def colorful_dual_tverberg_search_reference(F: Instance, r: int):
+    """The colorful search that runs the margin LP on every disjoint candidate.
+
+    No box test; ``candidates_checked`` counts the disjoint candidates.
+    """
+    d = F.dim
+    classes = F.color_classes()
+    t = len(classes[0])
+    ensure_general_position(F)
+    if r > t:
+        return None
+    preconditions = {
+        "t": t,
+        "r": r,
+        "t_ge_2r_minus_1": t >= 2 * r - 1,
+        "r_prime_power": _is_prime_power(r),
+    }
+    colorful = sorted(
+        tuple(sorted(pick)) for pick in itertools.product(*(classes[c] for c in range(d + 1)))
+    )
+    checked = 0
+    for combo in itertools.combinations(colorful, r):
+        flat = [i for g in combo for i in g]
+        if len(set(flat)) != len(flat):
+            continue
+        checked += 1
+        res = common_interior_point([form_simplex(F, g) for g in combo])
+        if res is not None and res[1] > 0:
+            return PartitionResult(
+                combo, res[0], res[1], True,
+                {"candidates_checked": checked, "preconditions": preconditions},
+            )
+    return None

@@ -1,7 +1,9 @@
 """Instance files, generators, and the command-line surface."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,20 @@ def test_exports_resolve_once():
     assert len(dualdepth.__all__) == len(set(dualdepth.__all__))
     for name in dualdepth.__all__:
         assert hasattr(dualdepth, name), name
+
+
+def test_benchmark_names_resolve():
+    # perfbench reaches the library as lib.<module>.<name> with lib the
+    # dualdepth package; a name it uses that is gone fails here, not in a
+    # benchmark run
+    names = {
+        m.groups()
+        for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+        for m in re.finditer(r"\blib\.(\w+)\.(\w+)", path.read_text())
+    }
+    assert ("cli", "main") in names
+    for module, name in sorted(names):
+        assert hasattr(getattr(dualdepth, module), name), f"{module}.{name}"
 
 
 def test_star_import_binds_every_export():
@@ -158,6 +174,10 @@ class TestInstanceRoundTrip:
         ({"dim": 2, "hyperplanes": [5]}, "bad-type"),
         ({"dim": 2, "hyperplanes": [{"normal": "10", "offset": "0"}]}, "bad-type"),
         ({"dim": 2, "hyperplanes": [], "metadata": 3}, "bad-type"),
+        ({"dim": 2, "hyperplanes": [], "metadata": {"_measure": GAUSS_STANZA}},
+         "reserved-field"),
+        ({"dim": 2, "hyperplanes": [], "metadata": {"note": 1, "_extra_fields": 5}},
+         "reserved-field"),
         ({"dim": 2, "hyperplanes": [], "colors": 3}, "bad-color"),
         ({"dim": 2, "hyperplanes": [], "measure": 5}, "malformed-json"),
         ({"dim": 2.5, "hyperplanes": []}, "bad-type"),
@@ -412,6 +432,32 @@ class TestCli:
         code, report, err = run_cli(capsys, "center", "--instance", str(path))
         assert code == 2 and report is None
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", [
+        ["validate"],
+        ["depth", "--point", "0,0"],
+        ["center"],
+        ["tverberg-plane"],
+        ["tverberg-search", "--groups", "1"],
+        ["colorful", "--r", "1"],
+        ["verify-measure", "--point=0,0", "--samples", "50", "--probes", "8"],
+        ["verify-measure", "--samples", "50", "--probes", "8"],
+        ["plot", "--out", "never.svg"],
+    ], ids=["validate", "depth", "center", "tverberg-plane", "tverberg-search",
+            "colorful", "verify-measure-at-point", "verify-measure-searched", "plot"])
+    @pytest.mark.parametrize("key,value", [("_measure", GAUSS_STANZA), ("_extra_fields", 5)],
+                             ids=["measure", "extra-fields"])
+    def test_reserved_metadata_keys_exit_two(
+        self, capsys, monkeypatch, tmp_path, triangle, key, value, cmd
+    ):
+        monkeypatch.chdir(tmp_path)  # where plot would write
+        obj = json.loads(write_instance(triangle))
+        obj["metadata"] = {key: value}
+        path = tmp_path / "reserved.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = run_cli(capsys, cmd[0], "--instance", str(path), *cmd[1:])
+        assert code == 2 and report is None
+        assert err == f"error: reserved-field: metadata keys ['{key}'] are reserved\n"
 
     @pytest.mark.parametrize("flag", ["--samples", "--probes"])
     @pytest.mark.parametrize("point", [True, False], ids=["at-point", "searched"])

@@ -13,6 +13,7 @@ from dualdepth import (
     verify_dual_cpt_measure,
     verify_dual_ctr,
 )
+from dualdepth import measures
 from dualdepth.geometry import DimensionMismatchError
 from dualdepth.measures import (
     _halfflat_min_fraction,
@@ -203,7 +204,7 @@ def halfflat_reference(bases, points, l0, D, probe_dirs):
 
 class TestHalfFlatClosedForm:
     @pytest.mark.parametrize("d,c", [(3, 2), (4, 2), (4, 3)])
-    def test_matches_per_flat_solve(self, d, c):
+    def test_matches_per_flat_solve(self, monkeypatch, d, c):
         rng = np.random.default_rng(d * 10 + c)
         spec = FlatMeasureSpec(d, c, "uniform-angle-offset",
                                {"radius": 1.0, "center": [0.2] * d}, seed=c)
@@ -216,28 +217,32 @@ class TestHalfFlatClosedForm:
         got = [_halfflat_min_fraction(bases, points, l0, D, w[np.newaxis]) for w in probe_dirs]
         assert got == ref
         assert 0.0 < min(ref) < 1.0
-        assert _halfflat_min_fraction(bases, points, l0, D, probe_dirs, block=5) == min(ref)
+        monkeypatch.setattr(measures, "_BLOCK", 5)
+        assert _halfflat_min_fraction(bases, points, l0, D, probe_dirs) == min(ref)
 
 
 class TestRayFractionBlocking:
-    def test_blocked_equals_single_evaluation(self):
+    def test_blocked_equals_single_evaluation(self, monkeypatch):
         spec = FlatMeasureSpec(3, 1, "gaussian-offset", {"mean": 0.3}, seed=4)
         normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, 5000))
         x = np.array([0.1, -0.2, 0.05])
         dirs = sphere_covering(3, 720)
-        single = _ray_fractions(normals, offsets, x, dirs, block=len(dirs))
+        monkeypatch.setattr(measures, "_BLOCK", len(dirs))
+        single = _ray_fractions(normals, offsets, x, dirs)
         for block in (1, 7, 64):
-            assert np.array_equal(_ray_fractions(normals, offsets, x, dirs, block=block), single)
+            monkeypatch.setattr(measures, "_BLOCK", block)
+            assert np.array_equal(_ray_fractions(normals, offsets, x, dirs), single)
         r = offsets - normals @ x
         hits = (normals @ dirs.T) * np.sign(r)[:, np.newaxis] > 0.0
         hits |= (r == 0.0)[:, np.newaxis]
         assert np.array_equal(hits.mean(axis=0), single)
 
-    def test_contained_hyperplanes_count_for_every_ray(self):
+    def test_contained_hyperplanes_count_for_every_ray(self, monkeypatch):
         normals = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
         offsets = np.array([0.0, 1.0, -1.0])
         dirs = sphere_covering(2, 8)
-        fr = _ray_fractions(normals, offsets, np.zeros(2), dirs, block=3)
+        monkeypatch.setattr(measures, "_BLOCK", 3)
+        fr = _ray_fractions(normals, offsets, np.zeros(2), dirs)
         assert fr.min() >= 1 / 3 and fr[0] == 1 / 3  # (1, 0) meets only x1 = 0
 
 

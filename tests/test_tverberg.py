@@ -24,14 +24,19 @@ from dualdepth import tverberg
 from dualdepth.geometry import DimensionMismatchError, dot
 from dualdepth.tverberg import _partitions
 
-from conftest import dual_tverberg_plane_reference, strict_partitions_oracle
+from conftest import (
+    colorful_dual_tverberg_search_reference,
+    dual_tverberg_plane_reference,
+    dual_tverberg_search_reference,
+    strict_partitions_oracle,
+)
 
 
-def parsed(model, n, seed):
-    """A generated planar instance read back from a file that declares
-    nothing, so no general-position verdict is cached on it."""
-    F = gen_instance(model, n, 2, seed=seed)
-    return parse_instance(write_instance(Instance(2, F.hyperplanes)))
+def parsed(model, n, seed, d=2, colors=None):
+    """A generated instance read back from a file that declares nothing
+    but its colors, so no general-position verdict is cached on it."""
+    F = gen_instance(model, n, d, seed=seed, colors=colors)
+    return parse_instance(write_instance(Instance(d, F.hyperplanes, colors=F.colors)))
 
 
 def containment_margin(simplices, x):
@@ -274,6 +279,23 @@ class TestDualTverbergSearch:
         with pytest.raises(ValueError):
             dual_tverberg_search(triangle, 2)
 
+    @pytest.mark.parametrize("d,groups", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_center_stage_reference(self, model, d, groups):
+        for seed in range(10):
+            F = parsed(model, (d + 1) * groups, seed, d)
+            assert dual_tverberg_search(F, groups) == \
+                dual_tverberg_search_reference(parsed(model, (d + 1) * groups, seed, d), groups)
+
+    def test_computes_no_center(self, monkeypatch):
+        expected = dual_tverberg_search_reference(parsed("random-rational", 9, 2), 3)
+
+        def refuse(F):
+            raise AssertionError("the search computed a center")
+
+        monkeypatch.setattr(tverberg, "max_depth_point", refuse)
+        assert dual_tverberg_search(parsed("random-rational", 9, 2), 3) == expected
+
     def test_no_groups_on_empty_instance_rejected(self):
         with pytest.raises(ValueError, match="at least one group"):
             dual_tverberg_search(Instance(2, []), 0)
@@ -322,6 +344,29 @@ class TestColorfulSearch:
         F = Instance(2, list(triangle.hyperplanes), colors=[0, 1, 2])
         with pytest.raises(ValueError, match="at least one group"):
             colorful_dual_tverberg_search(F, r)
+
+    @pytest.mark.parametrize("d,t,r", [(2, 3, 2), (2, 4, 2), (2, 5, 3), (3, 3, 2), (2, 3, 1)])
+    def test_matches_unpruned_reference(self, d, t, r):
+        colors = [c for c in range(d + 1) for _ in range(t)]
+        for seed in range(15):
+            F = parsed("random-rational", (d + 1) * t, seed, d, colors)
+            assert colorful_dual_tverberg_search(F, r) == colorful_dual_tverberg_search_reference(
+                parsed("random-rational", (d + 1) * t, seed, d, colors), r)
+
+    def test_disjoint_boxes_skip_the_lp(self, monkeypatch):
+        calls = []
+        real = tverberg.common_interior_point
+
+        def counting(simplices):
+            calls.append(simplices)
+            return real(simplices)
+
+        monkeypatch.setattr(tverberg, "common_interior_point", counting)
+        colors = [0] * 4 + [1] * 4 + [2] * 4
+        res = colorful_dual_tverberg_search(parsed("random-rational", 12, 1, 2, colors), 2)
+        # 56 disjoint candidates, 47 of them with two vertex boxes apart
+        assert res is not None and res.metadata["candidates_checked"] == 56
+        assert len(calls) == 9
 
     def test_unbalanced_colors_rejected(self):
         F = gen_instance("random-rational", 5, 2, seed=0, colors=[0, 0, 1, 1, 2])
