@@ -293,6 +293,8 @@ def _run(args, argv) -> int:
             ]
         except (OSError, KeyError, TypeError, AttributeError, ValueError, ParseError) as exc:
             raise InputError(f"bad transversal spec: {exc}") from exc
+        except RecursionError as exc:
+            raise InputError("bad transversal spec: nesting is too deep") from exc
         try:
             rep = verify_dual_ctr(specs, point, directions, args.samples, args.probes)
         except ValueError as exc:
@@ -314,6 +316,8 @@ def _run(args, argv) -> int:
             except (OSError, KeyError, IndexError, TypeError, ValueError,
                     ZeroDivisionError, ParseError) as exc:
                 raise InputError(f"bad partition report: {exc}") from exc
+            except RecursionError as exc:
+                raise InputError("bad partition report: nesting is too deep") from exc
         try:
             data = render_svg(inst, triangles=triangles, witness=witness)
         except OverflowError as exc:

@@ -240,8 +240,9 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         # all hyperplanes pass through a common flat; depth there is n,
         # and no face can beat containment of the whole family.  With no
         # hyperplanes at all that flat is R^d; take its origin.
-        rows = [h.normal for h in F.hyperplanes]
-        rhs = [h.offset for h in F.hyperplanes]
+        # scaling a row of the system by a positive integer leaves its
+        # reduced row echelon form, and so the point, as it is
+        rows, rhs = F.scaled()
         point = solve_underdetermined(rows, rhs) if rows else (Fraction(0),) * d
         return DepthCertificate(point, n, _unit(d), bound, n >= bound)
 

@@ -6,9 +6,9 @@ the underlying quantity is zero.  Floating point appears nowhere here; the
 heuristic and Monte Carlo layers live in other modules and re-certify their
 answers through these primitives.
 
-Internally most hot paths run on integer-scaled copies of the data (each
-hyperplane multiplied by the lcm of its denominators), which preserves every
-sign and every intersection point while keeping arithmetic in plain ints.
+An ``Instance`` is its integer rows (each hyperplane multiplied by the lcm
+of its denominators), which preserve every sign and every intersection
+point while keeping arithmetic in plain ints; the hot paths read only those.
 The batched kernels (``stacked_cofactors``, ``vertex_blocks``) run the same
 integer arithmetic on numpy arrays: int64 when a bound computed from the
 input proves that nothing overflows, Python ints (``dtype=object``) otherwise.
@@ -295,51 +295,99 @@ class GeneralPositionResult:
         return self.ok
 
 
-@dataclass
+@dataclass(init=False)
 class Instance:
     """A family of hyperplanes in R^d, optionally colored.
 
-    Treated as an immutable value; private fields cache derived data
-    (integer-scaled coefficients, the general-position verdict) so repeated
-    queries stay cheap.
+    An instance is its integer rows: hyperplane i is ``normals[i] . y =
+    offsets[i]``, the rational hyperplane times ``dens[i]``, the lcm of its
+    reduced denominators.  ``scaled()`` returns the rows, ``normal_ints()``
+    each normal alone scaled to integers, and every kernel reads only these.
+    ``hyperplanes``, the rational ``Hyperplane`` form, is a view built on
+    first access.  ``parse_instance`` builds the rows straight from a file
+    through ``from_rows``; the constructor takes Hyperplanes, computes their
+    rows and keeps the Hyperplanes as the view.
+
+    Treated as an immutable value: equal instances have equal dimensions,
+    rows (so equal hyperplanes), colors and metadata.  Private fields cache
+    the normals' integer form and the general-position verdict.
     """
 
     dim: int
-    hyperplanes: list[Hyperplane]
-    colors: Optional[list[int]] = None
-    metadata: dict = field(default_factory=dict)
-
-    _scaled: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _scaled: tuple[list[tuple[int, ...]], list[int]]
+    _dens: list[int]
+    colors: Optional[list[int]]
+    metadata: dict
+    _hyperplanes: Optional[list[Hyperplane]] = field(default=None, repr=False, compare=False)
     _normal_ints: Optional[list] = field(default=None, repr=False, compare=False)
     _gp: Optional[GeneralPositionResult] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, hyperplanes: Sequence[Hyperplane],
+                 colors: Optional[list[int]] = None, metadata: Optional[dict] = None):
+        if dim < 1:
             raise DimensionMismatchError("dimension must be positive")
-        for h in self.hyperplanes:
-            if h.dim != self.dim:
+        hyperplanes = list(hyperplanes)
+        for h in hyperplanes:
+            if h.dim != dim:
                 raise DimensionMismatchError("hyperplane dimension differs from instance")
-        if self.colors is not None:
-            if len(self.colors) != len(self.hyperplanes):
+        if colors is not None:
+            if len(colors) != len(hyperplanes):
                 raise DimensionMismatchError("colors length differs from hyperplane count")
-            for c in self.colors:
-                if not 0 <= c <= self.dim:
-                    raise ValueError(f"color {c} out of range [0, {self.dim}]")
+            for c in colors:
+                if not 0 <= c <= dim:
+                    raise ValueError(f"color {c} out of range [0, {dim}]")
+        normals, offsets, dens = [], [], []
+        for h in hyperplanes:
+            den = math.lcm(h.offset.denominator, *(c.denominator for c in h.normal))
+            normals.append(tuple(c.numerator * (den // c.denominator) for c in h.normal))
+            offsets.append(h.offset.numerator * (den // h.offset.denominator))
+            dens.append(den)
+        self.dim, self._scaled, self._dens = dim, (normals, offsets), dens
+        self.colors, self.metadata = colors, {} if metadata is None else metadata
+        self._hyperplanes = hyperplanes
+
+    @classmethod
+    def from_rows(cls, dim: int, normals: list[tuple[int, ...]], offsets: list[int],
+                  dens: list[int], colors: Optional[list[int]] = None,
+                  metadata: Optional[dict] = None) -> "Instance":
+        """The instance of checked integer rows.
+
+        Row i is a nonzero normal of length ``dim`` and an offset: hyperplane
+        i times ``dens[i]``, the lcm of its reduced denominators.
+        """
+        inst = cls.__new__(cls)
+        inst.dim, inst._scaled, inst._dens = dim, (normals, offsets), dens
+        inst.colors, inst.metadata = colors, {} if metadata is None else metadata
+        return inst
 
     @property
     def n(self) -> int:
-        return len(self.hyperplanes)
+        return len(self._dens)
+
+    @property
+    def hyperplanes(self) -> list[Hyperplane]:
+        """The rational hyperplanes: row i divided by ``dens[i]``."""
+        if self._hyperplanes is None:
+            self._hyperplanes = [
+                Hyperplane(tuple(Fraction(a, den) for a in normal), Fraction(b, den))
+                for normal, b, den in zip(*self._scaled, self._dens)
+            ]
+        return self._hyperplanes
 
     def scaled(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        if self._scaled is None:
-            pairs = [h.scaled() for h in self.hyperplanes]
-            self._scaled = ([a for a, _ in pairs], [b for _, b in pairs])
+        """The integer rows (normals, offsets)."""
         return self._scaled
 
     def normal_ints(self) -> list[tuple[int, ...]]:
         """Each normal alone scaled to integers (``scale_to_int``), a positive multiple of it."""
         if self._normal_ints is None:
-            self._normal_ints = [scale_to_int(h.normal) for h in self.hyperplanes]
+            ints = []
+            for a, den in zip(self._scaled[0], self._dens):
+                # gcd(a, den) is the factor by which the offset's denominator
+                # multiplied the normal's own lcm of denominators
+                g = math.gcd(den, *a) if den != 1 else 1
+                ints.append(a if g == 1 else tuple(c // g for c in a))
+            self._normal_ints = ints
         return self._normal_ints
 
     def color_classes(self) -> dict[int, list[int]]:
@@ -410,7 +458,7 @@ def check_general_position(F: Instance) -> GeneralPositionResult:
     result = GeneralPositionResult(True)
     if n < d:
         # fewer hyperplanes than d: require independent normals instead
-        if fraction_rank([h.normal for h in F.hyperplanes]) < n:
+        if fraction_rank(F.scaled()[0]) < n:
             result = GeneralPositionResult(False, tuple(range(n)), "degenerate")
     else:
         # a singular d-subset anywhere outranks every concurrent (d+1)-subset

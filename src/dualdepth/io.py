@@ -1,21 +1,30 @@
 """Versioned JSON instance files with exact rational round-tripping.
 
-Scalars serialize as "p/q" strings (or "p" for integers); decimal strings
-and JSON integers are accepted on input and converted exactly, so
-parse(write(x)) == x holds coordinate for coordinate.  Unknown top-level
+Scalars serialize as "p/q" strings (or "p" for integers); decimal strings,
+JSON integers and JSON floats are accepted on input and converted exactly,
+so parse(write(x)) == x holds coordinate for coordinate.  Unknown top-level
 fields are rejected in strict mode and preserved through a round trip in
 lenient mode.
+
+An instance is its integer rows (see ``Instance``), and ``parse_instance``
+builds them in one pass: each scalar becomes a reduced (p, q) pair, straight
+from the text by int() for JSON integers and the plain ASCII "p" and "p/q"
+spellings that write_instance emits, through ``Fraction``'s parser for every
+other spelling, and each row is scaled by the lcm of its denominators.  The
+rational ``Hyperplane``s are a view the instance builds on first access;
+``write_instance`` reads it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 from typing import Union
 
-from .geometry import Hyperplane, Instance, check_general_position
+from .geometry import Instance, check_general_position
 from .measures import FlatMeasureSpec
 
 FORMAT_VERSION = 1
@@ -64,7 +73,32 @@ def _exponent_digits(text: str) -> int:
     return mantissa + shift if shift >= 0 else max(mantissa, 1 - shift)
 
 
-def parse_scalar(raw) -> Fraction:
+def _ratio(raw) -> tuple[int, int]:
+    """A JSON scalar as a reduced (numerator, denominator) pair, denominator > 0.
+
+    JSON integers and plain ASCII "p" / "p/q" strings with q != 0, the
+    spellings write_instance emits, are read by int(); every other spelling
+    takes Fraction's own parser.
+    """
+    if type(raw) is str and raw.isascii():
+        num, slash, den = raw.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            try:
+                if not slash:
+                    return int(num), 1
+                if den.isdigit() and den.strip("0"):
+                    p, q = int(num), int(den)
+                    g = math.gcd(p, q)
+                    return p // g, q // g
+            except ValueError as exc:  # past the digit limit
+                raise ParseError("bad-scalar", f"cannot parse scalar {raw!r}") from exc
+    elif type(raw) is int:
+        return raw, 1
+    return _fraction(raw).as_integer_ratio()
+
+
+def _fraction(raw) -> Fraction:
+    """Any JSON scalar as a Fraction, or a ``bad-scalar`` ParseError."""
     if isinstance(raw, bool):
         raise ParseError("bad-scalar", f"boolean is not a scalar: {raw!r}")
     if isinstance(raw, int):
@@ -72,15 +106,6 @@ def parse_scalar(raw) -> Fraction:
     if isinstance(raw, str):
         limit = sys.get_int_max_str_digits()
         try:
-            # plain ASCII "p" and "p/q" with q != 0, the form write_instance
-            # emits; every other spelling takes Fraction's own parser
-            num, slash, den = raw.partition("/")
-            if (
-                raw.isascii()
-                and (num[1:] if num[:1] == "-" else num).isdigit()
-                and (not slash or den.isdigit() and den.strip("0"))
-            ):
-                return Fraction(int(num), int(den) if slash else 1)
             if limit and _exponent_digits(raw) > limit:
                 raise ParseError("bad-scalar", f"scalar {raw!r} has more than {limit} digits")
             return Fraction(raw)
@@ -95,6 +120,10 @@ def parse_scalar(raw) -> Fraction:
     raise ParseError("bad-scalar", f"unsupported scalar type {type(raw).__name__}")
 
 
+def parse_scalar(raw) -> Fraction:
+    return Fraction(*_ratio(raw))
+
+
 def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
     if isinstance(data, bytes):
         try:
@@ -103,8 +132,10 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
             raise ParseError("malformed-json", "file is not UTF-8") from exc
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ParseError("malformed-json", str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("malformed-json", "nesting is too deep") from exc
     if not isinstance(obj, dict):
         raise ParseError("malformed-json", "top level must be an object")
 
@@ -128,31 +159,41 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
     if not isinstance(raw_planes, list):
         raise ParseError("bad-type", "hyperplanes must be a list")
 
-    hyperplanes = []
+    # each hyperplane goes straight to its integer row: the rational row
+    # times its lcm of denominators
+    normals, offsets, dens = [], [], []
     for i, hp in enumerate(raw_planes):
         if not isinstance(hp, dict):
             raise ParseError("bad-type", f"hyperplane {i} must be an object")
-        missing = sorted({"normal", "offset"} - set(hp))
-        if missing:
+        if "normal" not in hp or "offset" not in hp:
+            missing = sorted({"normal", "offset"} - set(hp))
             raise ParseError("malformed-json", f"hyperplane {i} is missing {missing}")
-        if not isinstance(hp["normal"], list):
+        raw_normal = hp["normal"]
+        if not isinstance(raw_normal, list):
             raise ParseError("bad-type", f"hyperplane {i} normal must be a list")
-        normal = [parse_scalar(v) for v in hp["normal"]]
-        if len(normal) != dim:
+        pairs = [_ratio(v) for v in raw_normal]
+        if len(pairs) != dim:
             raise ParseError(
                 "dimension-mismatch",
-                f"hyperplane {i} normal has length {len(normal)}, expected {dim}",
+                f"hyperplane {i} normal has length {len(pairs)}, expected {dim}",
             )
-        if all(v == 0 for v in normal):
+        nums, qs = zip(*pairs)
+        if not any(nums):
             raise ParseError("zero-normal", f"hyperplane {i} has zero normal")
-        offset = parse_scalar(hp["offset"])
-        hyperplanes.append(Hyperplane(tuple(normal), offset))
+        b, qb = _ratio(hp["offset"])
+        den = math.lcm(qb, *qs)
+        if den != 1:
+            nums = tuple(p * (den // q) for p, q in pairs)
+            b *= den // qb
+        normals.append(nums)
+        offsets.append(b)
+        dens.append(den)
 
     colors = obj.get("colors")
     if colors is not None:
         if not isinstance(colors, list):
             raise ParseError("bad-color", "colors must be a list")
-        if len(colors) != len(hyperplanes):
+        if len(colors) != len(dens):
             raise ParseError("bad-color", "colors length differs from hyperplane count")
         for c in colors:
             if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c <= dim:
@@ -179,8 +220,10 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
             )
         metadata["_measure"] = measure
 
-    inst = Instance(dim, hyperplanes, colors=colors, metadata=metadata)
-    if obj.get("general_position"):
+    inst = Instance.from_rows(dim, normals, offsets, dens, colors=colors, metadata=metadata)
+    # write_instance lifts a truthy metadata.general_position to the
+    # top-level declaration, so either one declares it
+    if obj.get("general_position") or metadata.get("general_position"):
         gp = check_general_position(inst)
         if not gp.ok:
             raise ParseError(
@@ -213,7 +256,10 @@ def write_instance(inst: Instance) -> bytes:
     metadata = {
         k: v for k, v in inst.metadata.items() if not k.startswith("_")
     }
-    if metadata.pop("general_position", None):
+    # a truthy value is the declaration; any other stays in the metadata,
+    # so that the file parses back to this instance
+    if metadata.get("general_position"):
+        del metadata["general_position"]
         obj["general_position"] = True
     measure = inst.metadata.get("_measure")
     if measure is not None:

@@ -5,15 +5,18 @@ depth is re-derived from mass direction sampling in integer arithmetic,
 partitions are enumerated by a second, separately written generator, and LP
 infeasibility is re-proved by exhaustive constraint-vertex enumeration.  The
 margin LP is re-solved by a Fraction simplex and by a Fraction vertex
-enumeration.
+enumeration.  Instance files are re-read by a parse that builds a Fraction
+per scalar and a Hyperplane per row.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -43,11 +46,14 @@ from dualdepth.depth import _edge_blocks, _first_min  # noqa: E402
 from dualdepth.geometry import (  # noqa: E402
     DegenerateSubfamilyError,
     DimensionMismatchError,
+    check_general_position,
     fraction_nullspace,
     fraction_rank,
     scale_to_int,
     vertex_blocks,
 )
+from dualdepth.io import FORMAT_VERSION, _KNOWN_FIELDS, ParseError, _exponent_digits  # noqa: E402
+from dualdepth.measures import FlatMeasureSpec  # noqa: E402
 from dualdepth.tverberg import _angle_cmp, _is_prime_power  # noqa: E402
 
 
@@ -721,3 +727,159 @@ def colorful_dual_tverberg_search_reference(F: Instance, r: int):
                 {"candidates_checked": checked, "preconditions": preconditions},
             )
     return None
+
+
+# ---------------------------------------------------------------------------
+# Instance files: the Fraction parse that ``parse_instance`` replaced, one
+# Fraction per scalar and one Hyperplane per row, with its rules for a
+# metadata.general_position declaration and for JSON that json.loads refuses
+# with other errors than JSONDecodeError.
+# ---------------------------------------------------------------------------
+
+def parse_scalar_reference(raw) -> Fraction:
+    if isinstance(raw, bool):
+        raise ParseError("bad-scalar", f"boolean is not a scalar: {raw!r}")
+    if isinstance(raw, int):
+        return Fraction(raw)
+    if isinstance(raw, str):
+        limit = sys.get_int_max_str_digits()
+        try:
+            num, slash, den = raw.partition("/")
+            if (
+                raw.isascii()
+                and (num[1:] if num[:1] == "-" else num).isdigit()
+                and (not slash or den.isdigit() and den.strip("0"))
+            ):
+                return Fraction(int(num), int(den) if slash else 1)
+            if limit and _exponent_digits(raw) > limit:
+                raise ParseError("bad-scalar", f"scalar {raw!r} has more than {limit} digits")
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError("bad-scalar", f"cannot parse scalar {raw!r}") from exc
+    if isinstance(raw, float):
+        try:
+            return Fraction(repr(raw))
+        except ValueError as exc:
+            raise ParseError("bad-scalar", f"non-finite scalar {raw!r}") from exc
+    raise ParseError("bad-scalar", f"unsupported scalar type {type(raw).__name__}")
+
+
+def parse_instance_reference(data, strict: bool = False) -> Instance:
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("malformed-json", "file is not UTF-8") from exc
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:
+        raise ParseError("malformed-json", str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("malformed-json", "nesting is too deep") from exc
+    if not isinstance(obj, dict):
+        raise ParseError("malformed-json", "top level must be an object")
+    version = obj.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ParseError("bad-version", f"unsupported format_version {version}")
+    unknown = set(obj) - _KNOWN_FIELDS
+    if unknown and strict:
+        raise ParseError("unknown-field", f"unknown fields {sorted(unknown)}")
+    try:
+        dim = obj["dim"]
+        raw_planes = obj["hyperplanes"]
+    except KeyError as exc:
+        raise ParseError("malformed-json", f"missing field {exc}") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ParseError("bad-type", f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ParseError("dimension-mismatch", f"dim must be positive, got {dim}")
+    if not isinstance(raw_planes, list):
+        raise ParseError("bad-type", "hyperplanes must be a list")
+
+    hyperplanes = []
+    for i, hp in enumerate(raw_planes):
+        if not isinstance(hp, dict):
+            raise ParseError("bad-type", f"hyperplane {i} must be an object")
+        missing = sorted({"normal", "offset"} - set(hp))
+        if missing:
+            raise ParseError("malformed-json", f"hyperplane {i} is missing {missing}")
+        if not isinstance(hp["normal"], list):
+            raise ParseError("bad-type", f"hyperplane {i} normal must be a list")
+        normal = [parse_scalar_reference(v) for v in hp["normal"]]
+        if len(normal) != dim:
+            raise ParseError(
+                "dimension-mismatch",
+                f"hyperplane {i} normal has length {len(normal)}, expected {dim}",
+            )
+        if all(v == 0 for v in normal):
+            raise ParseError("zero-normal", f"hyperplane {i} has zero normal")
+        offset = parse_scalar_reference(hp["offset"])
+        hyperplanes.append(Hyperplane(tuple(normal), offset))
+
+    colors = obj.get("colors")
+    if colors is not None:
+        if not isinstance(colors, list):
+            raise ParseError("bad-color", "colors must be a list")
+        if len(colors) != len(hyperplanes):
+            raise ParseError("bad-color", "colors length differs from hyperplane count")
+        for c in colors:
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c <= dim:
+                raise ParseError("bad-color", f"color {c!r} out of range [0, {dim}]")
+
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError("bad-type", "metadata must be an object")
+    reserved = sorted(k for k in metadata if k.startswith("_"))
+    if reserved:
+        raise ParseError("reserved-field", f"metadata keys {reserved} are reserved")
+    metadata = dict(metadata)
+    if unknown:
+        metadata["_extra_fields"] = {k: obj[k] for k in sorted(unknown)}
+    if "measure" in obj and obj["measure"] is not None:
+        try:
+            measure = FlatMeasureSpec.from_json(obj["measure"])
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ParseError("malformed-json", f"bad measure stanza: {exc}") from exc
+        if measure.dim != dim:
+            raise ParseError(
+                "dimension-mismatch", f"measure dim must be the instance dim {dim}, got {measure.dim}"
+            )
+        metadata["_measure"] = measure
+
+    inst = Instance(dim, hyperplanes, colors=colors, metadata=metadata)
+    if obj.get("general_position") or metadata.get("general_position"):
+        gp = check_general_position(inst)
+        if not gp.ok:
+            raise ParseError("general-position-violation", f"{gp.reason} subset {gp.violation}")
+        metadata["general_position"] = True
+    return inst
+
+
+def assert_parses_like_reference(data, strict: bool = False):
+    """``parse_instance`` and ``parse_instance_reference`` agree on one input.
+
+    Both refuse it with one ParseError code and message, or both return
+    instances with equal rows, hyperplanes, colors and metadata (compared by
+    repr, so that a NaN in the metadata compares equal to itself) and equal
+    ``write_instance`` bytes.  Returns the parsed instance, or None.
+    """
+    from dualdepth.io import parse_instance, write_instance
+
+    try:
+        want = parse_instance_reference(data, strict=strict)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_instance(data, strict=strict)
+        assert (got.value.code, str(got.value)) == (exc.code, str(exc))
+        return None
+    inst = parse_instance(data, strict=strict)
+    assert (inst.dim, inst.n) == (want.dim, want.n)
+    assert inst.scaled() == want.scaled()
+    assert inst.normal_ints() == want.normal_ints()
+    assert inst.hyperplanes == want.hyperplanes
+    assert inst.colors == want.colors
+    assert repr(inst.metadata) == repr(want.metadata)
+    if want == want:  # a NaN in the metadata makes == irreflexive
+        assert inst == want
+    assert write_instance(inst) == write_instance(want)
+    return inst

@@ -31,6 +31,8 @@ from dualdepth import gen_instance
 from dualdepth.cli import main
 from dualdepth.io import ParseError, _exponent_digits, parse_instance, parse_scalar, write_instance
 
+from conftest import assert_parses_like_reference
+
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INSTANCES = [(GOLDEN / name).read_bytes() for name in ("triangle.json", "six.json")]
 # three colour classes of sizes 3 and 2 in the plane
@@ -142,6 +144,36 @@ def test_mutated_golden_trees(instance_path, data):
 
 @FUZZ
 @given(data=st.data())
+def test_parse_matches_reference_on_mutated_trees(data):
+    # the integer-row parse against the Fraction parse, on the trees above
+    # and on golden instances with valid coefficients respelled
+    if data.draw(st.booleans()):
+        tree = _mutated_tree(data, GOLDEN_INSTANCES + COLORED_INSTANCES)
+    else:
+        tree = _recoefficient(data, GOLDEN_INSTANCES + COLORED_INSTANCES)
+    assert_parses_like_reference(tree, strict=data.draw(st.booleans()))
+
+
+@settings(FUZZ, max_examples=100)
+@given(data=st.data())
+def test_write_round_trip_on_mutated_trees(data):
+    # parse(write(parse(b))) == parse(b) for every b that parses; most
+    # mutations here keep the file valid, in its coefficients or metadata
+    bases = GOLDEN_INSTANCES + COLORED_INSTANCES + MEASURED_INSTANCES[:4]
+    mutate = data.draw(st.sampled_from([_recoefficient, _mutated_metadata, _mutated_tree]))
+    tree = mutate(data, bases)
+    try:
+        first = parse_instance(tree)
+    except ParseError:
+        return
+    again = parse_instance(write_instance(first))
+    # a NaN in the metadata makes == irreflexive; repr still tells values apart
+    assert again == first if first == first else repr(again) == repr(first)
+    assert write_instance(again) == write_instance(first)
+
+
+@FUZZ
+@given(data=st.data())
 def test_center_on_mutated_trees(instance_path, data):
     tree = _mutated_tree(data, [LONG_CENTER] + GOLDEN_INSTANCES, least=0)
     check_instance_command("center", instance_path, tree)
@@ -162,6 +194,16 @@ def _recoefficient(data, bases):
     for _ in range(data.draw(st.integers(0, 3))):
         tree = _replace(tree, data.draw(st.sampled_from(slots)), data.draw(COEFFICIENTS))
     return json.dumps(tree).encode()
+
+
+def _mutated_metadata(data, bases):
+    """A base instance with its metadata, or a part of it, replaced by a random tree."""
+    tree = json.loads(data.draw(st.sampled_from(bases)))
+    tree.setdefault("metadata", {})
+    path = data.draw(st.sampled_from([p for p in _paths(tree) if p[:1] == ("metadata",)]))
+    whole = st.dictionaries(KEYS, SCALARS | JSON, max_size=4)
+    value = data.draw(SCALARS | JSON if path[1:] else whole)
+    return json.dumps(_replace(tree, path, value)).encode()
 
 
 def _search_input(data, bases):

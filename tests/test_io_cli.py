@@ -167,6 +167,44 @@ class TestInstanceRoundTrip:
             parse_instance(data)
         assert exc.value.code == "general-position-violation"
 
+    def test_metadata_general_position_is_a_declaration(self, capsys, tmp_path):
+        # two parallel lines, declared at the top level or in the metadata:
+        # one error line, from the parser and from validate
+        lines = [{"normal": ["1", "0"], "offset": "0"}, {"normal": ["1", "0"], "offset": "1"}]
+        path = tmp_path / "parallel.json"
+        for declared in ({"general_position": True}, {"metadata": {"general_position": True}},
+                         {"metadata": {"general_position": "yes"}}):
+            path.write_text(json.dumps({"dim": 2, "hyperplanes": lines, **declared}))
+            with pytest.raises(ParseError) as exc:
+                parse_instance(path.read_bytes())
+            assert str(exc.value) == "general-position-violation: degenerate subset (0, 1)"
+            code, report, err = run_cli(capsys, "validate", "--instance", str(path))
+            assert (code, report, err) == (2, None, f"error: {exc.value}\n")
+
+    def test_write_instance_output_parses_again(self):
+        # every generator model, declared or not, and a metadata
+        # general_position of every truth value
+        for model in dualdepth.MODELS:
+            for d, n in ((2, 1), (3, 2), (2, 7), (3, 5)):
+                for declared in (None, True, 1, "yes", False, 0):
+                    F = gen_instance(model, n, d, seed=n)
+                    if declared is not None:
+                        F.metadata["general_position"] = declared
+                    data = write_instance(F)
+                    again = parse_instance(data)
+                    assert write_instance(again) == data
+                    assert again.hyperplanes == F.hyperplanes
+                    assert again.metadata.get("general_position") == (
+                        True if declared else declared)
+        # two parallel lines declared in the metadata are refused when read,
+        # so no parsed instance carries a declaration the file cannot keep
+        with pytest.raises(ParseError):
+            parse_instance(json.dumps({
+                "dim": 2,
+                "hyperplanes": [{"normal": ["1", "0"], "offset": str(k)} for k in range(2)],
+                "metadata": {"general_position": True},
+            }))
+
     @pytest.mark.parametrize("obj,code", [
         ({"dim": 2, "hyperplanes": [{"normal": ["1", "0"]}]}, "malformed-json"),
         ({"dim": "x", "hyperplanes": []}, "bad-type"),
@@ -230,6 +268,14 @@ class TestGenerators:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             gen_instance("bogus", 3, 2, seed=0)
+
+
+# JSON that json.loads refuses with other errors than JSONDecodeError: an
+# integer past the int-to-str digit limit, and nesting past the recursion limit
+JSON_PAST_LIMITS = [
+    '{"result": {"groups": [[0, 1, 2]]}, "dim": %s}' % ("1" * 5000),
+    "[" * 100_000 + "]" * 100_000,
+]
 
 
 def run_cli(capsys, *argv):
@@ -412,6 +458,33 @@ class TestCli:
         path.write_text("{broken")
         code, _, err = run_cli(capsys, "depth", "--instance", str(path), "--point", "0,0")
         assert code == 2 and "malformed" in err
+
+    @pytest.mark.parametrize("cmd", [["validate"], ["depth", "--point", "0,0"], ["center"]],
+                             ids=["validate", "depth", "center"])
+    @pytest.mark.parametrize("text", JSON_PAST_LIMITS, ids=["long-integer", "deep-nesting"])
+    def test_instance_json_past_limits_exits_two(self, capsys, tmp_path, cmd, text):
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        code, report, err = run_cli(capsys, cmd[0], "--instance", str(path), *cmd[1:])
+        assert (code, report) == (2, None)
+        assert err.startswith("error: malformed-json: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", JSON_PAST_LIMITS, ids=["long-integer", "deep-nesting"])
+    def test_transversal_spec_json_past_limits_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, report, err = run_cli(capsys, "verify-transversal", "--spec", str(path))
+        assert (code, report) == (2, None)
+        assert err.startswith("error: bad transversal spec: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", JSON_PAST_LIMITS, ids=["long-integer", "deep-nesting"])
+    def test_partition_report_json_past_limits_exits_two(self, capsys, tmp_path, six_file, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        code, report, err = run_cli(capsys, "plot", "--instance", six_file, "--out",
+                                    str(tmp_path / "plot.svg"), "--partition-report", str(path))
+        assert (code, report) == (2, None)
+        assert err.startswith("error: bad partition report: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("obj", [
         {"dim": 2, "hyperplanes": [{"normal": ["1", "0"]}]},
