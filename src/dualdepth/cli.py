@@ -5,6 +5,12 @@ to stderr) and exits 0 on success/pass, 1 on NotFound/fail, and 2 on input
 errors.  Reports echo the argv and the instance digest, so a run can be
 replayed bit for bit; stochastic commands carry their seeds inside the
 instance's measure stanza.
+
+Every command runs through ``_run``, which loads its input once and
+returns the report's digest, result and exit code; ``main`` writes the one
+report and is the one place that turns an exception into exit 2.  A
+library ``ValueError`` is an input error, and so is a float overflow,
+including a measure whose samples leave float range.
 """
 
 from __future__ import annotations
@@ -51,13 +57,16 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _load_instance(path: str, strict: bool = False):
+def _read_json(path: str, what: str):
+    """The bytes of a JSON input file and their parse; any failure is ``bad <what>``."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_instance(data, strict=strict), _digest(data)
+            raw = fh.read()
+        return raw, json.loads(raw)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"bad {what}: nesting is too deep") from exc
 
 
 def _parse_point(text: str):
@@ -65,14 +74,6 @@ def _parse_point(text: str):
         return tuple(parse_scalar(part) for part in text.split(","))
     except ParseError as exc:
         raise InputError(f"bad point {text!r}: {exc}") from exc
-
-
-def _floats(point) -> list[float]:
-    """Float view of an exact point, for the sampled commands."""
-    try:
-        return [float(c) for c in point]
-    except OverflowError as exc:
-        raise InputError("a point coordinate is outside float range") from exc
 
 
 def _scalar_json(v) -> str:
@@ -115,18 +116,6 @@ def _verification_json(rep):
     return out
 
 
-def _emit(argv, digest, result, t0) -> None:
-    report = {
-        "command": list(argv),
-        "instance_digest": digest,
-        "result": result,
-        "timing_s": round(time.perf_counter() - t0, 6),
-        "version": __version__,
-    }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first ``main`` call of a process.
@@ -139,6 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Ray-crossing depth, central points and dual Tverberg partitions",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
+    # the eight commands that read one instance file
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--instance", required=True, help="instance file")
 
     g = sub.add_parser("gen", help="generate a certified general-position instance")
     g.add_argument("--model", choices=MODELS, default="random-rational")
@@ -147,30 +139,26 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
-    v = sub.add_parser("validate", help="parse and check an instance file")
-    v.add_argument("--instance", required=True)
+    v = sub.add_parser("validate", parents=[reads], help="parse and check an instance file")
     v.add_argument("--strict", action="store_true")
 
-    dp = sub.add_parser("depth", help="exact dual depth of a point")
-    dp.add_argument("--instance", required=True)
+    dp = sub.add_parser("depth", parents=[reads], help="exact dual depth of a point")
     dp.add_argument("--point", required=True, help="comma-separated rationals")
 
-    c = sub.add_parser("center", help="depth-maximizing point with certificate")
-    c.add_argument("--instance", required=True)
+    sub.add_parser("center", parents=[reads], help="depth-maximizing point with certificate")
+    sub.add_parser("tverberg-plane", parents=[reads], help="constructive planar partition")
 
-    tp = sub.add_parser("tverberg-plane", help="constructive planar partition")
-    tp.add_argument("--instance", required=True)
-
-    ts = sub.add_parser("tverberg-search", help="exhaustive certified partition search")
-    ts.add_argument("--instance", required=True)
+    ts = sub.add_parser(
+        "tverberg-search", parents=[reads], help="exhaustive certified partition search"
+    )
     ts.add_argument("--groups", type=int, required=True)
 
-    co = sub.add_parser("colorful", help="colorful partition search")
-    co.add_argument("--instance", required=True)
+    co = sub.add_parser("colorful", parents=[reads], help="colorful partition search")
     co.add_argument("--r", type=int, required=True)
 
-    vm = sub.add_parser("verify-measure", help="Monte Carlo dual central point check")
-    vm.add_argument("--instance", required=True, help="instance file with a measure stanza")
+    vm = sub.add_parser(
+        "verify-measure", parents=[reads], help="Monte Carlo dual central point check"
+    )
     vm.add_argument("--point", help="candidate point; searched when omitted")
     vm.add_argument("--samples", type=int, default=10000)
     vm.add_argument("--probes", type=int, default=720)
@@ -180,8 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--samples", type=int, default=10000)
     vt.add_argument("--probes", type=int, default=360)
 
-    pl = sub.add_parser("plot", help="render a planar instance as SVG")
-    pl.add_argument("--instance", required=True)
+    pl = sub.add_parser("plot", parents=[reads], help="render a planar instance as SVG")
     pl.add_argument("--out", required=True)
     pl.add_argument("--witness", help="comma-separated rationals")
     pl.add_argument("--partition-report", help="run report with a PartitionResult to overlay")
@@ -189,148 +176,113 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run(args, argv) -> int:
-    t0 = time.perf_counter()
-
+def _run(args):
+    """Run one parsed command: (input digest, result, exit code)."""
     if args.cmd == "gen":
-        try:
-            inst = gen_instance(args.model, args.n, args.d, args.seed)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        inst = gen_instance(args.model, args.n, args.d, args.seed)
         data = write_instance(inst)
         with open(args.out, "wb") as fh:
             fh.write(data)
-        _emit(argv, _digest(data), {
+        return _digest(data), {
             "type": "Instance",
             "path": args.out,
             "dim": inst.dim,
             "n": inst.n,
             "regenerations": inst.metadata.get("regenerations", 0),
-        }, t0)
-        return EXIT_OK
+        }, EXIT_OK
+
+    if args.cmd == "verify-transversal":
+        raw, obj = _read_json(args.spec, "transversal spec")
+        try:
+            specs = [FlatMeasureSpec.from_json(s) for s in obj["measures"]]
+            flat = obj["flat"]
+            point = [float(parse_scalar(v)) for v in flat["point"]]
+            directions = [
+                [float(parse_scalar(v)) for v in row] for row in flat.get("directions", [])
+            ]
+        except (KeyError, TypeError, AttributeError, ValueError, ParseError) as exc:
+            raise InputError(f"bad transversal spec: {exc}") from exc
+        rep = verify_dual_ctr(specs, point, directions, args.samples, args.probes)
+        return _digest(raw), _verification_json(rep), EXIT_OK if rep.passed else EXIT_NOT_FOUND
+
+    # every other command reads one instance file
+    try:
+        with open(args.instance, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {args.instance}: {exc}") from exc
+    digest = _digest(data)
+    inst = parse_instance(data, strict=getattr(args, "strict", False))
 
     if args.cmd == "validate":
-        inst, digest = _load_instance(args.instance, strict=args.strict)
         gp = check_general_position(inst)
-        _emit(argv, digest, {
+        return digest, {
             "type": "Validation",
             "general_position": gp.ok,
             "violation": list(gp.violation) if gp.violation else None,
             "reason": gp.reason,
-        }, t0)
-        return EXIT_OK if gp.ok else EXIT_NOT_FOUND
+        }, EXIT_OK if gp.ok else EXIT_NOT_FOUND
 
     if args.cmd == "depth":
-        inst, digest = _load_instance(args.instance)
         point = _parse_point(args.point)
         depth, witness = dual_depth(inst, point)
-        _emit(argv, digest, {
+        return digest, {
             "type": "Depth",
             "point": _point_json(point),
             "depth": depth,
             "witness_direction": _point_json(witness),
-        }, t0)
-        return EXIT_OK
+        }, EXIT_OK
 
     if args.cmd == "center":
-        inst, digest = _load_instance(args.instance)
-        cert = max_depth_point(inst)
-        _emit(argv, digest, _certificate_json(cert), t0)
-        return EXIT_OK
+        return digest, _certificate_json(max_depth_point(inst)), EXIT_OK
 
     if args.cmd == "tverberg-plane":
-        inst, digest = _load_instance(args.instance)
-        try:
-            res = dual_tverberg_plane(inst)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        _emit(argv, digest, _partition_json(res), t0)
-        return EXIT_OK
+        return digest, _partition_json(dual_tverberg_plane(inst)), EXIT_OK
 
     if args.cmd in ("tverberg-search", "colorful"):
-        inst, digest = _load_instance(args.instance)
-        try:
-            if args.cmd == "colorful":
-                res = colorful_dual_tverberg_search(inst, args.r)
-            else:
-                res = dual_tverberg_search(inst, args.groups)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        if args.cmd == "colorful":
+            res = colorful_dual_tverberg_search(inst, args.r)
+        else:
+            res = dual_tverberg_search(inst, args.groups)
         if res is None:
-            _emit(argv, digest, {"type": "NotFound"}, t0)
-            return EXIT_NOT_FOUND
-        _emit(argv, digest, _partition_json(res), t0)
-        return EXIT_OK
+            return digest, {"type": "NotFound"}, EXIT_NOT_FOUND
+        return digest, _partition_json(res), EXIT_OK
 
     if args.cmd == "verify-measure":
-        inst, digest = _load_instance(args.instance)
         spec = instance_measure(inst)
         if spec is None:
             raise InputError("instance file has no measure stanza")
-        try:
-            if args.point:
-                point = _parse_point(args.point)
-            else:
-                point = search_center_sampled(spec, args.samples)
-            rep = verify_dual_cpt_measure(spec, _floats(point), args.samples, args.probes)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        if args.point:
+            point = _parse_point(args.point)
+        else:
+            point = search_center_sampled(spec, args.samples)
+        rep = verify_dual_cpt_measure(spec, [float(c) for c in point], args.samples, args.probes)
         result = _verification_json(rep)
         result["point"] = _point_json(point)
-        _emit(argv, digest, result, t0)
-        return EXIT_OK if rep.passed else EXIT_NOT_FOUND
-
-    if args.cmd == "verify-transversal":
-        try:
-            with open(args.spec, "rb") as fh:
-                raw = fh.read()
-            obj = json.loads(raw)
-            specs = [FlatMeasureSpec.from_json(s) for s in obj["measures"]]
-            flat = obj["flat"]
-            point = _floats(parse_scalar(v) for v in flat["point"])
-            directions = [
-                _floats(parse_scalar(v) for v in row) for row in flat.get("directions", [])
-            ]
-        except (OSError, KeyError, TypeError, AttributeError, ValueError, ParseError) as exc:
-            raise InputError(f"bad transversal spec: {exc}") from exc
-        except RecursionError as exc:
-            raise InputError("bad transversal spec: nesting is too deep") from exc
-        try:
-            rep = verify_dual_ctr(specs, point, directions, args.samples, args.probes)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        _emit(argv, _digest(raw), _verification_json(rep), t0)
-        return EXIT_OK if rep.passed else EXIT_NOT_FOUND
+        return digest, result, EXIT_OK if rep.passed else EXIT_NOT_FOUND
 
     if args.cmd == "plot":
-        inst, digest = _load_instance(args.instance)
         witness = _parse_point(args.witness) if args.witness else None
         triangles = []
         if args.partition_report:
+            _, report = _read_json(args.partition_report, "partition report")
             try:
-                with open(args.partition_report) as fh:
-                    result = json.load(fh)["result"]
+                result = report["result"]
                 if witness is None and "witness" in result:
                     witness = tuple(parse_scalar(v) for v in result["witness"])
                 triangles = [form_simplex(inst, g).vertices for g in result["groups"]]
-            except (OSError, KeyError, IndexError, TypeError, ValueError,
+            except (KeyError, IndexError, TypeError, ValueError,
                     ZeroDivisionError, ParseError) as exc:
                 raise InputError(f"bad partition report: {exc}") from exc
-            except RecursionError as exc:
-                raise InputError("bad partition report: nesting is too deep") from exc
-        try:
-            data = render_svg(inst, triangles=triangles, witness=witness)
-        except OverflowError as exc:
-            raise InputError("a coordinate to draw is outside float range") from exc
+        svg = render_svg(inst, triangles=triangles, witness=witness)
         with open(args.out, "wb") as fh:
-            fh.write(data)
-        _emit(argv, digest, {
+            fh.write(svg)
+        return digest, {
             "type": "Svg",
             "path": args.out,
-            "bytes": len(data),
-            "svg_digest": _digest(data),
-        }, t0)
-        return EXIT_OK
+            "bytes": len(svg),
+            "svg_digest": _digest(svg),
+        }, EXIT_OK
 
     raise InputError(f"unknown command {args.cmd}")
 
@@ -342,11 +294,25 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
+    t0 = time.perf_counter()
     try:
-        return _run(args, argv)
-    except (InputError, ParseError, GeometryError, OSError) as exc:
+        digest, result, code = _run(args)
+        report = {
+            "command": argv,
+            "instance_digest": digest,
+            "result": result,
+            "timing_s": round(time.perf_counter() - t0, 6),
+            "version": __version__,
+        }
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    except OverflowError as exc:
+        print(f"error: a value is outside float range ({exc})", file=sys.stderr)
+        return EXIT_INPUT
+    except (InputError, ParseError, GeometryError, OSError, ValueError) as exc:
+        # library ValueErrors are input errors too: a bad count, a short point
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ from .geometry import (
     ZeroDirectionError,
     as_point,
     block_violation,
-    dot,
     ensure_general_position,
     exact_int_array,
     fraction_nullspace,
@@ -148,14 +147,13 @@ def ray_crossings(F: Instance, x: Point, u: Direction) -> int:
         raise DimensionMismatchError("point/direction dimension mismatch")
     if all(c == 0 for c in u):
         raise ZeroDirectionError("ray direction must be nonzero")
-    count = 0
-    for h in F.hyperplanes:
-        r = h.offset - dot(h.normal, x)
-        if r == 0:
-            count += 1  # crossing at t = 0
-        elif r * dot(h.normal, u) > 0:
-            count += 1
-    return count
+    # a hyperplane through x is crossed at t = 0; any other one when u
+    # points from x's side s towards it, that is when s * (a . u) < 0
+    U = scale_to_int(u)
+    return sum(
+        1 for s, a in zip(signature_of(F, x).signs, F.scaled()[0])
+        if s == 0 or s * sum(p * q for p, q in zip(a, U)) < 0
+    )
 
 
 @dataclass(frozen=True)

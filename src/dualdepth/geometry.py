@@ -1,8 +1,9 @@
 """Exact vector/hyperplane primitives and general-position validation.
 
-All predicates and linear solves in this module are carried out over
-``fractions.Fraction``, so results are exact: a sign is zero if and only if
-the underlying quantity is zero.  Floating point appears nowhere here; the
+All predicates and linear solves in this module are exact: a sign is zero
+if and only if the underlying quantity is zero.  The kernels run on integer
+rows; ``fractions.Fraction`` holds the rational ``Hyperplane`` view, the
+reported points and the RREF.  Floating point appears nowhere here; the
 heuristic and Monte Carlo layers live in other modules and re-certify their
 answers through these primitives.
 

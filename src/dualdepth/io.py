@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Union
 
-from .geometry import Instance, check_general_position
+from .geometry import Instance, check_general_position, ensure_general_position
 from .measures import FlatMeasureSpec
 
 FORMAT_VERSION = 1
@@ -256,9 +256,11 @@ def write_instance(inst: Instance) -> bytes:
     metadata = {
         k: v for k, v in inst.metadata.items() if not k.startswith("_")
     }
-    # a truthy value is the declaration; any other stays in the metadata,
-    # so that the file parses back to this instance
+    # a truthy value is the declaration, checked as the parser will check
+    # it; any other stays in the metadata, so that the file parses back to
+    # this instance
     if metadata.get("general_position"):
+        ensure_general_position(inst)
         del metadata["general_position"]
         obj["general_position"] = True
     measure = inst.metadata.get("_measure")

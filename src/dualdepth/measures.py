@@ -172,8 +172,17 @@ def _sample_arrays(spec: FlatMeasureSpec, N: int) -> tuple[np.ndarray, np.ndarra
     that of drawing the flats one at a time: each flat's raw draws are taken
     in order (in a single call for gaussian-offset, whose draws are all
     normals), and everything derived from them is computed for all flats at
-    once, with one stacked QR for the frames.
+    once, with one stacked QR for the frames.  Raises ``OverflowError`` when
+    a sampled flat leaves float range.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        bases, points = _draw_arrays(spec, N)
+    if not (np.isfinite(bases).all() and np.isfinite(points).all()):
+        raise OverflowError("the measure's sampled flats are not finite")
+    return bases, points
+
+
+def _draw_arrays(spec: FlatMeasureSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = np.random.default_rng(spec.seed)

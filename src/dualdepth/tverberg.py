@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .depth import max_depth_point
+from .depth import max_depth_point, signature_of
 from .geometry import (
     DegenerateSubfamilyError,
     DimensionMismatchError,
@@ -234,14 +234,14 @@ def dual_tverberg_plane(F: Instance) -> PartitionResult:
     cert = max_depth_point(F)  # raises DegenerateInstanceError off general position
     x = cert.point
 
-    residuals = [h.offset - dot(h.normal, x) for h in F.hyperplanes]
-    dirs = [
-        tuple(-c for c in h.normal) if r < 0 else h.normal
-        for h, r in zip(F.hyperplanes, residuals)
-    ]
+    # the direction from x to its projection on line i is its row normal,
+    # turned towards the line: negated where x lies on the positive side.
+    # A row is a positive multiple of the rational line, so the angles agree.
+    signs = signature_of(F, x).signs
+    dirs = [tuple(-c for c in a) if s > 0 else a for s, a in zip(signs, F.scaled()[0])]
     # sorted() is stable, so lines of one angle keep their index order
     naive = sorted(range(F.n), key=cmp_to_key(lambda i, j: _angle_cmp(dirs[i], dirs[j])))
-    a, b = (i for i, r in enumerate(residuals) if r == 0)
+    a, b = (i for i, s in enumerate(signs) if s == 0)
     base = [i for i in naive if i not in (a, b)]
 
     def orders():

@@ -49,6 +49,23 @@ class TestRayCrossings:
                     triangle, (Fraction(1, 4), Fraction(1, 4)), scaled
                 ) == base
 
+    def test_matches_rational_residuals(self):
+        # the side signs come from the integer rows; the residual
+        # offset - normal . x of each rational hyperplane gives the same count
+        for d, seed in ((2, 1), (2, 4), (3, 2)):
+            F = gen_instance("random-rational", 7, d, seed=seed)
+            vertex = max_depth_point(F).point  # on d of the hyperplanes
+            points = [vertex, tuple(Fraction(k - 2, 3) for k in range(d))]
+            directions = [(1,) * d, tuple(range(-1, d - 1)),
+                          tuple(-c for c in F.hyperplanes[0].normal)]
+            for x in points:
+                for u in directions:
+                    expected = 0
+                    for h in F.hyperplanes:
+                        r = h.offset - dot(h.normal, x)
+                        expected += r == 0 or r * dot(h.normal, u) > 0
+                    assert ray_crossings(F, x, u) == expected
+
 
 class TestHemisphereDepth:
     def test_single_vector(self):

@@ -1,7 +1,10 @@
 """Instance files, generators, and the command-line surface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from dualdepth import (
 )
 from dualdepth import cli, depth, geometry
 from dualdepth.cli import main
-from dualdepth.geometry import side_of
+from dualdepth.geometry import DegenerateInstanceError, side_of
 from dualdepth.io import ParseError, instance_measure, parse_scalar, scalar_to_str
 
 
@@ -204,6 +207,16 @@ class TestInstanceRoundTrip:
                 "hyperplanes": [{"normal": ["1", "0"], "offset": str(k)} for k in range(2)],
                 "metadata": {"general_position": True},
             }))
+
+    def test_write_instance_checks_a_declared_general_position(self):
+        # a truthy metadata.general_position of an instance built in code is
+        # checked before it becomes the file's declaration
+        F = Instance(2, [Hyperplane((1, 0), 0), Hyperplane((1, 0), 1)],
+                     metadata={"general_position": True})
+        with pytest.raises(DegenerateInstanceError, match=r"degenerate subset \(0, 1\)"):
+            write_instance(F)
+        F.metadata["general_position"] = False
+        assert parse_instance(write_instance(F)).metadata["general_position"] is False
 
     @pytest.mark.parametrize("obj,code", [
         ({"dim": 2, "hyperplanes": [{"normal": ["1", "0"]}]}, "malformed-json"),
@@ -839,3 +852,117 @@ class TestCli:
         assert code == 2 and report is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must have 3 coordinates each" in err
+
+
+class TestRunner:
+    """Every command loads, fails and reports through ``cli.main``'s one path."""
+
+    @pytest.mark.parametrize("kind,params", [
+        ("gaussian-offset", {"std": 1.7e308}),
+        ("uniform-angle-offset", {"radius": 1.7e308, "center": [1.7e308, 1.7e308]}),
+    ], ids=["gaussian-std", "uniform-radius-center"])
+    @pytest.mark.parametrize("point", [[], ["--point", "0,0"]], ids=["searched", "at-point"])
+    def test_verify_measure_samples_past_float_exit_two(
+            self, capsys, tmp_path, six_file, kind, params, point):
+        obj = json.loads(Path(six_file).read_bytes())
+        obj["measure"] = {"dim": 2, "codim": 1, "kind": kind, "params": params, "seed": 0}
+        path = tmp_path / "measured.json"
+        path.write_text(json.dumps(obj))
+        code = main(["verify-measure", "--instance", str(path), "--samples", "200", *point])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err == (
+            "error: a value is outside float range"
+            " (the measure's sampled flats are not finite)\n"
+        )
+
+    @pytest.fixture
+    def files(self, tmp_path, triangle):
+        def write(name, data):
+            path = tmp_path / name
+            path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+            return str(path)
+
+        triangle.metadata["_measure"] = FlatMeasureSpec(
+            2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=0
+        )
+        measure = {"dim": 2, "codim": 1, "kind": "uniform-angle-offset",
+                   "params": {"radius": 1.0}, "seed": 0}
+        return {
+            "six": write("six.json", write_instance(gen_instance("random-rational", 6, 2, seed=7))),
+            "four": write("four.json", write_instance(gen_instance("random-rational", 4, 2, seed=7))),
+            "colored": write("colored.json", write_instance(gen_instance(
+                "random-rational", 9, 2, seed=5, colors=[0, 0, 0, 1, 1, 1, 2, 2, 2]))),
+            "measured": write("measured.json", write_instance(triangle)),
+            "spec": write("ctr.json", {"measures": [measure], "flat": {"point": [0, 0]}}),
+            "junk": write("junk.json", b"{broken"),
+            "out": str(tmp_path / "out"),
+        }
+
+    # per command: arguments that run, then arguments that are an input error
+    CASES = {
+        "gen": (["--n", "6", "--d", "2", "--out", "{out}"],
+                ["--n", "0", "--d", "2", "--out", "{out}"]),
+        "validate": (["--instance", "{six}", "--strict"], ["--instance", "{junk}"]),
+        "depth": (["--instance", "{six}", "--point", "1/2,-3/4"],
+                  ["--instance", "{six}", "--point", "x,y"]),
+        "center": (["--instance", "{six}"], ["--instance", "{out}/missing.json"]),
+        "tverberg-plane": (["--instance", "{six}"], ["--instance", "{four}"]),
+        "tverberg-search": (["--instance", "{six}", "--groups", "2"],
+                            ["--instance", "{junk}", "--groups", "2"]),
+        "colorful": (["--instance", "{colored}", "--r", "2"],
+                     ["--instance", "{colored}", "--r", "0"]),
+        "verify-measure": (["--instance", "{measured}", "--point", "0,0", "--samples", "200"],
+                           ["--instance", "{six}", "--point", "0,0"]),
+        "verify-transversal": (["--spec", "{spec}", "--samples", "200"],
+                               ["--spec", "{junk}"]),
+        "plot": (["--instance", "{six}", "--out", "{out}", "--witness", "0,0"],
+                 ["--instance", "{six}", "--out", "{out}", "--witness", "1e400,0"]),
+    }
+
+    def test_cases_cover_every_command(self):
+        assert set(self.CASES) == set(cli._build_parser()._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize("cmd", sorted(CASES))
+    def test_one_report_or_none(self, capsys, files, cmd):
+        ok, bad = ([a.format(**files) for a in args] for args in self.CASES[cmd])
+        code = main([cmd, *ok])
+        out = capsys.readouterr()
+        assert code in (0, 1) and out.err == ""
+        report = json.loads(out.out)  # exactly one JSON document
+        assert sorted(report) == ["command", "instance_digest", "result", "timing_s", "version"]
+        assert report["command"] == [cmd, *ok] and out.out.endswith("}\n")
+
+        code = main([cmd, *bad])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    def test_module_runs_as_a_process(self, capsys, tmp_path):
+        # python -m dualdepth.cli writes the same report to a real stdout
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+
+        def spawn(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "dualdepth.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+
+        def untimed(text):
+            return re.sub(r'\n  "timing_s": [^\n]*\n', "\n", text)
+
+        argv = ["center", "--instance", str(root / "tests" / "golden" / "triangle.json")]
+        proc = spawn(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(argv) == 0
+        assert untimed(proc.stdout) == untimed(capsys.readouterr().out)
+
+        path = tmp_path / "junk.json"
+        path.write_text("{broken")
+        proc = spawn("center", "--instance", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: malformed-json: ") and proc.stderr.count("\n") == 1
