@@ -270,7 +270,12 @@ def _run(args):
                 result = report["result"]
                 if witness is None and "witness" in result:
                     witness = tuple(parse_scalar(v) for v in result["witness"])
-                triangles = [form_simplex(inst, g).vertices for g in result["groups"]]
+                groups = result["groups"]
+                for g in groups:
+                    # JSON true and false would pass for hyperplanes 1 and 0
+                    if any(type(i) is not int for i in g):
+                        raise TypeError(f"group {g!r} holds an entry that is not an integer")
+                triangles = [form_simplex(inst, g).vertices for g in groups]
             except (KeyError, IndexError, TypeError, ValueError,
                     ZeroDivisionError, ParseError) as exc:
                 raise InputError(f"bad partition report: {exc}") from exc

@@ -45,12 +45,11 @@ import numpy as np
 from .geometry import (
     DimensionMismatchError,
     Direction,
-    GeneralPositionResult,
     Instance,
     Point,
     ZeroDirectionError,
     as_point,
-    block_violation,
+    checked_vertex_blocks,
     ensure_general_position,
     exact_int_array,
     fraction_nullspace,
@@ -58,7 +57,6 @@ from .geometry import (
     solve_underdetermined,
     stacked_cofactors,
     subset_blocks,
-    vertex_blocks,
 )
 
 
@@ -244,11 +242,7 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         point = solve_underdetermined(rows, rhs) if rows else (Fraction(0),) * d
         return DepthCertificate(point, n, _unit(d), bound, n >= bound)
 
-    check = F._gp is None
-    if not check:
-        ensure_general_position(F)  # raises on a cached violation
-    normals, offsets = F.scaled()
-    blocks = list(_edge_blocks(normals, d))
+    blocks = list(_edge_blocks(F.scaled()[0], d))
     dirs = np.concatenate([b[0] for b in blocks])
     S = np.concatenate([b[1] for b in blocks])
     # hyperplane i counts for direction j from a vertex on side s_i when
@@ -262,9 +256,7 @@ def max_depth_point(F: Instance) -> DepthCertificate:
     best_depth = -1
     best_point: Optional[Point] = None
     best_witness: Optional[Direction] = None
-    for subsets, nums, den, R in vertex_blocks(normals, offsets):
-        if check and block_violation(subsets, den, R) is not None:
-            ensure_general_position(F)
+    for _, nums, den, R in checked_vertex_blocks(F):
         sides = np.concatenate([R > 0, R < 0], axis=1).astype(np.float32)
         # least count over the probes, an upper bound on the depth
         reach = d + (sides @ probed).min(axis=1).astype(np.int64)
@@ -294,6 +286,4 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         best_point = points[v]
         flip, j = (1, jp[v]) if use_pos[v] else (-1, jn[v])
         best_witness = tuple(Fraction(flip * c) for c in dirs[j].tolist())
-    if check:
-        F._gp = GeneralPositionResult(True)
     return DepthCertificate(best_point, best_depth, best_witness, bound, best_depth >= bound)

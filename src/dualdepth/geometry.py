@@ -379,6 +379,10 @@ class Instance:
         """The integer rows (normals, offsets)."""
         return self._scaled
 
+    def dens(self) -> list[int]:
+        """The row multipliers: row i is hyperplane i times ``dens()[i]``."""
+        return self._dens
+
     def normal_ints(self) -> list[tuple[int, ...]]:
         """Each normal alone scaled to integers (``scale_to_int``), a positive multiple of it."""
         if self._normal_ints is None:
@@ -443,6 +447,27 @@ def block_violation(subsets: np.ndarray, den: np.ndarray, R: np.ndarray):
         v, j = divmod(int(hits[0]), n)
         return tuple(subsets[v].tolist()) + (j,), "concurrent"
     return None
+
+
+def checked_vertex_blocks(F: Instance):
+    """``vertex_blocks`` of F's rows, checking general position on the way.
+
+    Unless the verdict is cached, every block goes through
+    ``block_violation``, and at the first violation ``ensure_general_position``
+    raises its canonical error (a second pass, on failing instances only).  A
+    cached violation raises at the first block; once the last block has been
+    read, the verdict is cached.
+    """
+    check = F._gp is None
+    if not check:
+        ensure_general_position(F)  # raises on a cached violation
+    for block in vertex_blocks(*F.scaled()):
+        subsets, _, den, R = block
+        if check and block_violation(subsets, den, R) is not None:
+            ensure_general_position(F)
+        yield block
+    if check:
+        F._gp = GeneralPositionResult(True)
 
 
 def check_general_position(F: Instance) -> GeneralPositionResult:

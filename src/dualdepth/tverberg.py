@@ -10,6 +10,14 @@ Three partitioners are provided: the constructive planar one (circular order
 of projection directions around a depth-maximizing point, triples n apart),
 an exhaustive certified search over partitions into (d+1)-groups, and the
 colorful variant that picks disjoint one-per-color groups.
+
+They run on integer simplices: a simplex is its d+1 vertices as integer
+tuples (nums..., den) and one margin-LP row per facet, (-f a, D, f b) for the
+facet's integer row a . y = b, its multiplier D and its inward sign f
+(``_facet_rows``).  The two searches read every vertex off the vertex pass
+that checks general position; the planar partition builds a group's
+vertices when an order first reaches it.  ``form_simplex`` is the rational
+view of the same construction.
 """
 
 from __future__ import annotations
@@ -29,8 +37,7 @@ from .geometry import (
     DimensionMismatchError,
     Instance,
     Point,
-    dot,
-    ensure_general_position,
+    checked_vertex_blocks,
     exact_int_array,
     scale_to_int,
     stacked_cofactors,
@@ -73,30 +80,79 @@ def form_simplex(F: Instance, idx: Sequence[int]) -> SimplexSpec:
         raise DimensionMismatchError(f"need d+1 distinct indices, got {idx}")
     if not 0 <= idx[0] <= idx[-1] < F.n:
         raise IndexError(f"hyperplane indices {idx} out of range for n={F.n}")
+    (vertices,) = _simplex_vertices(F, [idx])
+    rows = _facet_rows(F, idx, vertices)
+    # a facet row is (-normal, 1, offset) times its last-but-one entry
+    return SimplexSpec(
+        idx,
+        tuple(tuple(Fraction(c, v[d]) for c in v[:d]) for v in vertices),
+        tuple((tuple(Fraction(-c, r[d]) for c in r[:d]), Fraction(r[d + 1], r[d])) for r in rows),
+    )
+
+
+def _simplex_vertices(F: Instance, groups: Sequence[tuple[int, ...]]) -> list[list[tuple]]:
+    """The vertices of the simplex of each sorted (d+1)-group as (nums..., den), den >= 0.
+
+    Vertex i of group g is nums / den, the common point of every hyperplane
+    of g but g[i]; den is 0 when those hyperplanes have no unique common
+    point.  One ``stacked_cofactors`` call serves all the groups.
+    """
+    d = F.dim
     normals, offsets = F.scaled()
-    rows = exact_int_array([normals[i] + (-offsets[i],) for i in idx], d + 1)
-    # vertex i lies on every row but row i; their cofactor vector is
-    # proportional to (vertex, 1), and its dot product with row i is the
-    # residual of hyperplane i at the vertex, times the last entry
-    cof = stacked_cofactors(rows[[[k for k in range(d + 1) if k != i] for i in range(d + 1)]])
-    vertices = []
-    for i, v in enumerate(cof):
-        den = int(v[d])
-        if den == 0:
+    rows = exact_int_array([normals[i] + (-offsets[i],) for g in groups for i in g], d + 1)
+    omit = [[k for k in range(d + 1) if k != i] for i in range(d + 1)]
+    # the cofactor vector of the rows through vertex i is proportional to (vertex, 1)
+    cof = stacked_cofactors(rows.reshape(len(groups), d + 1, d + 1)[:, omit].reshape(-1, d, d + 1))
+    vertices = [tuple(v) if v[d] >= 0 else tuple(-c for c in v) for v in cof.tolist()]
+    return [vertices[k:k + d + 1] for k in range(0, len(vertices), d + 1)]
+
+
+def _facet_rows(F: Instance, idx: tuple[int, ...], vertices) -> list[tuple[int, ...]]:
+    """The margin-LP rows of the simplex of sorted ``idx``, one per facet.
+
+    ``vertices[i]`` is the vertex opposite hyperplane idx[i] as (nums...,
+    den), den >= 0.  Facet i lies on that hyperplane, the integer row
+    a . y = b equal to the rational one times D = ``F.dens()[idx[i]]``;
+    with f the sign of a . x - b at vertex i, its inward form is
+    f a . y >= f b, and its row (-f a, D, f b) is ``scale_to_int`` of the
+    rational (-normal, 1, offset) that ``_max_slack`` poses.  Raises
+    ``DegenerateSubfamilyError`` for the first vertex with den 0, then for
+    the first vertex on its own facet.
+    """
+    for i, v in enumerate(vertices):
+        if v[-1] == 0:
             raise DegenerateSubfamilyError(idx[:i] + idx[i + 1:], f"subfamily {idx} is degenerate")
-        vertices.append(tuple(Fraction(int(num), den) for num in v[:d]))
-    facets = []
-    for i, s in enumerate((rows * cof).sum(axis=1) * np.sign(cof[:, d])):
+    normals, offsets = F.scaled()
+    dens = F.dens()
+    rows = []
+    for i, v in zip(idx, vertices):
+        a, b = normals[i], offsets[i]
+        s = sum(c * x for c, x in zip(a, v)) - b * v[-1]  # (a . x - b) * den
         if s == 0:
             raise DegenerateSubfamilyError(idx, "flat simplex (vertex on its facet)")
-        h = F.hyperplanes[idx[i]]
-        facets.append((h.normal, h.offset) if s > 0 else (tuple(-c for c in h.normal), -h.offset))
-    return SimplexSpec(idx, tuple(vertices), tuple(facets))
+        rows.append((*(-c for c in a), dens[i], b) if s > 0 else (*a, dens[i], -b))
+    return rows
 
 
-def _simplex_cache(F: Instance):
-    """``form_simplex(F, g)`` memoized on the group g."""
-    return functools.cache(lambda g: form_simplex(F, g))
+def _table_simplices(F: Instance, blocks):
+    """The simplex of each group, as (vertices, facet rows), from a vertex table.
+
+    The table keeps each d-subset's vertex from ``blocks`` (as
+    ``vertex_blocks`` yields them) as d+1 integers (nums..., den) and drops
+    the residuals; a group's simplex is then d+1 lookups and
+    ``_facet_rows``, memoized on the group.
+    """
+    table = {}
+    for subsets, nums, den, _ in blocks:
+        vertices = np.column_stack([nums, den]).tolist()
+        table.update(zip(map(tuple, subsets.tolist()), map(tuple, vertices)))
+
+    @functools.cache
+    def simplex(g):
+        vertices = [table[g[:i] + g[i + 1:]] for i in range(len(g))]
+        return vertices, _facet_rows(F, g, vertices)
+
+    return simplex
 
 
 # Bases per ``stacked_cofactors`` call of ``_max_slack``; bounds its working memory.
@@ -122,16 +178,18 @@ def _deeper(u: list, v: list) -> int:
     return 0
 
 
-def _max_slack(facets) -> tuple[Point, Fraction]:
+def _max_slack(rows) -> tuple[Point, Fraction]:
     """The largest slack e* over inward facets and the least point of slack e*.
 
     The LP max e subject to normal . x >= offset + e has the d+1 variables
     (x, e).  It is feasible, and bounded whenever the facets cut out a
     bounded set, as those of simplices do; its matrix then has full column
     rank, so every vertex of its feasible set is a basic solution: d+1
-    linearly independent rows tight.  Each row (-normal, 1, offset) is
-    scaled to integers once, and ``stacked_cofactors`` on the (d+1)-subsets
-    of rows, ``_SLICE`` subsets per call, gives for each a vector
+    linearly independent rows tight.  ``rows`` holds each facet's row
+    (-normal, 1, offset) scaled to integers (a positive multiple of it), as
+    ``_facet_rows`` builds them and ``common_interior_point`` scales them,
+    and ``stacked_cofactors`` on the (d+1)-subsets of rows, ``_SLICE``
+    subsets per call, gives for each a vector
     proportional to (x, e, 1), nonzero in its last entry exactly when the
     subset is nonsingular.  The feasible ones are checked with one matmul
     per slice in the dtype ``exact_int_array`` picks, and compared by
@@ -146,11 +204,8 @@ def _max_slack(facets) -> tuple[Point, Fraction]:
     LPs with many rows in fixed dimension are linear-time problems (Megiddo
     1984; Seidel 1991), which this module does not implement.
     """
-    d = len(facets[0][0])
-    M = exact_int_array(
-        [scale_to_int([-c for c in normal] + [Fraction(1), offset]) for normal, offset in facets],
-        d + 2,
-    )
+    d = len(rows[0]) - 2
+    M = exact_int_array(rows, d + 2)
     bases = _bases(len(M), d + 1)
     winners = []
     for start in range(0, len(bases), _SLICE):
@@ -185,17 +240,29 @@ def common_interior_point(simplices: Sequence[SimplexSpec]):
     d = simplices[0].dim
     if any(s.dim != d for s in simplices):
         raise DimensionMismatchError("mixed simplex dimensions")
-    x, e = _max_slack([f for s in simplices for f in s.facets])
+    x, e = _max_slack([
+        scale_to_int([-c for c in normal] + [Fraction(1), offset])
+        for s in simplices for normal, offset in s.facets
+    ])
     if e < 0:
         return None
     return x, min(e, Fraction(1))
 
 
-def _containment_margin(simplices: Sequence[SimplexSpec], x: Point) -> Fraction:
-    """Minimum inward slack of x over all facets (negative when outside)."""
-    return min(
-        dot(normal, x) - offset for s in simplices for normal, offset in s.facets
-    )
+def _containment_margin(rows, point: tuple[int, ...]) -> Fraction:
+    """Minimum inward slack over facet rows at x = X / L, point = (X..., L), L > 0.
+
+    Facet row (c, D, b), from ``_facet_rows``, has slack -(c . x + b) / D
+    at x, that is -(c . X + b L) / (D L); the least one is found by
+    cross-multiplying and is negative when x lies outside.
+    """
+    d = len(point) - 1
+    num, den = None, 1
+    for r in rows:
+        p = -sum(c * v for c, v in zip(r[:d] + r[d + 1:], point))
+        if num is None or p * den < num * r[d]:
+            num, den = p, r[d]
+    return Fraction(num, den * point[d])
 
 
 def _angle_cmp(a: tuple, b: tuple) -> int:
@@ -251,11 +318,18 @@ def dual_tverberg_plane(F: Instance) -> PartitionResult:
             for t in range(len(base) + 1):
                 yield trial[:t] + [b] + trial[t:]
 
-    simplex = _simplex_cache(F)
+    # each group's facet rows are built when an order first reaches it,
+    # one vertex construction for the new groups of each order
+    rows = {}
+    point = scale_to_int(x + (Fraction(1),))
     best = None
     for order in orders():
         groups = tuple(sorted(tuple(sorted(order[k::n])) for k in range(n)))
-        margin = _containment_margin([simplex(g) for g in groups], x)
+        new = [g for g in groups if g not in rows]
+        if new:
+            for g, vertices in zip(new, _simplex_vertices(F, new)):
+                rows[g] = _facet_rows(F, g, vertices)
+        margin = _containment_margin([r for g in groups for r in rows[g]], point)
         if best is None or margin > best[1]:
             best = (groups, margin)
         if margin >= 0:
@@ -285,29 +359,37 @@ def _partitions(indices: list[int], size: int):
             yield [group] + sub
 
 
-def _first_strict(F: Instance, candidates, metadata: dict) -> Optional[PartitionResult]:
+def _first_strict(F: Instance, simplex, candidates, metadata: dict) -> Optional[PartitionResult]:
     """First candidate group tuple whose simplices share a strict interior point.
 
     Exhaustive and certified: a candidate is accepted exactly when the
-    margin LP is strictly positive.  Candidates whose vertex boxes fail to
-    overlap openly skip the LP; the result's metadata is the number of
-    candidates checked followed by ``metadata``.
+    margin LP on its groups' facet rows (``simplex``, from
+    ``_table_simplices``) is strictly positive.  Candidates whose vertex
+    boxes fail to overlap openly skip the LP; the result's metadata is the
+    number of candidates checked followed by ``metadata``.
     """
     d = F.dim
-    simplex = _simplex_cache(F)
+
+    def extreme(vs, k, sign):
+        """(num, den) of the least (sign -1) or greatest (sign 1) coordinate k."""
+        best = vs[0]
+        for v in vs[1:]:
+            if sign * (v[k] * best[d] - best[k] * v[d]) > 0:
+                best = v
+        return best[k], best[d]
 
     @functools.cache
     def box(g):
-        vs = simplex(g).vertices
-        return (
-            tuple(min(v[k] for v in vs) for k in range(d)),
-            tuple(max(v[k] for v in vs) for k in range(d)),
-        )
+        vs = simplex(g)[0]
+        return [(extreme(vs, k, -1), extreme(vs, k, 1)) for k in range(d)]
 
     @functools.cache
     def pair_overlap(g, h) -> bool:
-        (glo, ghi), (hlo, hhi) = box(g), box(h)
-        return all(glo[k] < hhi[k] and hlo[k] < ghi[k] for k in range(d))
+        # p/q < r/s exactly when p s < r q, the denominators being positive
+        return all(
+            glo[0] * hhi[1] < hhi[0] * glo[1] and hlo[0] * ghi[1] < ghi[0] * hlo[1]
+            for (glo, ghi), (hlo, hhi) in zip(box(g), box(h))
+        )
 
     checked = 0
     for groups in candidates:
@@ -317,10 +399,10 @@ def _first_strict(F: Instance, candidates, metadata: dict) -> Optional[Partition
         # open intervals share a point when every two of them do (1-D Helly)
         if not all(pair_overlap(g, h) for g, h in itertools.combinations(groups, 2)):
             continue
-        res = common_interior_point([simplex(g) for g in groups])
-        if res is not None and res[1] > 0:
+        x, e = _max_slack([r for g in groups for r in simplex(g)[1]])
+        if e > 0:
             return PartitionResult(
-                groups, res[0], res[1], True, {"candidates_checked": checked, **metadata}
+                groups, x, min(e, Fraction(1)), True, {"candidates_checked": checked, **metadata}
             )
     return None
 
@@ -336,8 +418,8 @@ def dual_tverberg_search(F: Instance, n: int) -> Optional[PartitionResult]:
         raise ValueError(f"need at least one group, got {n}")
     if F.n != (d + 1) * n:
         raise ValueError(f"need (d+1)*n = {(d + 1) * n} hyperplanes, got {F.n}")
-    ensure_general_position(F)
-    return _first_strict(F, map(tuple, _partitions(list(range(F.n)), d + 1)), {})
+    simplex = _table_simplices(F, checked_vertex_blocks(F))
+    return _first_strict(F, simplex, map(tuple, _partitions(list(range(F.n)), d + 1)), {})
 
 
 def colorful_dual_tverberg_search(F: Instance, r: int) -> Optional[PartitionResult]:
@@ -359,7 +441,7 @@ def colorful_dual_tverberg_search(F: Instance, r: int) -> Optional[PartitionResu
     if len(sizes) != 1:
         raise ValueError("color classes must have equal size")
     t = sizes.pop()
-    ensure_general_position(F)
+    simplex = _table_simplices(F, checked_vertex_blocks(F))
     if r > t:
         return None  # r disjoint groups take r hyperplanes of each colour
     preconditions = {
@@ -378,7 +460,7 @@ def colorful_dual_tverberg_search(F: Instance, r: int) -> Optional[PartitionResu
         for combo in itertools.combinations(colorful, r)
         if len({i for g in combo for i in g}) == r * (d + 1)
     )
-    return _first_strict(F, disjoint, {"preconditions": preconditions})
+    return _first_strict(F, simplex, disjoint, {"preconditions": preconditions})
 
 
 def _is_prime_power(n: int) -> bool:

@@ -289,6 +289,12 @@ def vertex_reference(c, A, b):
     return None if best is None else (-best[0], best[1])
 
 
+def margin_rows(facets):
+    """The integer rows of the max-slack LP that ``_max_slack`` takes: each
+    inward facet's (-normal, 1, offset) scaled to integers."""
+    return [scale_to_int([-v for v in normal] + [Fraction(1), offset]) for normal, offset in facets]
+
+
 def margin_lp(facets):
     """The max-slack LP of inward facets: maximize e st normal . x >= offset + e."""
     d = len(facets[0][0])

@@ -30,7 +30,6 @@ from dualdepth.tverberg import _max_slack, form_simplex
 from dualdepth.geometry import (
     DegenerateSubfamilyError,
     exact_int_array,
-    scale_to_int,
     stacked_cofactors,
     vertex_blocks,
 )
@@ -42,6 +41,7 @@ from conftest import (
     form_simplex_reference,
     hemisphere_depth_reference,
     margin_lp,
+    margin_rows,
     max_depth_point_reference,
     max_depth_point_unpruned,
     simplex_reference,
@@ -377,6 +377,32 @@ def test_intersect_subfamily_matches_cramer_solve(F):
     assert (singular > 0) == (check_general_position(F).reason == "degenerate")
 
 
+@pytest.mark.parametrize("F", [F for _, F in SUBFAMILY_CASES],
+                         ids=[name for name, _ in SUBFAMILY_CASES])
+def test_search_table_matches_form_simplex(F):
+    # the searches' table, read past their general-position check so that
+    # the degenerate families reach the simplex construction too
+    simplex = tverberg._table_simplices(F, vertex_blocks(*F.scaled()))
+    for idx in itertools.combinations(range(F.n), F.dim + 1):
+        try:
+            spec = form_simplex(F, idx)
+        except DegenerateSubfamilyError as exc:
+            with pytest.raises(DegenerateSubfamilyError) as got:
+                simplex(idx)
+            assert (got.value.indices, str(got.value)) == (exc.indices, str(exc)), idx
+        else:
+            vertices, rows = simplex(idx)
+            assert all(len(v) == F.dim + 1 for v in vertices), idx
+            assert tuple(tuple(Fraction(c, v[-1]) for c in v[:-1]) for v in vertices) \
+                == spec.vertices, idx
+            assert rows == margin_rows(spec.facets), idx
+
+
+def test_search_table_families_take_both_dtypes():
+    dtypes = {_vertex_dtype(F) for _, F in SUBFAMILY_CASES}
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
 def _margin_lps(F):
     """Facets of 1, 2 (and in d <= 3, 3) random nondegenerate simplices of F."""
     d = F.dim
@@ -394,7 +420,7 @@ def _margin_lps(F):
                          ids=[name for name, _ in SUBFAMILY_CASES])
 def test_max_slack_matches_vertex_loop(F):
     for facets in _margin_lps(F):
-        x, e = _max_slack(facets)
+        x, e = _max_slack(margin_rows(facets))
         c, A, b = margin_lp(facets)
         assert simplex_reference(c, A, b).value == e
         # the least optimal vertex, whatever the enumeration order
@@ -403,8 +429,7 @@ def test_max_slack_matches_vertex_loop(F):
 
 def test_max_slack_families_take_both_dtypes():
     dtypes = {
-        exact_int_array([scale_to_int([-v for v in n] + [Fraction(1), o]) for n, o in facets],
-                        F.dim + 2).dtype
+        exact_int_array(margin_rows(facets), F.dim + 2).dtype
         for _, F in SUBFAMILY_CASES for facets in _margin_lps(F)
     }
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
@@ -414,8 +439,8 @@ def test_max_slack_families_take_both_dtypes():
 def test_max_slack_slices_keep_the_answer(size, monkeypatch):
     # every fourth family keeps each dimension, dtype and simplex count; at
     # most 500 bases per LP keeps one base per slice fast
-    lps = [facets for _, F in SUBFAMILY_CASES[::4] for facets in _margin_lps(F)
+    lps = [margin_rows(facets) for _, F in SUBFAMILY_CASES[::4] for facets in _margin_lps(F)
            if math.comb(len(facets), F.dim + 1) <= 500]
-    whole = [_max_slack(facets) for facets in lps]
+    whole = [_max_slack(rows) for rows in lps]
     monkeypatch.setattr(tverberg, "_SLICE", size)
-    assert [_max_slack(facets) for facets in lps] == whole
+    assert [_max_slack(rows) for rows in lps] == whole

@@ -184,12 +184,26 @@ def test_commands_build_no_hyperplane(tmp_path, capsys, count_hyperplanes, argv,
     assert count_hyperplanes == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["tverberg-plane"], ["tverberg-search", "--groups", "3"], ["colorful", "--r", "2"],
+], ids=lambda a: a[0])
+def test_partition_commands_build_no_hyperplane(tmp_path, capsys, count_hyperplanes, argv):
+    # their simplices are built from the integer rows
+    F = gen_instance("random-rational", 9, 2, seed=7, colors=[0, 0, 0, 1, 1, 1, 2, 2, 2])
+    path = tmp_path / "nine.json"
+    path.write_bytes(write_instance(F))
+    count_hyperplanes.clear()
+    assert main([argv[0], "--instance", str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert count_hyperplanes == []
+
+
 def test_hyperplane_view_is_built_once(tmp_path, capsys, count_hyperplanes):
-    # the count above sees Hyperplanes: the planar construction reads the view
+    # the count above sees Hyperplanes: plot draws the lines from the view
     path = tmp_path / "six.json"
     path.write_bytes(write_instance(gen_instance("random-rational", 6, 2, seed=7)))
     count_hyperplanes.clear()
-    assert main(["tverberg-plane", "--instance", str(path)]) == 0
+    assert main(["plot", "--instance", str(path), "--out", str(tmp_path / "six.svg")]) == 0
     capsys.readouterr()
     assert len(count_hyperplanes) == 6
     F = parse_instance(path.read_bytes())

@@ -20,7 +20,7 @@ from dualdepth import (
     parse_instance,
     write_instance,
 )
-from dualdepth import cli, depth, geometry
+from dualdepth import cli, geometry
 from dualdepth.cli import main
 from dualdepth.geometry import DegenerateInstanceError, side_of
 from dualdepth.io import ParseError, instance_measure, parse_scalar, scalar_to_str
@@ -351,7 +351,6 @@ class TestCli:
             return real(*args)
 
         monkeypatch.setattr(geometry, "vertex_blocks", counting)
-        monkeypatch.setattr(depth, "vertex_blocks", counting)
         code, report, _ = run_cli(capsys, *cmd, "--instance", six_file)
         assert code == 0 and report["result"]["type"] == "PartitionResult"
         assert len(passes) == 1
@@ -619,7 +618,8 @@ class TestCli:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize("case", [
-        "gen-n-zero", "gen-d-zero", "group-out-of-range", "group-negative", "report-is-list",
+        "gen-n-zero", "gen-d-zero", "group-out-of-range", "group-negative", "group-true",
+        "group-false", "group-float", "report-is-list",
         "groups-not-list", "witness-not-scalar", "witness-nested", "witness-past-float",
         "depth-point-huge-exponent", "depth-point-past-digit-limit",
         "measure-point-past-float", "plot-witness-past-float", "transversal-point-past-float",
@@ -628,6 +628,9 @@ class TestCli:
         reports = {
             "group-out-of-range": {"result": {"groups": [[0, 1, 9]]}},
             "group-negative": {"result": {"groups": [[-1, 0, 1]]}},
+            "group-true": {"result": {"groups": [[True, 0, 2]]}},
+            "group-false": {"result": {"groups": [[False, 1, 2]]}},
+            "group-float": {"result": {"groups": [[0.0, 1, 2]]}},
             "report-is-list": [{"result": {"groups": []}}],
             "groups-not-list": {"result": {"groups": 5}},
             "witness-not-scalar": {"result": {"groups": [], "witness": ["x", "y"]}},
@@ -664,6 +667,8 @@ class TestCli:
         code, report, err = run_cli(capsys, *argv)
         assert code == 2 and report is None
         assert err.startswith("error: ") and "Traceback" not in err
+        if case.startswith("group"):
+            assert err.startswith("error: bad partition report: ") and err.count("\n") == 1
 
     def test_center_too_long_to_write_exits_two(self, capsys, tmp_path):
         # validates, but the center is the vertex of the two long lines, whose

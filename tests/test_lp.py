@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from dualdepth import Hyperplane, Instance, gen_instance
-from dualdepth.geometry import DegenerateSubfamilyError, dot, exact_int_array, scale_to_int
+from dualdepth.geometry import DegenerateSubfamilyError, dot, exact_int_array
 from dualdepth.tverberg import _max_slack, common_interior_point, form_simplex
 
 from conftest import (
@@ -18,6 +18,7 @@ from conftest import (
     OPTIMAL,
     UNBOUNDED,
     margin_lp,
+    margin_rows,
     simplex_reference,
     vertex_reference,
 )
@@ -25,7 +26,7 @@ from conftest import (
 
 def assert_matches_references(facets):
     """``_max_slack`` on the facets agrees with both references; returns its answer."""
-    x, e = _max_slack(facets)
+    x, e = _max_slack(margin_rows(facets))
     ref = simplex_reference(*margin_lp(facets))
     assert ref.status == OPTIMAL and ref.value == e
     assert vertex_reference(*margin_lp(facets)) == (e, x + (e,))
@@ -170,7 +171,7 @@ class TestMaxSlack:
         assert margin == 1
         assert witness == (Fraction(10, 3), Fraction(10, 3))
         assert min(dot(normal, witness) - offset for normal, offset in simplex.facets) >= 1
-        assert _max_slack(simplex.facets) == (witness, Fraction(10, 3))
+        assert _max_slack(margin_rows(simplex.facets)) == (witness, Fraction(10, 3))
 
     def test_object_dtype_collection(self):
         # 400-digit coefficients put the cofactors and the row check on Python ints
@@ -181,8 +182,7 @@ class TestMaxSlack:
         ])
         simplices = [form_simplex(F, (0, 1, 2)), form_simplex(F, (3, 4, 5))]
         facets = facets_of(simplices)
-        rows = [scale_to_int([-c for c in n] + [Fraction(1), o]) for n, o in facets]
-        assert exact_int_array(rows, 4).dtype == object
+        assert exact_int_array(margin_rows(facets), 4).dtype == object
         # slack 2 on the segment x + y = 1 inside both; its least point is
         # where the facet on plane 4 (x - big y >= -big) has slack 2 too
         x, e = assert_matches_references(facets)

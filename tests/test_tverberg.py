@@ -20,7 +20,7 @@ from dualdepth import (
     side_of,
     write_instance,
 )
-from dualdepth import tverberg
+from dualdepth import geometry, tverberg
 from dualdepth.geometry import DimensionMismatchError, dot
 from dualdepth.tverberg import _partitions
 
@@ -296,9 +296,39 @@ class TestDualTverbergSearch:
         monkeypatch.setattr(tverberg, "max_depth_point", refuse)
         assert dual_tverberg_search(parsed("random-rational", 9, 2), 3) == expected
 
+    @pytest.mark.parametrize("colors,search", [
+        (None, lambda F: dual_tverberg_search(F, 3)),
+        ([0] * 3 + [1] * 3 + [2] * 3, lambda F: colorful_dual_tverberg_search(F, 2)),
+    ], ids=["tverberg-search", "colorful"])
+    def test_reads_simplices_off_one_vertex_pass(self, monkeypatch, colors, search):
+        passes = []
+        real = geometry.vertex_blocks
+
+        def counting(normals, offsets):
+            passes.append(len(normals))
+            return real(normals, offsets)
+
+        def refuse(F, groups):
+            raise AssertionError("the search built a simplex by its own cofactor call")
+
+        expected = search(parsed("random-rational", 9, 2, 2, colors))
+        F = parsed("random-rational", 9, 2, 2, colors)
+        assert F._gp is None
+        monkeypatch.setattr(geometry, "vertex_blocks", counting)
+        monkeypatch.setattr(tverberg, "_simplex_vertices", refuse)
+        assert search(F) == expected
+        assert passes == [9] and F._gp.ok
+
     def test_no_groups_on_empty_instance_rejected(self):
         with pytest.raises(ValueError, match="at least one group"):
             dual_tverberg_search(Instance(2, []), 0)
+
+
+UNPRUNED_CASES = [
+    ("random-rational", 2, 3, 2), ("random-rational", 2, 4, 2), ("random-rational", 2, 5, 3),
+    ("random-rational", 3, 3, 2), ("random-rational", 2, 3, 1),
+    ("uniform-sphere-tangent", 3, 2, 2),
+]
 
 
 class TestColorfulSearch:
@@ -345,23 +375,26 @@ class TestColorfulSearch:
         with pytest.raises(ValueError, match="at least one group"):
             colorful_dual_tverberg_search(F, r)
 
-    @pytest.mark.parametrize("d,t,r", [(2, 3, 2), (2, 4, 2), (2, 5, 3), (3, 3, 2), (2, 3, 1)])
-    def test_matches_unpruned_reference(self, d, t, r):
+    # sphere-tangent planes in d=3 put the vertex table on Python ints (dtype=object)
+    @pytest.mark.parametrize("model,d,t,r", UNPRUNED_CASES,
+                             ids=[f"{d}-{t}-{r}" if model == "random-rational"
+                                  else f"{model}-{d}-{t}-{r}" for model, d, t, r in UNPRUNED_CASES])
+    def test_matches_unpruned_reference(self, model, d, t, r):
         colors = [c for c in range(d + 1) for _ in range(t)]
         for seed in range(15):
-            F = parsed("random-rational", (d + 1) * t, seed, d, colors)
+            F = parsed(model, (d + 1) * t, seed, d, colors)
             assert colorful_dual_tverberg_search(F, r) == colorful_dual_tverberg_search_reference(
-                parsed("random-rational", (d + 1) * t, seed, d, colors), r)
+                parsed(model, (d + 1) * t, seed, d, colors), r)
 
     def test_disjoint_boxes_skip_the_lp(self, monkeypatch):
         calls = []
-        real = tverberg.common_interior_point
+        real = tverberg._max_slack
 
-        def counting(simplices):
-            calls.append(simplices)
-            return real(simplices)
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
 
-        monkeypatch.setattr(tverberg, "common_interior_point", counting)
+        monkeypatch.setattr(tverberg, "_max_slack", counting)
         colors = [0] * 4 + [1] * 4 + [2] * 4
         res = colorful_dual_tverberg_search(parsed("random-rational", 12, 1, 2, colors), 2)
         # 56 disjoint candidates, 47 of them with two vertex boxes apart
