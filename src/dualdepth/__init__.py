@@ -18,15 +18,12 @@ from .geometry import (
     ZeroDirectionError,
     check_general_position,
     ensure_general_position,
-    intersect_subfamily,
-    side_of,
 )
 from .depth import (
     CellSignature,
     DepthCertificate,
     depth_from_signature,
     dual_depth,
-    hemisphere_depth,
     max_depth_point,
     ray_crossings,
     signature_of,
@@ -72,13 +69,10 @@ __all__ = [
     "Instance",
     "check_general_position",
     "ensure_general_position",
-    "intersect_subfamily",
-    "side_of",
     "CellSignature",
     "DepthCertificate",
     "depth_from_signature",
     "dual_depth",
-    "hemisphere_depth",
     "max_depth_point",
     "ray_crossings",
     "signature_of",

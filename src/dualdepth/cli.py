@@ -277,7 +277,7 @@ def _run(args):
                         raise TypeError(f"group {g!r} holds an entry that is not an integer")
                 triangles = [form_simplex(inst, g).vertices for g in groups]
             except (KeyError, IndexError, TypeError, ValueError,
-                    ZeroDivisionError, ParseError) as exc:
+                    ZeroDivisionError, ParseError, GeometryError) as exc:
                 raise InputError(f"bad partition report: {exc}") from exc
         svg = render_svg(inst, triangles=triangles, witness=witness)
         with open(args.out, "wb") as fh:

@@ -7,7 +7,7 @@ to the ray and not through x is never met.  This makes the depth a function
 of the arrangement face containing x alone.
 
 One exact combinatorial search does the heavy lifting, over the edge
-directions of ``_edge_blocks``: ``hemisphere_depth`` minimizes the number of
+directions of ``_edge_blocks``: ``_hemisphere_ints`` minimizes the number of
 strictly-positive inner products over all directions.  The count can only
 drop when a direction moves to a lower-dimensional face of the central
 arrangement {u : w_i . u = 0}, so the minimum is attained on a minimal face:
@@ -19,7 +19,7 @@ integer and L > 0 the lcm of its denominators, and each hyperplane in its
 integer form a . y = b (``Instance.scaled``), a positive multiple of the
 rational one, so sign(a . X - b L) is the side of x.  The hemisphere
 vectors are the integer normals (``Instance.normal_ints``) negated by side,
-and they go straight to the integer core of ``hemisphere_depth``.
+and they go straight to ``_hemisphere_ints``.
 
 Depth maximization enumerates only arrangement vertices: moving from any
 face into an incident face with a larger containment set gains one crossing
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -88,7 +88,11 @@ def _edge_blocks(ints: list[tuple[int, ...]], dim: int):
 
 
 def _hemisphere_ints(ints: list[tuple[int, ...]], dim: int):
-    """``hemisphere_depth`` on nonzero integer vectors, with no checks."""
+    """Exact min over directions u != 0 of #{w : w . u > 0}, with a witness.
+
+    Takes nonzero integer vectors of length ``dim`` and does not check them.
+    No vectors give (0, e_1).
+    """
     if not ints:
         return 0, _unit(dim)
     best = None
@@ -113,24 +117,6 @@ def _hemisphere_ints(ints: list[tuple[int, ...]], dim: int):
         # this basis, as it is for the rational vectors
         return 0, fraction_nullspace(ints, dim)[0]
     return best, tuple(Fraction(c) for c in witness)
-
-
-def hemisphere_depth(vectors: Sequence[Sequence], dim: Optional[int] = None):
-    """Exact min over directions u != 0 of #{w : w . u > 0}, with a witness.
-
-    Vectors must be nonzero.  Empty input returns (0, e_1); ``dim`` is then
-    required.
-    """
-    vecs = [as_point(v) for v in vectors]
-    if vecs:
-        dim = len(vecs[0])
-        if any(len(v) != dim for v in vecs):
-            raise DimensionMismatchError("mixed vector dimensions")
-        if any(all(c == 0 for c in v) for v in vecs):
-            raise ZeroDirectionError("hemisphere_depth requires nonzero vectors")
-    elif dim is None:
-        raise DimensionMismatchError("dim required for empty vector list")
-    return _hemisphere_ints([scale_to_int(v) for v in vecs], dim)
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,6 @@ def as_point(coords: Iterable) -> Point:
     return tuple(as_scalar(c) for c in coords)
 
 
-def dot(a: Sequence, b: Sequence):
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"dot: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # Integer linear algebra (stacked cofactors, exact elimination)
 # ---------------------------------------------------------------------------
@@ -247,37 +241,6 @@ class Hyperplane:
     def dim(self) -> int:
         return len(self.normal)
 
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """Integer form (a, b) with a . y = b defining the same hyperplane."""
-        ints = scale_to_int(tuple(self.normal) + (self.offset,))
-        return ints[:-1], ints[-1]
-
-
-def side_of(h: Hyperplane, x: Point) -> int:
-    """Sign of normal . x - offset: which side of h the point lies on."""
-    if len(x) != h.dim:
-        raise DimensionMismatchError(f"point dim {len(x)} vs hyperplane dim {h.dim}")
-    v = dot(h.normal, x) - h.offset
-    return (v > 0) - (v < 0)
-
-
-def intersect_subfamily(hs: Sequence[Hyperplane]) -> Point:
-    """Unique common point of d hyperplanes in R^d.
-
-    Raises DegenerateSubfamilyError when the system is singular.
-    """
-    d = hs[0].dim
-    if len(hs) != d:
-        raise DimensionMismatchError(f"need exactly {d} hyperplanes, got {len(hs)}")
-    if any(h.dim != d for h in hs):
-        raise DimensionMismatchError("mixed dimensions in subfamily")
-    # the cofactor vector of the rows (a_i, -b_i) is proportional to (x, 1)
-    rows = exact_int_array([a + (-b,) for a, b in (h.scaled() for h in hs)], d + 1)
-    *nums, den = stacked_cofactors(rows[np.newaxis])[0].tolist()
-    if den == 0:
-        raise DegenerateSubfamilyError(range(len(hs)))
-    return tuple(Fraction(v, den) for v in nums)
-
 
 @dataclass(frozen=True)
 class GeneralPositionResult:
@@ -291,9 +254,6 @@ class GeneralPositionResult:
     ok: bool
     violation: Optional[tuple[int, ...]] = None
     reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(init=False)

@@ -1,8 +1,8 @@
 """Deterministic SVG rendering of planar instances and result overlays.
 
 Pure string assembly: identical inputs produce identical bytes.  Lines are
-clipped to the declared viewport; overlay elements carry stable ids so
-downstream tooling can address them.
+clipped to the fixed viewport [-5, 5]^2, drawn 600 pixels wide;
+overlay elements carry stable ids so downstream tooling can address them.
 """
 
 from __future__ import annotations
@@ -10,6 +10,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .geometry import DimensionMismatchError, Instance
+
+# (xmin, ymin, xmax, ymax) of the drawn region, and its width in pixels
+_VIEWPORT = (-5.0, -5.0, 5.0, 5.0)
+_SIZE = 600
 
 
 class UnsupportedDimensionError(DimensionMismatchError):
@@ -43,26 +47,17 @@ def _clip_line(a: float, b: float, c: float, box) -> Optional[tuple]:
     return uniq[0], uniq[1]
 
 
-def render_svg(
-    instance: Instance,
-    points: Sequence = (),
-    rays: Sequence = (),
-    triangles: Sequence[Sequence] = (),
-    witness=None,
-    viewport: tuple = (-5.0, -5.0, 5.0, 5.0),
-    size: int = 600,
-) -> bytes:
+def render_svg(instance: Instance, triangles: Sequence[Sequence] = (), witness=None) -> bytes:
     """Render a planar instance with overlays as SVG 1.1 bytes.
 
-    ``rays`` are (origin, direction) pairs; ``triangles`` are vertex lists.
-    Coordinates may be exact rationals; they are formatted at fixed
-    precision for byte stability.
+    ``triangles`` are vertex lists and ``witness`` a point.  Coordinates
+    may be exact rationals; they are formatted at fixed precision for byte
+    stability.
     """
     if instance.dim != 2:
         raise UnsupportedDimensionError(f"cannot render dimension {instance.dim}")
-    xmin, ymin, xmax, ymax = (float(v) for v in viewport)
-    box = (xmin, ymin, xmax, ymax)
-    scale = size / (xmax - xmin)
+    xmin, ymin, xmax, ymax = box = _VIEWPORT
+    scale = _SIZE / (xmax - xmin)
     height = int(round((ymax - ymin) * scale))
 
     def to_px(p):
@@ -73,9 +68,9 @@ def render_svg(
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{height}" '
-        f'viewBox="0 0 {size} {height}">\n',
-        f'<rect x="0" y="0" width="{size}" height="{height}" fill="#ffffff"/>\n',
+        f'width="{_SIZE}" height="{height}" '
+        f'viewBox="0 0 {_SIZE} {height}">\n',
+        f'<rect x="0" y="0" width="{_SIZE}" height="{height}" fill="#ffffff"/>\n',
     ]
 
     for i, h in enumerate(instance.hyperplanes):
@@ -100,26 +95,6 @@ def render_svg(
         parts.append(
             f'<polygon id="group-{gi}" class="group" points="{pts}" '
             f'fill="{color}" fill-opacity="0.25" stroke="{color}" stroke-width="1.5"/>\n'
-        )
-
-    for ri, (origin, direction) in enumerate(rays):
-        ox, oy = float(origin[0]), float(origin[1])
-        dx, dy = float(direction[0]), float(direction[1])
-        span = 2.0 * max(xmax - xmin, ymax - ymin)
-        norm = (dx * dx + dy * dy) ** 0.5 or 1.0
-        end = (ox + span * dx / norm, oy + span * dy / norm)
-        (x1, y1), (x2, y2) = to_px((ox, oy)), to_px(end)
-        parts.append(
-            f'<line id="ray-{ri}" class="ray" '
-            f'x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="#17becf" stroke-width="1" stroke-dasharray="4 3"/>\n'
-        )
-
-    for pi, p in enumerate(points):
-        x, y = to_px(p)
-        parts.append(
-            f'<circle id="point-{pi}" class="point" '
-            f'cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#333333"/>\n'
         )
 
     if witness is not None:

@@ -58,6 +58,21 @@ from dualdepth.tverberg import _angle_cmp, _is_prime_power  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
+# Rational predicates on the Hyperplane view, independent of the integer rows
+# ---------------------------------------------------------------------------
+
+def dot(a, b):
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"dot: {len(a)} vs {len(b)}")
+    return sum(x * y for x, y in zip(a, b))
+
+
+def side_of(h: Hyperplane, x) -> int:
+    """Sign of normal . x - offset: which side of h the point lies on."""
+    return _sign(dot(h.normal, x) - h.offset)
+
+
+# ---------------------------------------------------------------------------
 # Single-system integer solves (Bareiss determinants, Cramer's rule): the
 # references the batched cofactor kernels are checked against.
 # ---------------------------------------------------------------------------

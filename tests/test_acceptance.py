@@ -27,18 +27,19 @@ from dualdepth import (
     max_depth_point,
     ray_crossings,
     search_center_sampled,
-    side_of,
     verify_dual_cpt_measure,
     verify_dual_ctr,
     write_instance,
 )
 from dualdepth.cli import main as cli_main
 from dualdepth.depth import signature_of
-from dualdepth.geometry import DegenerateSubfamilyError, dot
+from dualdepth.geometry import DegenerateSubfamilyError
 
 from conftest import (
     closed_feasible_by_vertex_enumeration,
+    dot,
     sampled_depth_oracle,
+    side_of,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

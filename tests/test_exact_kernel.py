@@ -21,15 +21,15 @@ from dualdepth import (
     dual_depth,
     ensure_general_position,
     gen_instance,
-    hemisphere_depth,
-    intersect_subfamily,
     max_depth_point,
 )
 from dualdepth import depth, tverberg
+from dualdepth.depth import _hemisphere_ints
 from dualdepth.tverberg import _max_slack, form_simplex
 from dualdepth.geometry import (
     DegenerateSubfamilyError,
     exact_int_array,
+    scale_to_int,
     stacked_cofactors,
     vertex_blocks,
 )
@@ -100,7 +100,7 @@ def test_max_depth_point_matches_vertex_loop(F):
 @pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
 def test_dual_depth_matches_direction_loop(F):
     rng = np.random.default_rng(F.n * 10 + F.dim)
-    points = [intersect_subfamily(F.hyperplanes[:F.dim])]  # on d hyperplanes
+    points = [_meet(F.hyperplanes[:F.dim])]  # on d hyperplanes
     points += [
         tuple(Fraction(int(v), int(q)) for v, q in zip(rng.integers(-50, 51, F.dim),
                                                        rng.integers(1, 9, F.dim)))
@@ -205,7 +205,8 @@ def test_hemisphere_depth_matches_direction_loop(scale):
             vecs = [tuple(int(c) * scale for c in v) for v in rng.integers(-4, 5, size=(m, dim))]
             vecs = [v for v in vecs if any(v)]
             if vecs:
-                assert hemisphere_depth(vecs) == hemisphere_depth_reference(vecs, dim)
+                ints = [scale_to_int([Fraction(c) for c in v]) for v in vecs]
+                assert _hemisphere_ints(ints, dim) == hemisphere_depth_reference(vecs, dim)
 
 
 def test_hemisphere_depth_rank_deficient():
@@ -213,8 +214,9 @@ def test_hemisphere_depth_rank_deficient():
     plane = [(1, 2, 0), (-3, 1, 0), (2, -5, 0), (1, 1, 0)]
     line = [(2, 4, 6), (-1, -2, -3), (3, 6, 9)]
     for vecs in (plane, line, [(10**30, 0, 0), (-1, 0, 0)]):
-        assert hemisphere_depth(vecs) == hemisphere_depth_reference(vecs, 3)
-        assert hemisphere_depth(vecs)[0] == 0
+        got = _hemisphere_ints([scale_to_int([Fraction(c) for c in v]) for v in vecs], 3)
+        assert got == hemisphere_depth_reference(vecs, 3)
+        assert got[0] == 0
 
 
 def _random_planes(n, d, seed, big=1):
@@ -231,45 +233,52 @@ def _through(point, normal):
     return Hyperplane(normal, sum(a * b for a, b in zip(normal, point)))
 
 
+def _meet(hs):
+    """The common point of d hyperplanes in R^d, by the Cramer solve."""
+    normals, offsets = Instance(len(hs), hs).scaled()
+    nums, den = solve_int_square(normals, offsets)
+    return tuple(Fraction(v, den) for v in nums)
+
+
 def _degenerate_families():
     # d=2: lines 2 and 4 parallel; (0, 1, 3) concurrent comes earlier in the
     # (d+1)-order, but every d-subset is checked first
     hs = _random_planes(6, 2, seed=1)
     hs[4] = Hyperplane(tuple(3 * c for c in hs[2].normal), hs[2].offset + 1)
-    hs[3] = _through(intersect_subfamily(hs[:2]), (7, -2))
+    hs[3] = _through(_meet(hs[:2]), (7, -2))
     yield "parallel-after-concurrent", Instance(2, hs), (2, 4), "degenerate"
     # d=2: lines 1, 3, 5 share a point
     hs = _random_planes(7, 2, seed=2)
-    p = intersect_subfamily([hs[1], hs[3]])
+    p = _meet([hs[1], hs[3]])
     hs[5] = _through(p, (5, 11))
     yield "concurrent-135", Instance(2, list(hs)), (1, 3, 5), "concurrent"
     # d=2: two triples, (1, 3, 5) and the earlier (0, 4, 6)
-    hs[6] = _through(intersect_subfamily([hs[0], hs[4]]), (-6, 13))
+    hs[6] = _through(_meet([hs[0], hs[4]]), (-6, 13))
     yield "two-concurrent-triples", Instance(2, hs), (0, 4, 6), "concurrent"
     # d=2: lines 2, 3, 5 and 6 through one point
     hs = _random_planes(8, 2, seed=7)
-    p = intersect_subfamily(hs[2:4])
+    p = _meet(hs[2:4])
     hs[5], hs[6] = _through(p, (3, 8)), _through(p, (-9, 2))
     yield "four-through-one-point", Instance(2, hs), (2, 3, 5), "concurrent"
     # d=3: planes 1, 2, 4, 6 share a point
     hs = _random_planes(8, 3, seed=3)
-    p = intersect_subfamily([hs[1], hs[2], hs[4]])
+    p = _meet([hs[1], hs[2], hs[4]])
     hs[6] = _through(p, (2, -3, 5))
     yield "concurrent-1246", Instance(3, hs), (1, 2, 4, 6), "concurrent"
     # d=3 with coefficients past the int64 bound, concurrency at (0, 2, 3, 5)
     hs = _random_planes(7, 3, seed=4, big=10**12)
-    p = intersect_subfamily([hs[0], hs[2], hs[3]])
+    p = _meet([hs[0], hs[2], hs[3]])
     hs[5] = _through(p, (10**13 + 1, -3, 5))
     yield "object-concurrent-0235", Instance(3, hs), (0, 2, 3, 5), "concurrent"
     # d=2, n=30: the parallel pair (27, 29) sits in the second vertex block,
     # after the concurrent triple (0, 1, 2) of the first
     hs = _random_planes(30, 2, seed=5)
     hs[29] = Hyperplane(tuple(-c for c in hs[27].normal), -hs[27].offset + 2)
-    hs[2] = _through(intersect_subfamily(hs[:2]), (1, 9))
+    hs[2] = _through(_meet(hs[:2]), (1, 9))
     yield "parallel-second-block", Instance(2, hs), (27, 29), "degenerate"
     # d=2, n=30: concurrency only in the second block
     hs = _random_planes(30, 2, seed=6)
-    hs[28] = _through(intersect_subfamily([hs[20], hs[25]]), (4, -9))
+    hs[28] = _through(_meet([hs[20], hs[25]]), (4, -9))
     yield "concurrent-second-block", Instance(2, hs), (20, 25, 28), "concurrent"
 
 
@@ -314,7 +323,7 @@ def _degenerate_d4():
     # d=4: planes 0 and 5 parallel, planes 1, 2, 3, 4 and 6 through one point
     hs = _random_planes(8, 4, seed=8)
     hs[5] = Hyperplane(tuple(2 * c for c in hs[0].normal), hs[0].offset + 3)
-    hs[6] = _through(intersect_subfamily(hs[1:5]), (1, -2, 3, 5))
+    hs[6] = _through(_meet(hs[1:5]), (1, -2, 3, 5))
     return Instance(4, hs)
 
 
@@ -360,19 +369,19 @@ SUBFAMILY_CASES = (
 @pytest.mark.parametrize("F", [F for _, F in SUBFAMILY_CASES],
                          ids=[name for name, _ in SUBFAMILY_CASES])
 def test_intersect_subfamily_matches_cramer_solve(F):
+    # every d-subset's vertex as ``vertex_blocks`` computes it, against one Cramer solve each
     normals, offsets = F.scaled()
     singular = 0
-    for sub in itertools.combinations(range(F.n), F.dim):
-        hs = [F.hyperplanes[i] for i in sub]
-        sol = solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub])
-        if sol is None:
-            with pytest.raises(DegenerateSubfamilyError) as got:
-                intersect_subfamily(hs)
-            assert got.value.indices == tuple(range(F.dim)), sub
-            singular += 1
-        else:
-            nums, den = sol
-            assert intersect_subfamily(hs) == tuple(Fraction(v, den) for v in nums), sub
+    for subsets, nums, den, R in vertex_blocks(normals, offsets):
+        for sub, nu, de, r in zip(subsets.tolist(), nums.tolist(), den.tolist(), R.tolist()):
+            sol = solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub])
+            if sol is None:
+                assert de == 0, sub
+                singular += 1
+            else:
+                assert (tuple(nu), de) == sol, sub
+            assert r == [b * de - sum(a * v for a, v in zip(normal, nu))
+                         for normal, b in zip(normals, offsets)], sub
     # a d-subset is singular exactly where general position fails as "degenerate"
     assert (singular > 0) == (check_general_position(F).reason == "degenerate")
 

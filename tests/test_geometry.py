@@ -6,26 +6,24 @@ from fractions import Fraction
 import pytest
 
 from dualdepth import (
-    DegenerateSubfamilyError,
     DimensionMismatchError,
     Hyperplane,
     Instance,
     ZeroDirectionError,
     check_general_position,
-    intersect_subfamily,
-    side_of,
+    signature_of,
 )
 from dualdepth.geometry import (
     as_scalar,
-    dot,
     fraction_nullspace,
     fraction_rank,
     rref,
     scale_to_int,
     solve_underdetermined,
+    vertex_blocks,
 )
 
-from conftest import cofactor_direction, int_det, solve_int_square
+from conftest import cofactor_direction, dot, int_det, solve_int_square
 
 H_X1 = Hyperplane((Fraction(1), Fraction(0)), Fraction(0))  # x1 = 0
 H_X2 = Hyperplane((Fraction(0), Fraction(1)), Fraction(0))  # x2 = 0
@@ -48,28 +46,44 @@ class TestScalars:
             as_scalar(True)
 
 
+def side(h: Hyperplane, x) -> int:
+    """The side of x against h, read from the integer rows."""
+    (sign,) = signature_of(Instance(h.dim, [h]), x).signs
+    return sign
+
+
+def meet(hs):
+    """The one vertex of d hyperplanes in R^d from ``vertex_blocks``, or None
+    when they have no unique common point."""
+    [(_, nums, den, R)] = vertex_blocks(*Instance(len(hs), hs).scaled())
+    if den[0] == 0:
+        return None
+    # hyperplane i passes through the vertex exactly when R[0, i] is 0
+    assert not R.any()
+    return tuple(Fraction(v, int(den[0])) for v in nums[0].tolist())
+
+
 class TestSideOf:
     def test_positive_side(self):
-        assert side_of(H_X1, (Fraction(3), Fraction(1))) == 1
+        assert side(H_X1, (Fraction(3), Fraction(1))) == 1
 
     def test_containment(self):
-        assert side_of(H_X1, (Fraction(0), Fraction(7))) == 0
+        assert side(H_X1, (Fraction(0), Fraction(7))) == 0
 
     def test_negative_side(self):
-        assert side_of(H_DIAG, (Fraction(0), Fraction(0))) == -1
+        assert side(H_DIAG, (Fraction(0), Fraction(0))) == -1
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            side_of(H_X1, (Fraction(1),))
+            side(H_X1, (Fraction(1),))
 
 
 class TestIntersectSubfamily:
     def test_axes(self):
-        assert intersect_subfamily([H_X1, H_X2]) == (0, 0)
+        assert meet([H_X1, H_X2]) == (0, 0)
 
     def test_parallel_pair_degenerate(self):
-        with pytest.raises(DegenerateSubfamilyError):
-            intersect_subfamily([H_X1, H_X1_AT_1])
+        assert meet([H_X1, H_X1_AT_1]) is None
 
     def test_three_dimensional(self):
         hs = [
@@ -77,19 +91,16 @@ class TestIntersectSubfamily:
             Hyperplane((0, 1, 0), 0),
             Hyperplane((1, 1, 1), 1),
         ]
-        assert intersect_subfamily(hs) == (0, 0, 1)
+        assert meet(hs) == (0, 0, 1)
 
     def test_result_on_every_plane(self):
         hs = [
             Hyperplane((Fraction(2), Fraction(1)), Fraction(3)),
             Hyperplane((Fraction(-1), Fraction(4)), Fraction(2)),
         ]
-        p = intersect_subfamily(hs)
-        assert all(side_of(h, p) == 0 for h in hs)
-
-    def test_wrong_count(self):
-        with pytest.raises(DimensionMismatchError):
-            intersect_subfamily([H_X1])
+        p = meet(hs)
+        assert p == (Fraction(10, 9), Fraction(7, 9))
+        assert all(side(h, p) == 0 for h in hs)
 
 
 class TestGeneralPosition:
@@ -128,8 +139,7 @@ class TestHyperplane:
 
     def test_scaled_integer_form(self):
         h = Hyperplane((Fraction(1, 2), Fraction(1, 3)), Fraction(1, 6))
-        a, b = h.scaled()
-        assert (a, b) == ((3, 2), 1)
+        assert Instance(2, [h]).scaled() == ([(3, 2)], [1])
 
     def test_instance_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,5 +1,6 @@
 """Instance files, generators, and the command-line surface."""
 
+import ast
 import json
 import os
 import re
@@ -22,7 +23,8 @@ from dualdepth import (
 )
 from dualdepth import cli, geometry
 from dualdepth.cli import main
-from dualdepth.geometry import DegenerateInstanceError, side_of
+from dualdepth.depth import signature_of
+from dualdepth.geometry import DegenerateInstanceError
 from dualdepth.io import ParseError, instance_measure, parse_scalar, scalar_to_str
 
 
@@ -50,6 +52,35 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from dualdepth import *", namespace)
     assert set(dualdepth.__all__) <= set(namespace)
+
+
+def test_library_has_no_dead_code():
+    # every top-level function and class of the package is named in its
+    # code outside its own body, or exported; every module-level import is
+    # used.  A name in a docstring or comment does not count.
+    exported = set(dualdepth.__all__)
+    nodes = []  # (module, top-level statement, the names it reads)
+    for path in sorted(Path(dualdepth.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            used = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))}
+            nodes.append((path.name, node, used))
+
+    def named(name, node, module=None):
+        return any(name in used for m, other, used in nodes
+                   if other is not node and module in (None, m))
+
+    dead = []
+    for module, node, _ in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name not in exported and not named(node.name, node):
+                dead.append(f"{module}: {node.name}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if not named(bound, node, module) and not (module == "__init__.py" and bound in exported):
+                    dead.append(f"{module}: import {bound}")
+    assert not dead, dead
 
 
 class TestScalarSerialization:
@@ -276,7 +307,7 @@ class TestGenerators:
             # normals are exactly unit, offsets 1: tangent to the unit circle
             assert sum(c * c for c in h.normal) == 1
             assert h.offset == 1
-            assert side_of(h, origin) == -1  # the circle's center is inside
+        assert signature_of(F, origin).signs == (-1, -1, -1)  # the circle's center is inside
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -619,7 +650,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", [
         "gen-n-zero", "gen-d-zero", "group-out-of-range", "group-negative", "group-true",
-        "group-false", "group-float", "report-is-list",
+        "group-false", "group-float", "group-short", "group-repeated", "report-is-list",
         "groups-not-list", "witness-not-scalar", "witness-nested", "witness-past-float",
         "depth-point-huge-exponent", "depth-point-past-digit-limit",
         "measure-point-past-float", "plot-witness-past-float", "transversal-point-past-float",
@@ -631,6 +662,8 @@ class TestCli:
             "group-true": {"result": {"groups": [[True, 0, 2]]}},
             "group-false": {"result": {"groups": [[False, 1, 2]]}},
             "group-float": {"result": {"groups": [[0.0, 1, 2]]}},
+            "group-short": {"result": {"groups": [[0, 1]]}},
+            "group-repeated": {"result": {"groups": [[0, 0, 1]]}},
             "report-is-list": [{"result": {"groups": []}}],
             "groups-not-list": {"result": {"groups": 5}},
             "witness-not-scalar": {"result": {"groups": [], "witness": ["x", "y"]}},

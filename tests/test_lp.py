@@ -10,13 +10,14 @@ from fractions import Fraction
 import numpy as np
 
 from dualdepth import Hyperplane, Instance, gen_instance
-from dualdepth.geometry import DegenerateSubfamilyError, dot, exact_int_array
+from dualdepth.geometry import DegenerateSubfamilyError, exact_int_array
 from dualdepth.tverberg import _max_slack, common_interior_point, form_simplex
 
 from conftest import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    dot,
     margin_lp,
     margin_rows,
     simplex_reference,

@@ -33,15 +33,6 @@ class TestRenderSvg:
         assert text.count("<polygon") == 2
         assert text.count('id="witness"') == 1
 
-    def test_points_and_rays_have_stable_ids(self, triangle):
-        text = render_svg(
-            triangle,
-            points=[(0, 0), (1, 1)],
-            rays=[((0, 0), (1, 0))],
-        ).decode("utf-8")
-        assert 'id="point-0"' in text and 'id="point-1"' in text
-        assert 'id="ray-0"' in text
-
     def test_rejects_non_planar(self):
         F = gen_instance("random-rational", 4, 3, seed=0)
         with pytest.raises(UnsupportedDimensionError):

@@ -17,15 +17,16 @@ from dualdepth import (
     gen_instance,
     max_depth_point,
     parse_instance,
-    side_of,
+    signature_of,
     write_instance,
 )
 from dualdepth import geometry, tverberg
-from dualdepth.geometry import DimensionMismatchError, dot
+from dualdepth.geometry import DimensionMismatchError
 from dualdepth.tverberg import _partitions
 
 from conftest import (
     colorful_dual_tverberg_search_reference,
+    dot,
     dual_tverberg_plane_reference,
     dual_tverberg_search_reference,
     strict_partitions_oracle,
@@ -182,7 +183,7 @@ class TestDualTverbergPlane:
         for seed in range(20):
             F = gen_instance("random-rational", 9, 2, seed=seed)
             res = dual_tverberg_plane(F)
-            on_some = any(side_of(h, res.witness) == 0 for h in F.hyperplanes)
+            on_some = 0 in signature_of(F, res.witness).signs
             assert res.margin >= 0
             assert res.strict == (res.margin > 0)
             if not on_some:
