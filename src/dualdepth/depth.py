@@ -42,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     DimensionMismatchError,
     Direction,
@@ -50,13 +51,12 @@ from .geometry import (
     ZeroDirectionError,
     as_point,
     checked_vertex_blocks,
+    cofactor_blocks,
     ensure_general_position,
     exact_int_array,
     fraction_nullspace,
     scale_to_int,
     solve_underdetermined,
-    stacked_cofactors,
-    subset_blocks,
 )
 
 
@@ -81,8 +81,7 @@ def _edge_blocks(ints: list[tuple[int, ...]], dim: int):
     ``D = dirs @ A.T`` their exact products with every vector.
     """
     A = exact_int_array(ints, dim)
-    for subsets in subset_blocks(len(ints), dim - 1):
-        dirs = stacked_cofactors(A[subsets])
+    for _, dirs in cofactor_blocks(A):
         dirs = dirs[(dirs != 0).any(axis=1)]
         yield dirs, dirs @ A.T
 
@@ -211,8 +210,10 @@ def max_depth_point(F: Instance) -> DepthCertificate:
     the verdict is cached) and searches.  The counts along ``_PROBES``
     evenly spread edge directions bound each vertex's depth from above, and
     only vertices whose bound reaches the best exact depth known so far get
-    the full count product.  A pruned vertex is strictly shallower than a
-    vertex already found, so neither the winner nor its witness can change.
+    the full count product, in chunks of vertices that keep the product
+    within the kernels' entry budget.  A pruned vertex is strictly
+    shallower than a vertex already found, so neither the winner nor its
+    witness can change.
     """
     n, d = F.n, F.dim
     bound = (n + d) // (d + 1)
@@ -242,6 +243,8 @@ def max_depth_point(F: Instance) -> DepthCertificate:
     best_depth = -1
     best_point: Optional[Point] = None
     best_witness: Optional[Direction] = None
+    # vertices per full count product, within the kernels' entry budget
+    chunk = max(1, geometry._BUDGET // max(1, len(dirs)))
     for _, nums, den, R in checked_vertex_blocks(F):
         sides = np.concatenate([R > 0, R < 0], axis=1).astype(np.float32)
         # least count over the probes, an upper bound on the depth
@@ -252,24 +255,25 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         # the vertex of largest bound attains its full count, so anything
         # bounded below that goes too
         attained = min((sides[r] @ same).min(), (sides[r] @ opposite).min())
-        keep = reach >= max(best_depth, d + int(attained))
-        sides, nums, den = sides[keep], nums[keep], den[keep]
-        jp, least_pos = _first_min(sides @ same)
-        jn, least_neg = _first_min(sides @ opposite)
-        use_pos = least_pos <= least_neg
-        depth = d + np.where(use_pos, least_pos, least_neg).astype(np.int64)
-        top = int(depth.max())
-        if top < best_depth:
-            continue
-        points = {
-            int(v): tuple(Fraction(c, int(den[v])) for c in nums[v].tolist())
-            for v in np.flatnonzero(depth == top)
-        }
-        v = min(points, key=points.__getitem__)
-        if top == best_depth and not points[v] < best_point:
-            continue
-        best_depth = top
-        best_point = points[v]
-        flip, j = (1, jp[v]) if use_pos[v] else (-1, jn[v])
-        best_witness = tuple(Fraction(flip * c) for c in dirs[j].tolist())
+        kept = np.flatnonzero(reach >= max(best_depth, d + int(attained)))
+        for lo in range(0, len(kept), chunk):
+            keep = kept[lo:lo + chunk]
+            jp, least_pos = _first_min(sides[keep] @ same)
+            jn, least_neg = _first_min(sides[keep] @ opposite)
+            use_pos = least_pos <= least_neg
+            depth = d + np.where(use_pos, least_pos, least_neg).astype(np.int64)
+            top = int(depth.max())
+            if top < best_depth:
+                continue
+            points = {
+                int(v): tuple(Fraction(c, int(den[keep[v]])) for c in nums[keep[v]].tolist())
+                for v in np.flatnonzero(depth == top)
+            }
+            v = min(points, key=points.__getitem__)
+            if top == best_depth and not points[v] < best_point:
+                continue
+            best_depth = top
+            best_point = points[v]
+            flip, j = (1, jp[v]) if use_pos[v] else (-1, jn[v])
+            best_witness = tuple(Fraction(flip * c) for c in dirs[j].tolist())
     return DepthCertificate(best_point, best_depth, best_witness, bound, best_depth >= bound)

@@ -10,9 +10,13 @@ answers through these primitives.
 An ``Instance`` is its integer rows (each hyperplane multiplied by the lcm
 of its denominators), which preserve every sign and every intersection
 point while keeping arithmetic in plain ints; the hot paths read only those.
-The batched kernels (``stacked_cofactors``, ``vertex_blocks``) run the same
-integer arithmetic on numpy arrays: int64 when a bound computed from the
-input proves that nothing overflows, Python ints (``dtype=object``) otherwise.
+The batched kernels run the same integer arithmetic on numpy arrays: int64
+when a bound computed from the input proves that nothing overflows, Python
+ints (``dtype=object``) otherwise.  ``cofactor_blocks`` gives the cofactor
+vector of every (k-1)-subset of k-wide rows from one minor table shared by
+all subsets with the same prefix, in blocks sized by an entry budget; every
+d-subset's vertex (``vertex_blocks``) and every edge direction of ``depth``
+come from it.  ``stacked_cofactors`` serves stacks of unrelated matrices.
 """
 
 from __future__ import annotations
@@ -33,8 +37,12 @@ Direction = tuple[Fraction, ...]
 # Magnitude below which every product and partial sum of the int64 kernels
 # stays exact.
 _NUMPY_SAFE = 1 << 62
-# Subsets per block of the batched kernels; bounds their working memory.
-_BLOCK = 256
+# Entries of a block's product with every row (subsets x rows) in the
+# batched kernels; bounds their working memory.  An entry of an object
+# array, a pointer to a Python int of three or more words, counts as
+# ``_OBJECT_ENTRY``.
+_BUDGET = 1 << 15
+_OBJECT_ENTRY = 4
 
 
 class GeometryError(Exception):
@@ -100,16 +108,9 @@ def exact_int_array(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64 if exact64 else object).reshape(len(rows), width)
 
 
-def subset_blocks(n: int, r: int):
-    """The r-subsets of range(n) in combinations order, as (B, r) index blocks."""
-    it = itertools.combinations(range(n), r)
-    while chunk := list(itertools.islice(it, _BLOCK)):
-        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), r)
-
-
 @functools.cache
 def _expansion_plan(m: int, k: int):
-    """Index tables for ``stacked_cofactors`` on m x k matrices.
+    """Index tables for the column-subset expansion of m x k matrices.
 
     Level r lists the (r+1)-subsets of the k columns in combinations order:
     ``cols[s, p]`` is the p-th column of subset s and ``sub[s, p]`` the
@@ -131,28 +132,101 @@ def _expansion_plan(m: int, k: int):
     return levels, last
 
 
+@functools.cache
+def _last_level(m: int, k: int):
+    """The last level of the expansion on m x k matrices (m >= 1), as flat tables.
+
+    Component j of the cofactor vector is the minor without column j: the
+    sum over positions p of sign[i] * row[row_cols[i]] * minor[minor_cols[i]],
+    i = p*k + j, with the row the matrix's last and the minors those of its
+    leading m-1 rows (level m-2 of ``_expansion_plan``).
+    """
+    levels, last = _expansion_plan(m, k)
+    cols, sub = levels[-1][0][last], levels[-1][1][last]
+    sign = np.array([(-1) ** (m - 1 + p + j) for p in range(m) for j in range(k)], dtype=np.int64)
+    return cols.T.ravel(), sub.T.ravel(), sign
+
+
+def _leading_minors(rows: np.ndarray, levels) -> np.ndarray:
+    """Minors of the leading len(levels) rows of a stack of matrices, exactly.
+
+    ``rows`` has shape (B, ., k) and ``levels`` are the first levels of
+    ``_expansion_plan``.  The minors of the leading r rows are built for
+    every r-subset of columns at once by expanding along row r, one array
+    operation per position in the subset, so the arithmetic stays in the
+    dtype of ``rows`` (see ``exact_int_array`` for when int64 is exact).
+    """
+    minors = np.ones((len(rows), 1), dtype=rows.dtype)
+    for r, (cols, sub) in enumerate(levels):
+        acc = np.zeros((len(rows), len(cols)), dtype=rows.dtype)
+        for p in range(r + 1):
+            term = rows[:, r, cols[:, p]] * minors[:, sub[:, p]]
+            acc = acc - term if (r + p) % 2 else acc + term
+        minors = acc
+    return minors
+
+
 def stacked_cofactors(rows: np.ndarray) -> np.ndarray:
     """Cofactor vectors of a stack of (k-1) x k integer matrices, exactly.
 
     ``rows`` has shape (B, k-1, k); component j of row b of the result is
     (-1)^j times the minor of ``rows[b]`` without column j.  That vector is
     orthogonal to every row of ``rows[b]`` and is zero exactly when those
-    rows have rank < k-1.  The minors of the leading r rows are
-    built for every r-subset of columns at once by expanding along row r,
-    one array operation per position in the subset, so the arithmetic stays
-    in the dtype of ``rows`` (see ``exact_int_array`` for when int64 is
-    exact).
+    rows have rank < k-1.  It is built from the minors of all k-1 rows
+    (``_leading_minors``).
     """
-    count, m, k = rows.shape
+    _, m, k = rows.shape
     levels, last = _expansion_plan(m, k)
-    minors = np.ones((count, 1), dtype=rows.dtype)
-    for r, (cols, sub) in enumerate(levels):
-        acc = np.zeros((count, len(cols)), dtype=rows.dtype)
-        for p in range(r + 1):
-            term = rows[:, r, cols[:, p]] * minors[:, sub[:, p]]
-            acc = acc - term if (r + p) % 2 else acc + term
-        minors = acc
-    return minors[:, last] * np.array([(-1) ** j for j in range(k)], dtype=rows.dtype)
+    signs = np.array([(-1) ** j for j in range(k)], dtype=rows.dtype)
+    return _leading_minors(rows, levels)[:, last] * signs
+
+
+def cofactor_blocks(rows: np.ndarray):
+    """The cofactor vector of every (k-1)-subset of the rows of ``rows``, in blocks.
+
+    ``rows`` is an (n, k) integer array.  Yields ``(subsets, cof)`` over
+    the (k-1)-subsets of its rows in combinations order: ``subsets`` (B,
+    k-1) and ``cof`` (B, k), where cof[b] is ``stacked_cofactors`` of
+    rows[subsets[b]], the same integers.  A block holds ``_BUDGET // n``
+    subsets (a quarter of that for dtype=object, one at least), so that
+    its product with every row stays within the budget.
+
+    In combinations order a subset extends its prefix, its first k-2
+    rows, and the minors of those rows are the prefix's.  So they are built
+    once for every prefix, and a block expands only its subsets' last row
+    against its prefixes' minors.
+    """
+    n, k = rows.shape
+    m = k - 1
+    if m == 0:
+        yield np.zeros((1, 0), dtype=np.intp), np.ones((1, 1), dtype=rows.dtype)
+        return
+    if n < m:
+        return
+    # the prefixes in order, the (m-1)-subsets of all rows but the last,
+    # and the minors of their rows
+    prefix = np.array(list(itertools.combinations(range(n - 1), m - 1)), dtype=np.intp)
+    prefix = prefix.reshape(math.comb(n - 1, m - 1), m - 1)
+    minors = _leading_minors(rows[prefix], _expansion_plan(m, k)[0][:-1])
+    # the last level, its terms gathered into (., m*k) tables
+    row_cols, minor_cols, sign = _last_level(m, k)
+    row_terms = rows[:, row_cols]
+    minor_terms = minors[:, minor_cols] * sign
+    # prefix q's children add each row from one past its last to n-1, the
+    # last child at index ends[q]-1; so subset i, i < ends[q] for the
+    # first such q, adds row i + n - ends[q]
+    ends = np.cumsum(n - 1 - prefix[:, -1]) if m > 1 else np.array([n])
+    size = max(1, _BUDGET // (n * (_OBJECT_ENTRY if rows.dtype == object else 1)))
+    for lo in range(0, int(ends[-1]), size):
+        idx = np.arange(lo, min(lo + size, int(ends[-1])))
+        parent = np.searchsorted(ends, idx, side="right")
+        j = idx + n - ends[parent]
+        terms = row_terms[j] * minor_terms[parent]
+        cof = terms[:, :k]
+        for p in range(1, m):
+            cof = cof + terms[:, p * k:(p + 1) * k]
+        del terms  # not held while the block is read
+        yield np.concatenate([prefix[parent], j[:, np.newaxis]], axis=1), cof
 
 
 def scale_to_int(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -369,7 +443,7 @@ def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
 
     Takes integer hyperplanes normal_i . y = offset_i (at least d of them)
     and yields ``(subsets, nums, den, R)`` over their d-subsets in
-    combinations order, at most ``_BLOCK`` per block.  ``subsets`` is (B, d);
+    combinations order, in the blocks of ``cofactor_blocks``.  ``subsets`` is (B, d);
     the vertex of subset b is nums[b] / den[b], where ``den`` (B,) is the
     absolute determinant of the subset's normals (0 for a singular subset)
     and ``nums`` (B, d) are the matching Cramer numerators; ``R`` (B, n) holds
@@ -379,13 +453,11 @@ def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
     """
     d = len(normals[0])
     rows = exact_int_array([tuple(a) + (-b,) for a, b in zip(normals, offsets)], d + 1)
-    A, b = rows[:, :d], -rows[:, d]
-    for subsets in subset_blocks(len(rows), d):
-        cof = stacked_cofactors(rows[subsets])
-        sign = np.where(cof[:, d] < 0, -1, 1)
-        den = cof[:, d] * sign
-        nums = cof[:, :d] * sign[:, np.newaxis]
-        yield subsets, nums, den, b * den[:, np.newaxis] - nums @ A.T
+    # (nums, den) . (normal_i, -offset_i) is -R[:, i]
+    negated = -rows.T
+    for subsets, cof in cofactor_blocks(rows):
+        cof = cof * np.where(cof[:, d] < 0, -1, 1)[:, np.newaxis]
+        yield subsets, cof[:, :d], cof[:, d], cof @ negated
 
 
 def block_violation(subsets: np.ndarray, den: np.ndarray, R: np.ndarray):

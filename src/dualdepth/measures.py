@@ -317,12 +317,14 @@ def verify_dual_cpt_measure(
     N: int,
     ray_probes: int = 720,
     tol: Optional[float] = None,
+    flats: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> VerificationReport:
     """Monte Carlo check of the ray-measure lower bound 1/(d+1) at x.
 
     Probes a deterministic sphere covering, then refines with seeded random
     directions near the running minimum (the adversarial quantifier over
-    rays needs density where the estimate dips).
+    rays needs density where the estimate dips).  ``flats`` is the draw
+    ``_sample_arrays(spec, N)`` when the caller already holds it.
     """
     if spec.codim != 1:
         raise DimensionMismatchError("dual central point verification needs codim 1")
@@ -331,7 +333,7 @@ def verify_dual_cpt_measure(
     d = spec.dim
     if len(x) != d:
         raise DimensionMismatchError(f"point must have {d} coordinates, got {len(x)}")
-    normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, N))
+    normals, offsets = _hyperplane_arrays(*(_sample_arrays(spec, N) if flats is None else flats))
     xv = np.asarray([float(c) for c in x], dtype=float)
 
     dirs = sphere_covering(d, ray_probes)
@@ -373,7 +375,8 @@ def verify_dual_cpt_measure(
 _EXACT_SUBSAMPLE = 10
 
 
-def search_center_sampled(spec: FlatMeasureSpec, N: int) -> Point:
+def search_center_sampled(spec: FlatMeasureSpec, N: int,
+                          flats: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Point:
     """Candidate central point for a sampled hyperplane measure.
 
     Two starts: the exact depth maximizer of 10 evenly spread sampled
@@ -382,13 +385,17 @@ def search_center_sampled(spec: FlatMeasureSpec, N: int) -> Point:
     from the origin.  Both are scored by the sampled min-ray fraction and
     the better one is polished by pattern search.  The result is a
     candidate only; certify it with verify_dual_cpt_measure.  Raises
-    DegenerateInstanceError when 9 draws all miss general position.
+    DegenerateInstanceError when 9 draws all miss general position.  The
+    first draw is ``_sample_arrays(spec, N)``, or ``flats`` when given;
+    the others redraw with seeds spec.seed + 1000 + attempt.
     """
     if spec.codim != 1:
         raise DimensionMismatchError("center search needs codim 1")
     for attempt in range(9):
-        seed = spec.seed + 1000 + attempt if attempt else spec.seed
-        bases, points = _sample_arrays(replace(spec, seed=seed), N)
+        if attempt:
+            bases, points = _sample_arrays(replace(spec, seed=spec.seed + 1000 + attempt), N)
+        else:
+            bases, points = _sample_arrays(spec, N) if flats is None else flats
         inst = _exact_instance(bases, points, min(_EXACT_SUBSAMPLE, N))
         try:
             center = max_depth_point(inst)  # its vertex pass checks general position

@@ -23,7 +23,7 @@ from dualdepth import (
     gen_instance,
     max_depth_point,
 )
-from dualdepth import depth, tverberg
+from dualdepth import depth, geometry, tverberg
 from dualdepth.depth import _hemisphere_ints
 from dualdepth.tverberg import _max_slack, form_simplex
 from dualdepth.geometry import (
@@ -117,6 +117,16 @@ def test_pruning_with_few_probes_matches_vertex_loop(F, monkeypatch):
     for probes in (1, 2):
         monkeypatch.setattr(depth, "_PROBES", probes)
         assert max_depth_point(F) == ref
+
+
+@pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
+def test_full_counts_in_chunks_match_vertex_loop(F, monkeypatch):
+    # one probe keeps many vertices, and they get their full counts three at a time
+    J = sum(len(dirs) for dirs, _ in depth._edge_blocks(F.scaled()[0], F.dim))
+    ref = max_depth_point_unpruned(F)
+    monkeypatch.setattr(depth, "_PROBES", 1)
+    monkeypatch.setattr(geometry, "_BUDGET", 3 * J)
+    assert max_depth_point(F) == ref
 
 
 @pytest.mark.parametrize("model,d,n,seed", [
@@ -453,3 +463,104 @@ def test_max_slack_slices_keep_the_answer(size, monkeypatch):
     whole = [_max_slack(rows) for rows in lps]
     monkeypatch.setattr(tverberg, "_SLICE", size)
     assert [_max_slack(rows) for rows in lps] == whole
+
+
+def _d1_families():
+    # points on the line; in the last two, points 1 and 4 are the same point
+    for model in ("random-rational", "perturbed-grid"):
+        yield f"{model}-d1-n9", gen_instance(model, 9, 1, seed=0)
+    hs = _random_planes(6, 1, seed=9)
+    hs[4] = Hyperplane(tuple(-3 * c for c in hs[1].normal), -3 * hs[1].offset)
+    yield "d1-concurrent-14", Instance(1, hs)
+    yield "d1-concurrent-14-object", Instance(1, [
+        Hyperplane(h.normal, h.offset * 10**20 + 1) if i in (0, 5) else h for i, h in enumerate(hs)
+    ])
+
+
+BOUNDARY_CASES = list(_d1_families()) + SUBFAMILY_CASES
+
+
+def _cofactor_table(rows, r):
+    """``stacked_cofactors`` of every r-subset of ``rows``, one subset per stack entry."""
+    subsets = np.array(list(itertools.combinations(range(len(rows)), r)), dtype=np.intp)
+    subsets = subsets.reshape(math.comb(len(rows), r), r)
+    return subsets, stacked_cofactors(rows[subsets])
+
+
+@pytest.mark.parametrize("size", [1, 7])
+@pytest.mark.parametrize("F", [F for _, F in BOUNDARY_CASES],
+                         ids=[name for name, _ in BOUNDARY_CASES])
+def test_block_boundaries_keep_the_tables(F, size, monkeypatch):
+    # vertex blocks of 1 and of 7 subsets: the children of most prefixes
+    # cross a block boundary
+    d = F.dim
+    normals, offsets = F.scaled()
+    rows = exact_int_array([a + (-b,) for a, b in zip(normals, offsets)], d + 1)
+    subsets, cof = _cofactor_table(rows, d)
+    vertices = cof * np.where(cof[:, d] < 0, -1, 1)[:, np.newaxis]
+    ints = F.normal_ints()
+    A = exact_int_array(ints, d)
+    dirs = _cofactor_table(A, d - 1)[1]
+    dirs = dirs[(dirs != 0).any(axis=1)]
+    entry = geometry._OBJECT_ENTRY if rows.dtype == object else 1
+    monkeypatch.setattr(geometry, "_BUDGET", size * F.n * entry)
+
+    blocks = list(vertex_blocks(normals, offsets))
+    assert [len(b[0]) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert np.concatenate([b[0] for b in blocks]).tolist() == subsets.tolist()
+    assert np.concatenate([b[1] for b in blocks]).tolist() == vertices[:, :d].tolist()
+    assert np.concatenate([b[2] for b in blocks]).tolist() == vertices[:, d].tolist()
+    R = np.concatenate([b[3] for b in blocks])
+    assert R.tolist() == (vertices @ -rows.T).tolist()
+    assert R.dtype == vertices.dtype
+
+    edges = list(depth._edge_blocks(ints, d))
+    assert np.concatenate([e[0] for e in edges]).tolist() == dirs.tolist()
+    assert np.concatenate([e[1] for e in edges]).tolist() == (dirs @ A.T).tolist()
+
+    fresh = Instance(d, F.hyperplanes)
+    assert check_general_position(fresh) == check_general_position_reference(F)
+    if fresh._gp.ok:
+        assert max_depth_point(Instance(d, F.hyperplanes)) == max_depth_point_unpruned(F)
+    else:
+        with pytest.raises(DegenerateInstanceError) as got:
+            max_depth_point(Instance(d, F.hyperplanes))
+        assert str(got.value) == f"instance is not in general position: " \
+            f"{fresh._gp.reason} subset {fresh._gp.violation}"
+
+
+def test_boundary_families_take_both_dtypes_in_every_dimension():
+    dtypes = {(F.dim, _vertex_dtype(F)) for _, F in BOUNDARY_CASES}
+    assert dtypes == {(d, np.dtype(t)) for d in range(1, 6) for t in (np.int64, object)}
+
+
+@pytest.mark.parametrize("d,n", [(3, 30), (4, 20)])
+@pytest.mark.parametrize("seed", range(2))
+def test_benchmark_shapes_match_references(d, n, seed):
+    # the sizes of the largest benchmark instances, several vertex blocks each
+    F = gen_instance("random-rational", n, d, seed=seed)
+    assert len(list(vertex_blocks(*F.scaled()))) > 1
+    assert max_depth_point(F) == max_depth_point_unpruned(F)
+    rng = np.random.default_rng([d, n, seed])
+    for _ in range(8):
+        den = rng.integers(1, 17, size=d)
+        num = rng.integers(-2 * den, 2 * den + 1)
+        x = tuple(Fraction(int(a), int(b)) for a, b in zip(num, den))
+        assert dual_depth(F, x) == dual_depth_reference(F, x)
+
+
+@pytest.mark.parametrize("n,bound", [(400, 10**3), (60, 10**7)], ids=["int64", "object"])
+def test_blocks_stay_within_the_budget(n, bound):
+    rng = np.random.default_rng(n)
+    normals = [tuple(int(c) for c in rng.integers(1, bound, 2) * rng.choice([-1, 1], 2))
+               for _ in range(n)]
+    offsets = [int(c) for c in rng.integers(-bound, bound, n)]
+    budget = geometry._BUDGET // (1 if bound < 10**5 else geometry._OBJECT_ENTRY)
+    count = 0
+    for subsets, _, _, R in vertex_blocks(normals, offsets):
+        assert R.shape == (len(subsets), n) and R.size <= budget
+        assert R.dtype == (np.int64 if bound < 10**5 else object)
+        count += len(subsets)
+    assert count == math.comb(n, 2)
+    for dirs, D in depth._edge_blocks(normals, 2):
+        assert D.size <= geometry._BUDGET

@@ -19,9 +19,10 @@ from dualdepth import (
     check_general_position,
     gen_instance,
     parse_instance,
+    verify_dual_cpt_measure,
     write_instance,
 )
-from dualdepth import cli, geometry
+from dualdepth import cli, geometry, measures
 from dualdepth.cli import main
 from dualdepth.depth import signature_of
 from dualdepth.geometry import DegenerateInstanceError
@@ -447,6 +448,40 @@ class TestCli:
         )
         assert code == 0
         assert report["result"]["pass"] is True
+
+    @pytest.mark.parametrize("redraws", [0, 1], ids=["first-draw", "redrawn"])
+    def test_verify_measure_search_draws_the_sample_once(
+            self, capsys, tmp_path, triangle, monkeypatch, redraws):
+        spec = FlatMeasureSpec(2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=5)
+        triangle.metadata["_measure"] = spec
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(triangle))
+        seeds = []
+        real_draw, real_center = measures._draw_arrays, measures.max_depth_point
+
+        def counting(spec, N):
+            seeds.append(spec.seed)
+            return real_draw(spec, N)
+
+        def center(F):
+            # the first ``redraws`` subsamples count as degenerate
+            if len(seeds) <= redraws:
+                raise DegenerateInstanceError("forced")
+            return real_center(F)
+
+        monkeypatch.setattr(measures, "_draw_arrays", counting)
+        monkeypatch.setattr(measures, "max_depth_point", center)
+        code, report, _ = run_cli(
+            capsys, "verify-measure", "--instance", str(path), "--samples", "300", "--probes", "24"
+        )
+        assert code in (0, 1)
+        assert seeds == [5, 1006][:redraws + 1]
+        # the searched point is verified on the spec's own draw
+        point = [float(parse_scalar(c)) for c in report["result"]["point"]]
+        monkeypatch.setattr(measures, "_draw_arrays", real_draw)
+        rep = verify_dual_cpt_measure(spec, point, 300, 24)
+        want = {"type": "VerificationReport", **json.loads(json.dumps(rep.to_json()))}
+        assert report["result"] == {**want, "point": report["result"]["point"]}
 
     def test_verify_measure_missing_stanza(self, capsys, tri_file):
         code, _, err = run_cli(
