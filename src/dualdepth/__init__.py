@@ -7,6 +7,15 @@ verification of the measure-level counterparts.
 
 __version__ = "1.0.0"
 
+import os
+
+# The count products are small matrix products that run many times slower
+# when BLAS threads contend with other work on the host.  Default to one
+# thread before numpy loads its BLAS; a setting made before this import
+# wins, and none of this has an effect once numpy has been imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .geometry import (
     DegenerateInstanceError,
     DegenerateSubfamilyError,

@@ -12,6 +12,10 @@ Verification is Monte Carlo against the theoretical lower bounds (1/(d+1)
 for rays against hyperplane measures, 1/(k+2) for half-flats against k-flat
 measures), with tolerances tied to the binomial standard error and raw
 counts reported so stricter post-hoc analysis stays possible.
+
+Sampling keeps the random stream of drawing one flat at a time: a flat's
+draws are taken in order by a per-flat loop, and all that is computed from
+them is computed for every flat at once.
 """
 
 from __future__ import annotations
@@ -191,10 +195,14 @@ def _draw_arrays(spec: FlatMeasureSpec, N: int) -> tuple[np.ndarray, np.ndarray]
         radius = float(spec.params.get("radius", 1.0))
         center = np.asarray(spec.params.get("center", [0.0] * d), dtype=float)
         raw = np.empty((N, d * c + c))
-        rad = np.empty(N)
-        for i in range(N):
-            raw[i] = rng.normal(size=d * c + c)
-            rad[i] = radius * rng.random() ** (1.0 / c)
+        normal, uniform = rng.standard_normal, rng.random
+        draws = []
+        for row in raw:
+            normal(out=row)
+            draws.append(uniform())
+        raw += 0.0  # Generator.normal returns 0.0 + z, which has no -0.0
+        # C pow per draw, as each flat alone would compute it
+        rad = np.array([radius * u ** (1.0 / c) for u in draws])
         B = _frames(raw[:, : d * c].reshape(N, d, c))
         # uniform point in the c-ball of the normal space, shifted so the
         # support surrounds the declared center
@@ -231,11 +239,14 @@ def _draw_arrays(spec: FlatMeasureSpec, N: int) -> tuple[np.ndarray, np.ndarray]
     units = np.array(units)
     offs = np.array([float(b[1]) for b in bases])
     if sigma > 0.0:
-        pick = np.empty(N)
         noise = np.empty((N, d + 1))
-        for i in range(N):
-            pick[i] = rng.random()
-            noise[i] = rng.normal(size=d + 1)
+        normal, uniform = rng.standard_normal, rng.random
+        draws = []
+        for row in noise:
+            draws.append(uniform())
+            normal(out=row)
+        noise += 0.0  # as for uniform-angle-offset
+        pick = np.array(draws)
     else:
         pick = rng.random(N)
     idx = cdf.searchsorted(pick, side="right")
@@ -280,8 +291,24 @@ def sphere_covering(dim: int, count: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-# probe directions per block: bounds the (N, block) temporaries of the counts
-_BLOCK = 64
+# probe directions per block: bounds the (block, N) temporaries of the counts
+_BLOCK = 16
+
+
+def _probe_counts(dirs, x_t, hit) -> np.ndarray:
+    """Per row w of ``dirs``, how many entries of ``w @ x_t`` satisfy ``hit``.
+
+    The products are probe-major, one row per direction, so that each count
+    runs along contiguous memory; they are taken ``_BLOCK`` rows at a time
+    into one buffer reused from block to block.
+    """
+    counts = np.empty(len(dirs), dtype=np.int64)
+    proj = np.empty((min(_BLOCK, len(dirs)), x_t.shape[1]))
+    for lo in range(0, len(dirs), _BLOCK):
+        block = dirs[lo:lo + _BLOCK]
+        hits = hit(np.matmul(block, x_t, out=proj[:len(block)]))
+        counts[lo:lo + len(block)] = [np.count_nonzero(row) for row in hits]
+    return counts
 
 
 def _ray_fractions(normals, offsets, x, dirs) -> np.ndarray:
@@ -293,11 +320,9 @@ def _ray_fractions(normals, offsets, x, dirs) -> np.ndarray:
     """
     r = offsets - normals @ x
     contained = np.count_nonzero(r == 0.0)
-    toward = normals * np.sign(r)[:, np.newaxis]  # zero rows for contained
-    hits = np.empty(len(dirs))
-    for lo in range(0, len(dirs), _BLOCK):
-        proj = toward @ dirs[lo:lo + _BLOCK].T
-        hits[lo:lo + _BLOCK] = np.count_nonzero(proj > 0.0, axis=0)
+    # zero columns for contained hyperplanes
+    toward_t = np.ascontiguousarray((normals * np.sign(r)[:, np.newaxis]).T)
+    hits = _probe_counts(dirs, toward_t, lambda proj: proj > 0.0)
     return (hits + contained) / len(r)
 
 
@@ -419,44 +444,89 @@ def _polish_center(spec, normals, offsets, starts):
     Climbs from the best-scoring of ``starts`` (the first wins a tie): the
     exact subsample center can land far from the sampled mass when the
     measure is strongly clustered, and the pattern search stalls where the
-    score is flat.  Steps shrink over a deterministic move pattern.
+    score is flat.  Steps shrink over a deterministic move pattern.  The
+    current point keeps the side of every hyperplane and its hit count per
+    probe; a trial point recounts only the hyperplanes whose side it
+    changes (``_moved_hits``), and an accepted move adopts its sides and
+    counts.
     """
     d = spec.dim
     N = len(normals)
     dirs = sphere_covering(d, _POLISH_PROBES)
     moves = sphere_covering(d, 4 * d)
     # The probe directions stay fixed while the point moves, so the sign of
-    # every projection is taken once; a move only changes the side of each
-    # hyperplane the point lies on.  The hit counts are integers below 2**24,
-    # exact in float32.
-    proj = normals @ dirs.T
+    # every projection normal . u is taken once.  Where r = offset - normal . p
+    # is positive, the ray along u meets the hyperplane when normal . u > 0
+    # (``ahead``); where r < 0, when normal . u < 0, which is ``ahead - turn``
+    # with ``turn`` the sign of normal . u.  The tables are filled 1024 rows
+    # at a time, so that the float64 projections stay small.  The hit counts
+    # are integers below 2**24, exact in float32.
     dtype = np.float32 if N < 2**24 else np.float64
-    ahead = (proj > 0.0).astype(dtype)
-    behind = (proj < 0.0).astype(dtype)
-    del proj
+    ahead = np.empty((N, len(dirs)), dtype)
+    turn = np.empty_like(ahead)
+    for lo in range(0, N, 1024):
+        proj = normals[lo:lo + 1024] @ dirs.T
+        ahead[lo:lo + 1024] = proj > 0.0
+        turn[lo:lo + 1024] = np.sign(proj)
 
-    def score(p):
-        r = offsets - normals @ p
-        hits = (r > 0.0).astype(dtype) @ ahead + (r < 0.0).astype(dtype) @ behind
-        return (int(hits.min()) + int(np.count_nonzero(r == 0.0))) / N
+    def sides(p):
+        return np.sign(offsets - normals @ p)
 
-    p = max((np.asarray([float(c) for c in x], dtype=float) for x in starts), key=score)
-    best = score(p)
+    def score(side, hits):
+        return (int(hits.min()) + int(np.count_nonzero(side == 0.0))) / N
+
+    def start(x):
+        p = np.asarray([float(c) for c in x], dtype=float)
+        side = sides(p)
+        hits = _side_hits(side, ahead, turn)
+        return p, side, hits, score(side, hits)
+
+    p, side, hits, best = max(map(start, starts), key=lambda state: state[3])
     step = spec.support_radius() / 4.0
     floor = spec.support_radius() * 1e-3
     for _ in range(_POLISH_ROUNDS):
         moved = False
         for mv in moves:
             q = p + step * mv
-            s = score(q)
+            side_q = sides(q)
+            hits_q = _moved_hits(hits, side, side_q, ahead, turn)
+            s = score(side_q, hits_q)
             if s > best:
-                p, best, moved = q, s, True
+                p, side, hits, best, moved = q, side_q, hits_q, s, True
                 break
         if not moved:
             step *= 0.5
             if step < floor:
                 break
     return tuple(Fraction(float(v)).limit_denominator(10**6) for v in p)
+
+
+def _side_hits(side, ahead, turn) -> np.ndarray:
+    """Per probe, the hyperplanes not containing the point that its ray
+    meets, for a point whose sides ``sign(r)`` are ``side``."""
+    return (side != 0.0).astype(ahead.dtype) @ ahead - (side < 0.0).astype(ahead.dtype) @ turn
+
+
+def _moved_hits(hits, side, new_side, ahead, turn) -> np.ndarray:
+    """``_side_hits(new_side, ...)`` from the counts ``hits`` at ``side``.
+
+    Only the hyperplanes whose side changed enter a product: one that the
+    point crosses adds or takes off its row of ``turn``, and one that the
+    point enters or leaves also its row of ``ahead``.  The change is summed
+    before it meets ``hits``, so that no partial sum leaves [-N, N], where
+    the float32 counts are exact.  When most sides changed, the full
+    product is the smaller one.
+    """
+    changed = np.flatnonzero(new_side != side)
+    if 2 * len(changed) > len(side):
+        return _side_hits(new_side, ahead, turn)
+    old, new = side[changed], new_side[changed]
+    down = (new < 0.0).astype(ahead.dtype) - (old < 0.0)
+    change = down @ turn[changed]
+    on = np.flatnonzero((old == 0.0) | (new == 0.0))
+    if len(on):
+        change -= ((new[on] != 0.0).astype(ahead.dtype) - (old[on] != 0.0)) @ ahead[changed[on]]
+    return hits - change
 
 
 def _exact_instance(bases: np.ndarray, points: np.ndarray, count: int) -> Instance:
@@ -562,6 +632,8 @@ def _halfflat_min_fraction(bases, points, l0, D, probe_dirs) -> float:
     and Cramer's rule gives t = num / (h . w) with num = cof . B (p - l0).
     So G meets M exactly when |h . w| > 1e-12 and num * (h . w) >= 0: one
     matrix product per block of probes, with no solve per flat and probe.
+    When no |num| is below 1e-300 that product cannot round to zero, and
+    the test is (sign(num) h) . w > 1e-12, one comparison per entry.
     """
     c = bases.shape[1]
     rhs = np.einsum("ncd,nd->nc", bases, points - l0[np.newaxis, :])  # (N, c)
@@ -572,9 +644,11 @@ def _halfflat_min_fraction(bases, points, l0, D, probe_dirs) -> float:
     )
     h = np.einsum("nc,ncd->nd", cof, bases)
     num = np.einsum("nc,nc->n", cof, rhs)
-    best = 1.0
-    for lo in range(0, len(probe_dirs), _BLOCK):
-        hw = h @ probe_dirs[lo:lo + _BLOCK].T
-        hits = (np.abs(hw) > 1e-12) & (num[:, np.newaxis] * hw >= 0.0)
-        best = min(best, float(hits.mean(axis=0).min()))
-    return best
+    if (np.abs(num) >= 1e-300).all():
+        # flipping the sign of h flips that of h . w exactly
+        toward_t = np.ascontiguousarray((h * np.sign(num)[:, np.newaxis]).T)
+        hits = _probe_counts(probe_dirs, toward_t, lambda hw: hw > 1e-12)
+    else:
+        hits = _probe_counts(probe_dirs, np.ascontiguousarray(h.T),
+                             lambda hw: (np.abs(hw) > 1e-12) & (num * hw >= 0.0))
+    return int(hits.min()) / len(h)

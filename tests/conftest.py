@@ -53,7 +53,7 @@ from dualdepth.geometry import (  # noqa: E402
     vertex_blocks,
 )
 from dualdepth.io import FORMAT_VERSION, _KNOWN_FIELDS, ParseError, _exponent_digits  # noqa: E402
-from dualdepth.measures import FlatMeasureSpec  # noqa: E402
+from dualdepth.measures import FlatMeasureSpec, sphere_covering  # noqa: E402
 from dualdepth.tverberg import _angle_cmp, _is_prime_power  # noqa: E402
 
 
@@ -334,8 +334,9 @@ def sampled_depth_oracle(F: Instance, x, n_dirs: int, seed: int) -> int:
     """Minimum ray-crossing count over many random directions, exactly.
 
     Directions are random nonzero integer vectors and the point is cleared
-    of denominators, so every sign below is computed in exact int64
-    arithmetic (bounds small enough that no overflow is possible).  The
+    of denominators, so every sign below is computed exactly: in int64
+    (bounds small enough that no overflow is possible), and the projections
+    in float64 where no partial sum can reach 2**53.  The
     result is an upper bound on the true depth; equality against the exact
     algorithm is what the calling tests assert.
     """
@@ -357,8 +358,17 @@ def sampled_depth_oracle(F: Instance, x, n_dirs: int, seed: int) -> int:
     rng = np.random.default_rng(seed)
     U = rng.integers(-999, 1000, size=(n_dirs, d), dtype=np.int64)
     U = U[np.any(U != 0, axis=1)]
-    hits = (U @ N.T) * s[np.newaxis, :] > 0
-    return int(hits.sum(axis=1).min()) + contained
+    # One row per hyperplane, one column per direction.  Every partial sum
+    # of a projection is at most max|U| * max_i sum_j |N_ij| in magnitude;
+    # below 2**53 the float64 product is exact, and BLAS computes it.
+    toward = N * s[:, np.newaxis]  # zero rows for contained hyperplanes
+    bound = 999 * int(np.abs(N).sum(axis=1).max(initial=0))
+    if bound < 2**53:
+        proj = toward.astype(float) @ U.T.astype(float)
+    else:
+        assert bound < 2**63, "the int64 product could overflow"
+        proj = toward @ U.T
+    return int(np.count_nonzero(proj > 0, axis=0).min()) + contained
 
 
 def enumerate_partitions_oracle(indices, group_size):
@@ -904,3 +914,77 @@ def assert_parses_like_reference(data, strict: bool = False):
         assert inst == want
     assert write_instance(inst) == write_instance(want)
     return inst
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo kernels of the measure verifiers, as first written: one
+# (flats x probes) product per block of 64 probes, and a center polish that
+# recounts every hyperplane at every trial point
+# ---------------------------------------------------------------------------
+
+def ray_fractions_reference(normals, offsets, x, dirs) -> np.ndarray:
+    """Fraction of sampled hyperplanes met by the ray from x, per direction."""
+    r = offsets - normals @ x
+    contained = np.count_nonzero(r == 0.0)
+    toward = normals * np.sign(r)[:, np.newaxis]  # zero rows for contained
+    hits = np.empty(len(dirs))
+    for lo in range(0, len(dirs), 64):
+        proj = toward @ dirs[lo:lo + 64].T
+        hits[lo:lo + 64] = np.count_nonzero(proj > 0.0, axis=0)
+    return (hits + contained) / len(r)
+
+
+def halfflat_min_fraction_reference(bases, points, l0, D, probe_dirs) -> float:
+    """Minimum over probes of the fraction of flats meeting the half-flat,
+    by the closed form |h . w| > 1e-12 and num * (h . w) >= 0."""
+    c = bases.shape[1]
+    rhs = np.einsum("ncd,nd->nc", bases, points - l0[np.newaxis, :])  # (N, c)
+    BD = bases @ D.T  # (N, c, c-1)
+    cof = np.stack(
+        [(-1) ** (j + c - 1) * np.linalg.det(np.delete(BD, j, axis=1)) for j in range(c)],
+        axis=1,
+    )
+    h = np.einsum("nc,ncd->nd", cof, bases)
+    num = np.einsum("nc,nc->n", cof, rhs)
+    best = 1.0
+    for lo in range(0, len(probe_dirs), 64):
+        hw = h @ probe_dirs[lo:lo + 64].T
+        hits = (np.abs(hw) > 1e-12) & (num[:, np.newaxis] * hw >= 0.0)
+        best = min(best, float(hits.mean(axis=0).min()))
+    return best
+
+
+def polish_center_reference(spec, normals, offsets, starts, probes=180, rounds=40):
+    """Pattern-search ascent of the sampled min-ray fraction, scoring every
+    trial point with the full (N x probes) count products."""
+    d = spec.dim
+    N = len(normals)
+    dirs = sphere_covering(d, probes)
+    moves = sphere_covering(d, 4 * d)
+    proj = normals @ dirs.T
+    dtype = np.float32 if N < 2**24 else np.float64
+    ahead = (proj > 0.0).astype(dtype)
+    behind = (proj < 0.0).astype(dtype)
+
+    def score(p):
+        r = offsets - normals @ p
+        hits = (r > 0.0).astype(dtype) @ ahead + (r < 0.0).astype(dtype) @ behind
+        return (int(hits.min()) + int(np.count_nonzero(r == 0.0))) / N
+
+    p = max((np.asarray([float(c) for c in x], dtype=float) for x in starts), key=score)
+    best = score(p)
+    step = spec.support_radius() / 4.0
+    floor = spec.support_radius() * 1e-3
+    for _ in range(rounds):
+        moved = False
+        for mv in moves:
+            q = p + step * mv
+            s = score(q)
+            if s > best:
+                p, best, moved = q, s, True
+                break
+        if not moved:
+            step *= 0.5
+            if step < floor:
+                break
+    return tuple(Fraction(float(v)).limit_denominator(10**6) for v in p)

@@ -1011,6 +1011,23 @@ class TestRunner:
         assert (code, out.out) == (2, "")
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
+    @pytest.mark.parametrize("preset,want", [
+        ({}, ["1", "1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}, ["2", "3", "1"]),
+    ], ids=["default", "explicit"])
+    def test_blas_threads_default_to_one(self, preset, want):
+        # a fresh process, so that numpy is imported after the package
+        root = Path(__file__).resolve().parents[1]
+        threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in threads}
+        env.update(preset, PYTHONPATH=str(root / "src"))
+        code = ("import os, sys; import dualdepth.cli; "
+                f"print(*(os.environ.get(v) for v in {threads!r}), 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == [*want, "True"]
+
     def test_module_runs_as_a_process(self, capsys, tmp_path):
         # python -m dualdepth.cli writes the same report to a real stdout
         root = Path(__file__).resolve().parents[1]

@@ -18,9 +18,16 @@ from dualdepth.geometry import DimensionMismatchError
 from dualdepth.measures import (
     _halfflat_min_fraction,
     _hyperplane_arrays,
+    _polish_center,
     _ray_fractions,
     _sample_arrays,
     sphere_covering,
+)
+
+from conftest import (
+    halfflat_min_fraction_reference,
+    polish_center_reference,
+    ray_fractions_reference,
 )
 
 
@@ -162,8 +169,29 @@ def stream_specs(d, c, seed):
     return specs
 
 
+class SignedZeroFirst:
+    """A generator whose first standard normal is replaced by ``zero``.
+
+    Generator.normal returns 0.0 + 1.0 * z, never -0.0; the sampler's draw
+    loop fills its rows with standard_normal, which can return -0.0.
+    """
+
+    def __init__(self, rng, zero):
+        self.rng = rng
+        self.zero = zero
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        if self.zero is not None:
+            out[0], self.zero = self.zero, None
+        return out
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+
 class TestSamplerStreamContract:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_codim_one_bit_identical(self, d):
         for seed in (0, 5):
             for spec in stream_specs(d, 1, seed):
@@ -171,13 +199,43 @@ class TestSamplerStreamContract:
                 ref = per_flat_sample(spec, 2000)
                 assert all(flats_equal(a, b) for a, b in zip(got, ref)), spec.kind
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_codim_two_bases_equal(self, d):
-        for spec in stream_specs(d, 2, 3):
+        self.check_bases_equal(d, 2)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_point_measures_bases_equal(self, d):
+        # codimension d: each flat is a point, as in the d=2 transversal
+        self.check_bases_equal(d, d)
+
+    @staticmethod
+    def check_bases_equal(d, c):
+        for spec in stream_specs(d, c, 3):
             bases, points = _sample_arrays(spec, 2000)
             ref = per_flat_sample(spec, 2000)
             assert all(np.array_equal(a, B) for a, (B, _) in zip(bases, ref))
             assert max(np.abs(a - p).max() for a, (_, p) in zip(points, ref)) <= 1e-15
+
+    @pytest.mark.parametrize("spec", [
+        # the first normal is the first entry of the first frame, whose sign
+        # of zero the QR carries through
+        FlatMeasureSpec(2, 1, "uniform-angle-offset", {"radius": 1.2}, seed=6),
+        FlatMeasureSpec(3, 1, "uniform-angle-offset", {"radius": 1.2}, seed=6),
+        FlatMeasureSpec(2, 2, "uniform-angle-offset", {"radius": 1.2}, seed=6),
+        FlatMeasureSpec(3, 2, "uniform-angle-offset", {"radius": 1.2}, seed=6),
+        # the first normal perturbs a normal's -0.0 entry, and -0.0 + -0.0
+        # keeps the sign where -0.0 + 0.0 does not
+        FlatMeasureSpec(2, 1, "smoothed-points", {"flats": [[[-0.0, 1.0], 0.5]], "sigma": 0.2},
+                        seed=6),
+    ], ids=["uniform-2-1", "uniform-3-1", "uniform-2-2", "uniform-3-2", "smoothed"])
+    def test_negative_zero_normal_reads_as_positive(self, monkeypatch, spec):
+        drawn = []
+        default_rng = np.random.default_rng
+        for zero in (-0.0, 0.0):
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed, zero=zero: SignedZeroFirst(default_rng(seed), zero))
+            drawn.append([a.tobytes() for a in _sample_arrays(spec, 50)])
+        assert drawn[0] == drawn[1]
 
     def test_bad_weights_rejected(self):
         spec = FlatMeasureSpec(
@@ -244,6 +302,104 @@ class TestRayFractionBlocking:
         monkeypatch.setattr(measures, "_BLOCK", 3)
         fr = _ray_fractions(normals, offsets, np.zeros(2), dirs)
         assert fr.min() >= 1 / 3 and fr[0] == 1 / 3  # (1, 0) meets only x1 = 0
+
+
+def halfflat_case(spec, N, through_first):
+    """Flats of ``spec`` and a transversal L (point, directions, probes);
+    when ``through_first``, L passes through the first flat (num = 0)."""
+    d, c = spec.dim, spec.codim
+    bases, points = _sample_arrays(spec, N)
+    rng = np.random.default_rng(N * 10 + c)
+    l0 = points[0].copy() if through_first else rng.uniform(-0.5, 0.5, size=d)
+    D = np.linalg.qr(rng.normal(size=(d, c - 1)))[0].T
+    W = np.linalg.svd(D)[2][c - 1:]  # orthonormal complement of the rows of D
+    return bases, points, l0, D, sphere_covering(d - c + 1, 150) @ W
+
+
+class TestKernelsMatchReference:
+    """The blocked probe-major counts and the incremental polish against the
+    kernels as first written (``conftest``): equal to the last bit."""
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("N", [1, 9, 3000])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ray_fractions(self, monkeypatch, d, N, block):
+        monkeypatch.setattr(measures, "_BLOCK", block)
+        dirs = sphere_covering(d, 300)
+        for spec in stream_specs(d, 1, N):
+            normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, N))
+            # the last point lies on the line x_d = 1.1 of the smoothed specs
+            for x in (np.zeros(d), np.full(d, 0.3), np.array([0.0] * (d - 1) + [1.1])):
+                got = _ray_fractions(normals, offsets, x, dirs)
+                assert got.tobytes() == ray_fractions_reference(normals, offsets, x, dirs).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("N", [1, 9, 3000])
+    @pytest.mark.parametrize("d,c", [(2, 2), (3, 2), (3, 3)])
+    def test_halfflat_min_fraction(self, monkeypatch, d, c, N, block):
+        monkeypatch.setattr(measures, "_BLOCK", block)
+        for spec in stream_specs(d, c, N):
+            for through_first in (False, True):
+                case = halfflat_case(spec, N, through_first)
+                assert _halfflat_min_fraction(*case) == halfflat_min_fraction_reference(*case)
+
+    @pytest.mark.parametrize("N", [1, 9, 3000])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_polish_center(self, d, N):
+        for spec in stream_specs(d, 1, N):
+            bases, points = _sample_arrays(spec, N)
+            normals, offsets = _hyperplane_arrays(bases, points)
+            # the second start lies on the line x_d = 1.1 of the smoothed specs
+            for starts in ([np.zeros(d), points.mean(axis=0)],
+                           [np.array([0.0] * (d - 1) + [1.1]), np.zeros(d)]):
+                got = _polish_center(spec, normals, offsets, starts)
+                assert got == polish_center_reference(spec, normals, offsets, starts)
+
+    def test_polish_meets_every_kind_of_move(self, monkeypatch):
+        # sigma = 0: a third of the lines are x2 = 1.1, where the search
+        # starts, so that sides are 0 and moves leave and enter them
+        spec = stream_specs(2, 1, 4)[3]
+        normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, 9))
+        starts = [np.array([0.0, 1.1]), np.array([5.0, 5.0])]
+        moves = []
+
+        def spy(hits, side, new_side, ahead, turn):
+            moves.append((side.copy(), new_side.copy()))
+            return moved_hits(hits, side, new_side, ahead, turn)
+
+        moved_hits = measures._moved_hits
+        monkeypatch.setattr(measures, "_moved_hits", spy)
+        got = _polish_center(spec, normals, offsets, starts)
+        assert got == polish_center_reference(spec, normals, offsets, starts)
+        changed = [np.count_nonzero(a != b) for a, b in moves]
+        assert 0 in changed and max(changed) > len(normals) / 2
+        assert any((a == 0).any() and (a != b).any() for a, b in moves)
+
+    @pytest.mark.parametrize("N", [1, 2, 9, 3000])
+    def test_moved_hits_equal_full_count(self, N):
+        rng = np.random.default_rng(N)
+        normals = rng.normal(size=(N, 3))
+        normals[: N // 2, 0] = 0.0  # some projections are exactly 0
+        dirs = np.concatenate([sphere_covering(3, 40), np.eye(3)])
+        proj = normals @ dirs.T
+        ahead = (proj > 0.0).astype(np.float32)
+        turn = np.sign(proj).astype(np.float32)
+        side = rng.integers(-1, 2, size=N).astype(float)
+        hits = measures._side_hits(side, ahead, turn)
+        flips = [
+            np.zeros(N, bool),  # no side changes
+            np.ones(N, bool),  # every side changes
+            rng.random(N) < 0.2,  # a few change, some to or from 0
+        ]
+        for flip in flips:
+            # each flipped side moves to one of the two other values of -1, 0, 1
+            shift = np.where(flip, rng.integers(1, 3, size=N), 0)
+            new_side = (side + 1 + shift) % 3 - 1
+            got = measures._moved_hits(hits, side, new_side, ahead, turn)
+            want = measures._side_hits(new_side, ahead, turn)
+            assert np.array_equal(got, want)
+            ahead_of = (new_side > 0) @ (proj > 0).astype(int)
+            assert np.array_equal(want, ahead_of + (new_side < 0) @ (proj < 0).astype(int))
 
 
 class TestFlatIntersectsRay:
