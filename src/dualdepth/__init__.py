@@ -29,9 +29,7 @@ from .geometry import (
     ensure_general_position,
 )
 from .depth import (
-    CellSignature,
     DepthCertificate,
-    depth_from_signature,
     dual_depth,
     max_depth_point,
     ray_crossings,
@@ -78,9 +76,7 @@ __all__ = [
     "Instance",
     "check_general_position",
     "ensure_general_position",
-    "CellSignature",
     "DepthCertificate",
-    "depth_from_signature",
     "dual_depth",
     "max_depth_point",
     "ray_crossings",

@@ -10,7 +10,8 @@ Every command runs through ``_run``, which loads its input once and
 returns the report's digest, result and exit code; ``main`` writes the one
 report and is the one place that turns an exception into exit 2.  A
 library ``ValueError`` is an input error, and so is a float overflow,
-including a measure whose samples leave float range.
+including a measure whose samples leave float range, and an input too
+large for memory.
 """
 
 from __future__ import annotations
@@ -324,6 +325,9 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     except OverflowError as exc:
         print(f"error: a value is outside float range ({exc})", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
     except (InputError, ParseError, GeometryError, OSError, ValueError) as exc:
         # library ValueErrors are input errors too: a bad count, a short point

@@ -17,9 +17,10 @@ of d-1 of the vectors.  Enumerating those edges is exact and complete.
 A depth query runs in integers.  The point is written x = X / L with X
 integer and L > 0 the lcm of its denominators, and each hyperplane in its
 integer form a . y = b (``Instance.scaled``), a positive multiple of the
-rational one, so sign(a . X - b L) is the side of x.  The hemisphere
-vectors are the integer normals (``Instance.normal_ints``) negated by side,
-and they go straight to ``_hemisphere_ints``.
+rational one, so sign(a . X - b L) is the side of x; ``signature_of``
+returns those signs as a tuple.  ``dual_depth`` counts the zeros, the
+hyperplanes through x, and adds the hemisphere count of the integer normals
+(``Instance.normal_ints``) of the others, negated by side.
 
 Depth maximization enumerates only arrangement vertices: moving from any
 face into an incident face with a larger containment set gains one crossing
@@ -92,8 +93,6 @@ def _hemisphere_ints(ints: list[tuple[int, ...]], dim: int):
     Takes nonzero integer vectors of length ``dim`` and does not check them.
     No vectors give (0, e_1).
     """
-    if not ints:
-        return 0, _unit(dim)
     best = None
     witness = None
     for dirs, D in _edge_blocks(ints, dim):
@@ -134,19 +133,12 @@ def ray_crossings(F: Instance, x: Point, u: Direction) -> int:
     # points from x's side s towards it, that is when s * (a . u) < 0
     U = scale_to_int(u)
     return sum(
-        1 for s, a in zip(signature_of(F, x).signs, F.scaled()[0])
+        1 for s, a in zip(signature_of(F, x), F.scaled()[0])
         if s == 0 or s * sum(p * q for p, q in zip(a, U)) < 0
     )
 
 
-@dataclass(frozen=True)
-class CellSignature:
-    """Side signs of a point against every hyperplane of an instance."""
-
-    signs: tuple[int, ...]
-
-
-def signature_of(F: Instance, x: Point) -> CellSignature:
+def signature_of(F: Instance, x: Point) -> tuple[int, ...]:
     x = as_point(x)
     if len(x) != F.dim:
         raise DimensionMismatchError("point dimension mismatch")
@@ -159,24 +151,15 @@ def signature_of(F: Instance, x: Point) -> CellSignature:
     for a, b in zip(*F.scaled()):
         v = sum(p * q for p, q in zip(a, X)) - b * L
         signs.append((v > 0) - (v < 0))
-    return CellSignature(tuple(signs))
-
-
-def depth_from_signature(F: Instance, sig: CellSignature):
-    """Depth and witness direction for any point with the given signature."""
-    contained = sum(1 for s in sig.signs if s == 0)
-    w = [
-        tuple(-s * c for c in a)
-        for s, a in zip(sig.signs, F.normal_ints())
-        if s != 0
-    ]
-    hemi, witness = _hemisphere_ints(w, F.dim)
-    return contained + hemi, witness
+    return tuple(signs)
 
 
 def dual_depth(F: Instance, x: Point):
     """Minimum ray crossings over all directions, with a witness direction."""
-    return depth_from_signature(F, signature_of(F, x))
+    signs = signature_of(F, x)
+    w = [tuple(-s * c for c in a) for s, a in zip(signs, F.normal_ints()) if s != 0]
+    hemi, witness = _hemisphere_ints(w, F.dim)
+    return signs.count(0) + hemi, witness
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ vector of every (k-1)-subset of k-wide rows from one minor table shared by
 all subsets with the same prefix, in blocks sized by an entry budget; every
 d-subset's vertex (``vertex_blocks``) and every edge direction of ``depth``
 come from it.  ``stacked_cofactors`` serves stacks of unrelated matrices.
+
+``checked_vertex_blocks`` is the one general-position scan: it checks each
+block of the vertex table as a caller reads it, and ``check_general_position``
+runs it to the end.
 """
 
 from __future__ import annotations
@@ -460,77 +464,60 @@ def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
         yield subsets, cof[:, :d], cof[:, d], cof @ negated
 
 
-def block_violation(subsets: np.ndarray, den: np.ndarray, R: np.ndarray):
-    """First general-position violation in one block of ``vertex_blocks``, or None.
-
-    The first singular d-subset of the block, as ``(subset, "degenerate")``;
-    else the first (d+1)-subset, in combinations order, whose members share
-    the vertex of one of the block's d-subsets, as ``(subset, "concurrent")``.
-    A block has a violation exactly when some den is 0 or some row of R has
-    more than d zeros.
-    """
-    singular = np.flatnonzero(den == 0)
-    if singular.size:
-        return tuple(subsets[singular[0]].tolist()), "degenerate"
-    # (d+1)-subset sub + (j,) with j > max(sub), in combinations order
-    n = R.shape[1]
-    hits = np.flatnonzero((R == 0) & (np.arange(n) > subsets[:, -1:]))
-    if hits.size:
-        v, j = divmod(int(hits[0]), n)
-        return tuple(subsets[v].tolist()) + (j,), "concurrent"
-    return None
-
-
 def checked_vertex_blocks(F: Instance):
     """``vertex_blocks`` of F's rows, checking general position on the way.
 
-    Unless the verdict is cached, every block goes through
-    ``block_violation``, and at the first violation ``ensure_general_position``
-    raises its canonical error (a second pass, on failing instances only).  A
-    cached violation raises at the first block; once the last block has been
-    read, the verdict is cached.
+    Unless the verdict is cached, a block is yielded only when it holds no
+    singular d-subset and no (d+1)-subset whose members share a vertex.
+    After the first violation the rest of the table is searched only for a
+    singular d-subset, which outranks a concurrent one.  The verdict is
+    cached once the table has been read, and ``ensure_general_position``
+    raises a violation, a cached one before the first block.
     """
-    check = F._gp is None
-    if not check:
+    if F._gp is not None:
         ensure_general_position(F)  # raises on a cached violation
+        yield from vertex_blocks(*F.scaled())
+        return
+    violation = None
     for block in vertex_blocks(*F.scaled()):
         subsets, _, den, R = block
-        if check and block_violation(subsets, den, R) is not None:
-            ensure_general_position(F)
-        yield block
-    if check:
-        F._gp = GeneralPositionResult(True)
+        singular = np.flatnonzero(den == 0)
+        if singular.size:
+            violation = tuple(subsets[singular[0]].tolist()), "degenerate"
+            break
+        if violation is None:
+            # (d+1)-subset sub + (j,) with j > max(sub), in combinations order
+            n = R.shape[1]
+            hits = np.flatnonzero((R == 0) & (np.arange(n) > subsets[:, -1:]))
+            if hits.size:
+                v, j = divmod(int(hits[0]), n)
+                violation = tuple(subsets[v].tolist()) + (j,), "concurrent"
+            else:
+                yield block
+    F._gp = GeneralPositionResult(False, *violation) if violation else GeneralPositionResult(True)
+    ensure_general_position(F)
 
 
 def check_general_position(F: Instance) -> GeneralPositionResult:
     """Exhaustive general-position check over all d- and (d+1)-subsets.
 
-    Exact and brute force over the vertex table.  The reported violation is
-    the first singular d-subset in combinations order, else the first
-    (d+1)-subset whose members share a point.  The verdict is cached on the
-    instance.
+    Exact and brute force: with n >= d, a full ``checked_vertex_blocks``
+    pass.  The reported violation is the first singular d-subset in
+    combinations order, else the first (d+1)-subset whose members share a
+    point.  The verdict is cached on the instance.
     """
-    if F._gp is not None:
-        return F._gp
-    d, n = F.dim, F.n
-    result = GeneralPositionResult(True)
-    if n < d:
+    if F._gp is None and F.n < F.dim:
         # fewer hyperplanes than d: require independent normals instead
-        if fraction_rank(F.scaled()[0]) < n:
-            result = GeneralPositionResult(False, tuple(range(n)), "degenerate")
-    else:
-        # a singular d-subset anywhere outranks every concurrent (d+1)-subset
-        violation = None
-        for subsets, _, den, R in vertex_blocks(*F.scaled()):
-            found = block_violation(subsets, den, R)
-            if found is not None and found[1] == "degenerate":
-                violation = found
-                break
-            violation = violation or found
-        if violation is not None:
-            result = GeneralPositionResult(False, *violation)
-    F._gp = result
-    return result
+        F._gp = GeneralPositionResult(True)
+        if fraction_rank(F.scaled()[0]) < F.n:
+            F._gp = GeneralPositionResult(False, tuple(range(F.n)), "degenerate")
+    elif F._gp is None:
+        try:
+            for _ in checked_vertex_blocks(F):
+                pass
+        except DegenerateInstanceError:
+            pass  # the verdict is cached
+    return F._gp
 
 
 def ensure_general_position(F: Instance) -> None:

@@ -330,7 +330,7 @@ def _ray_fractions(normals, offsets, x, dirs) -> np.ndarray:
 # Verifiers and searcher
 # ---------------------------------------------------------------------------
 
-# default tolerance of the verifiers, in binomial standard errors
+# tolerance of the verifiers, in binomial standard errors
 _SE_MULTIPLIER = 3.0
 # rounds of seeded probes around the running minimum in verify_dual_cpt_measure
 _REFINE_ROUNDS = 2
@@ -341,7 +341,6 @@ def verify_dual_cpt_measure(
     x: Sequence[float],
     N: int,
     ray_probes: int = 720,
-    tol: Optional[float] = None,
     flats: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> VerificationReport:
     """Monte Carlo check of the ray-measure lower bound 1/(d+1) at x.
@@ -380,7 +379,7 @@ def verify_dual_cpt_measure(
 
     bound = 1.0 / (d + 1)
     se = math.sqrt(bound * (1.0 - bound) / N)
-    tolerance = tol if tol is not None else _SE_MULTIPLIER * se
+    tolerance = _SE_MULTIPLIER * se
     return VerificationReport(
         estimate=estimate,
         bound=bound,
@@ -531,17 +530,16 @@ def _moved_hits(hits, side, new_side, ahead, turn) -> np.ndarray:
 
 def _exact_instance(bases: np.ndarray, points: np.ndarray, count: int) -> Instance:
     idx = np.linspace(0, len(bases) - 1, count).round().astype(int)
-    hps = []
-    for i in sorted(set(int(v) for v in idx)):
-        n = bases[i, 0]
-        c = float(n @ points[i])
-        hps.append(
-            Hyperplane(
-                tuple(Fraction(float(v)).limit_denominator(1000) for v in n),
-                Fraction(float(c)).limit_denominator(1000),
-            )
+    # an atomic measure repeats its few flats: each distinct lifted
+    # hyperplane is kept once
+    hps = dict.fromkeys(
+        Hyperplane(
+            tuple(Fraction(float(v)).limit_denominator(1000) for v in bases[i, 0]),
+            Fraction(float(bases[i, 0] @ points[i])).limit_denominator(1000),
         )
-    return Instance(bases.shape[2], hps, metadata={"source": "sampled"})
+        for i in sorted(set(int(v) for v in idx))
+    )
+    return Instance(bases.shape[2], list(hps), metadata={"source": "sampled"})
 
 
 def verify_dual_ctr(
@@ -550,7 +548,6 @@ def verify_dual_ctr(
     L_directions: Sequence[Sequence[float]],
     N: int,
     probes: int = 360,
-    tol: Optional[float] = None,
 ) -> VerificationReport:
     """Monte Carlo check of the half-flat bound 1/(k+2) at a candidate flat L.
 
@@ -596,7 +593,7 @@ def verify_dual_ctr(
 
     bound = 1.0 / (k + 2)
     se = math.sqrt(bound * (1.0 - bound) / N)
-    tolerance = tol if tol is not None else _SE_MULTIPLIER * se
+    tolerance = _SE_MULTIPLIER * se
 
     per_measure = []
     overall = 1.0

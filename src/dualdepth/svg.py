@@ -56,6 +56,8 @@ def render_svg(instance: Instance, triangles: Sequence[Sequence] = (), witness=N
     """
     if instance.dim != 2:
         raise UnsupportedDimensionError(f"cannot render dimension {instance.dim}")
+    if witness is not None and len(witness) != 2:
+        raise DimensionMismatchError(f"witness must have 2 coordinates, got {len(witness)}")
     xmin, ymin, xmax, ymax = box = _VIEWPORT
     scale = _SIZE / (xmax - xmin)
     height = int(round((ymax - ymin) * scale))

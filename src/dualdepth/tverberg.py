@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import geometry
 from .depth import max_depth_point, signature_of
 from .geometry import (
     DegenerateSubfamilyError,
@@ -155,10 +156,6 @@ def _table_simplices(F: Instance, blocks):
     return simplex
 
 
-# Bases per ``stacked_cofactors`` call of ``_max_slack``; bounds its working memory.
-_SLICE = 4096
-
-
 @functools.cache
 def _bases(m: int, k: int) -> np.ndarray:
     """The k-subsets of range(m) in combinations order, as one (C(m, k), k) index table."""
@@ -188,11 +185,12 @@ def _max_slack(rows) -> tuple[Point, Fraction]:
     linearly independent rows tight.  ``rows`` holds each facet's row
     (-normal, 1, offset) scaled to integers (a positive multiple of it), as
     ``_facet_rows`` builds them and ``common_interior_point`` scales them,
-    and ``stacked_cofactors`` on the (d+1)-subsets of rows, ``_SLICE``
-    subsets per call, gives for each a vector
-    proportional to (x, e, 1), nonzero in its last entry exactly when the
-    subset is nonsingular.  The feasible ones are checked with one matmul
-    per slice in the dtype ``exact_int_array`` picks, and compared by
+    and ``stacked_cofactors`` on the (d+1)-subsets of rows gives for each
+    a vector proportional to (x, e, 1), nonzero in its last entry exactly
+    when the subset is nonsingular.  A call takes as many subsets as keep
+    their product with every row within ``geometry._BUDGET`` entries, the
+    rule of ``cofactor_blocks``.  The feasible ones are checked with one
+    matmul per slice in the dtype ``exact_int_array`` picks, and compared by
     cross-multiplied Python ints: the largest e wins, ties go to the
     lexicographically smaller x.  The slices' winners compete by the same
     rule.  The lexicographically least point of the optimal face is one of
@@ -207,9 +205,11 @@ def _max_slack(rows) -> tuple[Point, Fraction]:
     d = len(rows[0]) - 2
     M = exact_int_array(rows, d + 2)
     bases = _bases(len(M), d + 1)
+    entry = geometry._OBJECT_ENTRY if M.dtype == object else 1
+    size = max(1, geometry._BUDGET // (len(M) * entry))
     winners = []
-    for start in range(0, len(bases), _SLICE):
-        cof = stacked_cofactors(M[bases[start:start + _SLICE]])
+    for start in range(0, len(bases), size):
+        cof = stacked_cofactors(M[bases[start:start + size]])
         cof = cof[cof[:, d + 1] != 0]
         cof *= np.sign(cof[:, d + 1])[:, np.newaxis]
         # with the last entry (the denominator) positive, row . cof <= 0 on every row
@@ -304,7 +304,7 @@ def dual_tverberg_plane(F: Instance) -> PartitionResult:
     # the direction from x to its projection on line i is its row normal,
     # turned towards the line: negated where x lies on the positive side.
     # A row is a positive multiple of the rational line, so the angles agree.
-    signs = signature_of(F, x).signs
+    signs = signature_of(F, x)
     dirs = [tuple(-c for c in a) if s > 0 else a for s, a in zip(signs, F.scaled()[0])]
     # sorted() is stable, so lines of one angle keep their index order
     naive = sorted(range(F.n), key=cmp_to_key(lambda i, j: _angle_cmp(dirs[i], dirs[j])))

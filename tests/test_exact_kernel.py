@@ -321,6 +321,23 @@ def test_center_raises_the_general_position_error(F):
     assert fresh._gp == check_general_position_reference(F)
 
 
+@pytest.mark.parametrize(
+    "F", [case[1] for case in DEGENERATE], ids=[case[0] for case in DEGENERATE]
+)
+def test_center_scans_a_degenerate_instance_once(F, monkeypatch):
+    passes = []
+    real = geometry.vertex_blocks
+    monkeypatch.setattr(geometry, "vertex_blocks", lambda *rows: passes.append(1) or real(*rows))
+    fresh = Instance(F.dim, F.hyperplanes)
+    with pytest.raises(DegenerateInstanceError) as got:
+        max_depth_point(fresh)
+    assert len(passes) == 1
+    with pytest.raises(DegenerateInstanceError) as want:
+        ensure_general_position(Instance(F.dim, F.hyperplanes))
+    assert str(got.value) == str(want.value)
+    assert fresh._gp == check_general_position_reference(F)
+
+
 def test_center_caches_the_general_position_verdict():
     for name, F in CASES[::2]:
         fresh = Instance(F.dim, F.hyperplanes)
@@ -461,8 +478,18 @@ def test_max_slack_slices_keep_the_answer(size, monkeypatch):
     lps = [margin_rows(facets) for _, F in SUBFAMILY_CASES[::4] for facets in _margin_lps(F)
            if math.comb(len(facets), F.dim + 1) <= 500]
     whole = [_max_slack(rows) for rows in lps]
-    monkeypatch.setattr(tverberg, "_SLICE", size)
-    assert [_max_slack(rows) for rows in lps] == whole
+    calls = []
+    real = tverberg.stacked_cofactors
+    monkeypatch.setattr(tverberg, "stacked_cofactors", lambda M: calls.append(len(M)) or real(M))
+    sliced = []
+    for rows in lps:
+        # a budget of size bases' products with every row
+        object_rows = exact_int_array(rows, len(rows[0])).dtype == object
+        entry = geometry._OBJECT_ENTRY if object_rows else 1
+        monkeypatch.setattr(geometry, "_BUDGET", size * len(rows) * entry)
+        sliced.append(_max_slack(rows))
+    assert sliced == whole
+    assert max(calls) == size
 
 
 def _d1_families():

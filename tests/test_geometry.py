@@ -48,7 +48,7 @@ class TestScalars:
 
 def side(h: Hyperplane, x) -> int:
     """The side of x against h, read from the integer rows."""
-    (sign,) = signature_of(Instance(h.dim, [h]), x).signs
+    (sign,) = signature_of(Instance(h.dim, [h]), x)
     return sign
 
 

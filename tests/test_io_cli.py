@@ -308,7 +308,7 @@ class TestGenerators:
             # normals are exactly unit, offsets 1: tangent to the unit circle
             assert sum(c * c for c in h.normal) == 1
             assert h.offset == 1
-        assert signature_of(F, origin).signs == (-1, -1, -1)  # the circle's center is inside
+        assert signature_of(F, origin) == (-1, -1, -1)  # the circle's center is inside
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -482,6 +482,30 @@ class TestCli:
         rep = verify_dual_cpt_measure(spec, point, 300, 24)
         want = {"type": "VerificationReport", **json.loads(json.dumps(rep.to_json()))}
         assert report["result"] == {**want, "point": report["result"]["point"]}
+
+    @pytest.mark.parametrize("message,shown", [
+        ("Unable to allocate 21.8 TiB for an array", "Unable to allocate 21.8 TiB for an array"),
+        ("", "an allocation failed"),
+    ], ids=["numpy-message", "bare"])
+    def test_verify_measure_out_of_memory_exits_two(
+            self, capsys, tmp_path, triangle, monkeypatch, message, shown):
+        # stands in for an oversized draw: a real one fails fast only where
+        # the kernel refuses to overcommit
+        def refuse(spec, N):
+            raise MemoryError(message)
+
+        triangle.metadata["_measure"] = FlatMeasureSpec(
+            2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=0
+        )
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(triangle))
+        monkeypatch.setattr(measures, "_draw_arrays", refuse)
+        code, report, err = run_cli(
+            capsys, "verify-measure", "--instance", str(path), "--point", "0,0",
+            "--samples", "1000000000000",
+        )
+        assert code == 2 and report is None
+        assert err == f"error: out of memory: {shown}\n"
 
     def test_verify_measure_missing_stanza(self, capsys, tri_file):
         code, _, err = run_cli(
@@ -689,6 +713,7 @@ class TestCli:
         "groups-not-list", "witness-not-scalar", "witness-nested", "witness-past-float",
         "depth-point-huge-exponent", "depth-point-past-digit-limit",
         "measure-point-past-float", "plot-witness-past-float", "transversal-point-past-float",
+        "plot-witness-short", "plot-witness-long", "report-witness-long",
     ])
     def test_bad_arguments_and_reports_exit_two(self, capsys, tmp_path, six_file, case):
         reports = {
@@ -704,6 +729,7 @@ class TestCli:
             "witness-not-scalar": {"result": {"groups": [], "witness": ["x", "y"]}},
             "witness-nested": {"result": {"groups": [], "witness": [[1], [2]]}},
             "witness-past-float": {"result": {"groups": [], "witness": ["1e400", "0"]}},
+            "report-witness-long": {"result": {"groups": [], "witness": ["1", "2", "3"]}},
         }
         measure = {"dim": 2, "codim": 1, "kind": "uniform-angle-offset",
                    "params": {"radius": 1.0}, "seed": 0}
@@ -723,8 +749,9 @@ class TestCli:
             path.write_bytes(write_instance(inst))
             argv = ["verify-measure", "--instance", str(path), "--point", "1e400,0",
                     "--samples", "100"]
-        elif case == "plot-witness-past-float":
-            argv = ["plot", "--instance", six_file, "--out", out, "--witness", "1e400,0"]
+        elif case.startswith("plot-witness"):
+            witness = {"past-float": "1e400,0", "short": "1", "long": "1,2,3"}[case[13:]]
+            argv = ["plot", "--instance", six_file, "--out", out, "--witness", witness]
         elif case == "transversal-point-past-float":
             path = tmp_path / "ctr.json"
             path.write_text(json.dumps({"measures": [measure], "flat": {"point": ["1e400", "0"]}}))
@@ -786,9 +813,10 @@ class TestCli:
 
     def test_verify_measure_search_without_general_position_exits_two(
             self, capsys, tmp_path, triangle):
-        # every sampled line is x1 = 0, so no subsample is in general position
+        # every sampled line is x1 = 0 or x1 = 1, so no subsample is in
+        # general position
         triangle.metadata["_measure"] = FlatMeasureSpec(
-            2, 1, "smoothed-points", {"flats": [[[1, 0], 0]], "sigma": 0}, seed=0
+            2, 1, "smoothed-points", {"flats": [[[1, 0], 0], [[1, 0], 1]], "sigma": 0}, seed=0
         )
         path = tmp_path / "measured.json"
         path.write_bytes(write_instance(triangle))

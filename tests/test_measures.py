@@ -524,6 +524,18 @@ class TestSearchCenterSampled:
         rep = verify_dual_cpt_measure(spec, [float(c) for c in p], 10_000, 720)
         assert rep.passed
 
+    @pytest.mark.parametrize("dim,flats", [
+        (2, [[[1.0, 0.0], 0.0], [[0.0, 1.0], 0.0], [[1.0, 1.0], 1.0]]),
+        (1, [[[1.0], 0.0], [[1.0], 1.0]]),
+        (2, [[[1.0, 0.0], 0.0]]),
+    ], ids=["three-lines-d2", "two-points-d1", "one-line-d2"])
+    def test_atomic_measure_center(self, dim, flats):
+        # sigma 0: every sample is one of the few flats, and the subsample
+        # keeps each of them once
+        spec = FlatMeasureSpec(dim, 1, "smoothed-points", {"flats": flats}, seed=1)
+        p = search_center_sampled(spec, 1000)
+        assert verify_dual_cpt_measure(spec, [float(c) for c in p], 1000).passed
+
     def test_codimension_checked(self):
         spec = FlatMeasureSpec(2, 2, "uniform-angle-offset", {"radius": 1.0})
         with pytest.raises(DimensionMismatchError):
@@ -533,8 +545,8 @@ class TestSearchCenterSampled:
 class TestVerifyDualCtr:
     def test_point_case_reduces_to_ray_verifier(self):
         spec = FlatMeasureSpec(2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=0)
-        ray_rep = verify_dual_cpt_measure(spec, (0.0, 0.0), 3000, 360, tol=0.03)
-        ctr_rep = verify_dual_ctr([spec], (0.0, 0.0), [], 3000, 360, tol=0.03)
+        ray_rep = verify_dual_cpt_measure(spec, (0.0, 0.0), 3000, 360)
+        ctr_rep = verify_dual_ctr([spec], (0.0, 0.0), [], 3000, 360)
         assert ctr_rep.bound == pytest.approx(ray_rep.bound)
         assert ctr_rep.passed == ray_rep.passed
 

@@ -183,7 +183,7 @@ class TestDualTverbergPlane:
         for seed in range(20):
             F = gen_instance("random-rational", 9, 2, seed=seed)
             res = dual_tverberg_plane(F)
-            on_some = 0 in signature_of(F, res.witness).signs
+            on_some = 0 in signature_of(F, res.witness)
             assert res.margin >= 0
             assert res.strict == (res.margin > 0)
             if not on_some:
