@@ -30,8 +30,8 @@ The count along any one edge direction is the number of hyperplanes met by
 one ray from the vertex, so it bounds the vertex's depth (the minimum over
 all rays) from above, and so does the minimum over a few probe directions.
 ``max_depth_point`` takes that bound for every vertex and runs the full
-count over all edge directions only where the bound reaches the best exact
-depth found so far.
+count over all edge directions and their negations, one product with one
+± table, only where the bound reaches the best exact depth found so far.
 """
 
 from __future__ import annotations
@@ -175,12 +175,6 @@ class DepthCertificate:
     meets_bound: bool
 
 
-def _first_min(counts: np.ndarray):
-    """Column of the first least entry of each row, and that entry."""
-    j = counts.argmin(axis=1)
-    return j, counts[np.arange(len(j)), j]
-
-
 def max_depth_point(F: Instance) -> DepthCertificate:
     """Exact global maximizer of dual_depth over R^d.
 
@@ -189,8 +183,10 @@ def max_depth_point(F: Instance) -> DepthCertificate:
     first direction of least count on the side (pos or neg) whose least
     count is smaller, pos on a tie.
 
-    One pass over the vertex table both checks general position (unless
-    the verdict is cached) and searches.  The counts along ``_PROBES``
+    One pass over the vertex table both checks general position and
+    searches.  Every count is a product with one ± table, whose columns
+    are the rays along each edge direction and then along its negation, so
+    the first least column is the witness.  The counts along ``_PROBES``
     evenly spread edge directions bound each vertex's depth from above, and
     only vertices whose bound reaches the best exact depth known so far get
     the full count product, in chunks of vertices that keep the product
@@ -215,19 +211,19 @@ def max_depth_point(F: Instance) -> DepthCertificate:
     blocks = list(_edge_blocks(F.scaled()[0], d))
     dirs = np.concatenate([b[0] for b in blocks])
     S = np.concatenate([b[1] for b in blocks])
-    # hyperplane i counts for direction j from a vertex on side s_i when
-    # s_i * S[j, i] > 0: pos = P.Sp^T + N.Sn^T, neg = P.Sn^T + N.Sp^T,
-    # as 0/1 products in float32 (exact: every count is at most n)
-    same = np.concatenate([S > 0, S < 0], axis=1).astype(np.float32).T
-    opposite = np.concatenate([S < 0, S > 0], axis=1).astype(np.float32).T
-    probes = np.arange(_PROBES) * len(dirs) // _PROBES if len(dirs) > _PROBES else slice(None)
-    probed = np.concatenate([same[:, probes], opposite[:, probes]], axis=1)
+    E = len(dirs)
+    # hyperplane i counts for the ray along u from a vertex on side s_i when
+    # s_i * (a_i . u) > 0; column j counts the ray along dirs[j] and E + j
+    # along -dirs[j], as 0/1 products in float32 (exact: counts are <= n)
+    table = np.block([[S > 0, S < 0], [S < 0, S > 0]]).astype(np.float32).T
+    probes = np.arange(_PROBES) * E // _PROBES if E > _PROBES else np.arange(E)
+    probed = table[:, np.concatenate([probes, E + probes])]
 
     best_depth = -1
     best_point: Optional[Point] = None
     best_witness: Optional[Direction] = None
     # vertices per full count product, within the kernels' entry budget
-    chunk = max(1, geometry._BUDGET // max(1, len(dirs)))
+    chunk = max(1, geometry._BUDGET // max(1, 2 * E))
     for _, nums, den, R in checked_vertex_blocks(F):
         sides = np.concatenate([R > 0, R < 0], axis=1).astype(np.float32)
         # least count over the probes, an upper bound on the depth
@@ -237,14 +233,11 @@ def max_depth_point(F: Instance) -> DepthCertificate:
             continue
         # the vertex of largest bound attains its full count, so anything
         # bounded below that goes too
-        attained = min((sides[r] @ same).min(), (sides[r] @ opposite).min())
-        kept = np.flatnonzero(reach >= max(best_depth, d + int(attained)))
+        kept = np.flatnonzero(reach >= max(best_depth, d + int((sides[r] @ table).min())))
         for lo in range(0, len(kept), chunk):
             keep = kept[lo:lo + chunk]
-            jp, least_pos = _first_min(sides[keep] @ same)
-            jn, least_neg = _first_min(sides[keep] @ opposite)
-            use_pos = least_pos <= least_neg
-            depth = d + np.where(use_pos, least_pos, least_neg).astype(np.int64)
+            counts = sides[keep] @ table
+            depth = d + counts.min(axis=1).astype(np.int64)
             top = int(depth.max())
             if top < best_depth:
                 continue
@@ -257,6 +250,7 @@ def max_depth_point(F: Instance) -> DepthCertificate:
                 continue
             best_depth = top
             best_point = points[v]
-            flip, j = (1, jp[v]) if use_pos[v] else (-1, jn[v])
-            best_witness = tuple(Fraction(flip * c) for c in dirs[j].tolist())
+            # the first least column: a pos count wins a tie with a neg one
+            j = int(counts[v].argmin())
+            best_witness = tuple(Fraction(c if j < E else -c) for c in dirs[j % E].tolist())
     return DepthCertificate(best_point, best_depth, best_witness, bound, best_depth >= bound)

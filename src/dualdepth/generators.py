@@ -26,6 +26,10 @@ def gen_instance(model: str, n: int, d: int, seed: int, colors=None) -> Instance
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
+    if model == "uniform-sphere-tangent" and d == 1 and n > 1:
+        # the unit sphere of R^1 has two tangents, x = 1 and x = -1, and the
+        # model draws only the first
+        raise ValueError("uniform-sphere-tangent in d = 1 has one hyperplane, x = 1: n must be 1")
     builders = {
         "uniform-sphere-tangent": _sphere_tangent,
         "random-rational": _random_rational,

@@ -15,8 +15,10 @@ when a bound computed from the input proves that nothing overflows, Python
 ints (``dtype=object``) otherwise.  ``cofactor_blocks`` gives the cofactor
 vector of every (k-1)-subset of k-wide rows from one minor table shared by
 all subsets with the same prefix, in blocks sized by an entry budget; every
-d-subset's vertex (``vertex_blocks``) and every edge direction of ``depth``
-come from it.  ``stacked_cofactors`` serves stacks of unrelated matrices.
+d-subset's vertex (``vertex_blocks``), every edge direction of ``depth``
+and every basis of the margin LP in ``tverberg`` come from it.
+``stacked_cofactors`` serves stacks of unrelated matrices, the simplex
+vertices of ``tverberg._simplex_vertices``.
 
 ``checked_vertex_blocks`` is the one general-position scan: it checks each
 block of the vertex table as a caller reads it, and ``check_general_position``
@@ -185,6 +187,15 @@ def stacked_cofactors(rows: np.ndarray) -> np.ndarray:
     return _leading_minors(rows, levels)[:, last] * signs
 
 
+@functools.cache
+def _subsets(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m) in combinations order, as one (C(m, k), k) index table."""
+    table = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    table = table.reshape(math.comb(m, k), k)
+    table.setflags(write=False)  # shared by every caller
+    return table
+
+
 def cofactor_blocks(rows: np.ndarray):
     """The cofactor vector of every (k-1)-subset of the rows of ``rows``, in blocks.
 
@@ -207,10 +218,10 @@ def cofactor_blocks(rows: np.ndarray):
         return
     if n < m:
         return
-    # the prefixes in order, the (m-1)-subsets of all rows but the last,
+    # the prefixes in order, the (m-1)-subsets of all rows but the last (a
+    # table built once per shape: the searches pose many LPs of one shape),
     # and the minors of their rows
-    prefix = np.array(list(itertools.combinations(range(n - 1), m - 1)), dtype=np.intp)
-    prefix = prefix.reshape(math.comb(n - 1, m - 1), m - 1)
+    prefix = _subsets(n - 1, m - 1)
     minors = _leading_minors(rows[prefix], _expansion_plan(m, k)[0][:-1])
     # the last level, its terms gathered into (., m*k) tables
     row_cols, minor_cols, sign = _last_level(m, k)
@@ -467,17 +478,15 @@ def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
 def checked_vertex_blocks(F: Instance):
     """``vertex_blocks`` of F's rows, checking general position on the way.
 
-    Unless the verdict is cached, a block is yielded only when it holds no
-    singular d-subset and no (d+1)-subset whose members share a vertex.
-    After the first violation the rest of the table is searched only for a
-    singular d-subset, which outranks a concurrent one.  The verdict is
-    cached once the table has been read, and ``ensure_general_position``
-    raises a violation, a cached one before the first block.
+    A block is yielded only when it holds no singular d-subset and no
+    (d+1)-subset whose members share a vertex.  After the first violation
+    the rest of the table is searched only for a singular d-subset, which
+    outranks a concurrent one.  The verdict is cached once the table has
+    been read, and ``ensure_general_position`` raises a violation, a cached
+    one before the first block.
     """
     if F._gp is not None:
         ensure_general_position(F)  # raises on a cached violation
-        yield from vertex_blocks(*F.scaled())
-        return
     violation = None
     for block in vertex_blocks(*F.scaled()):
         subsets, _, den, R = block

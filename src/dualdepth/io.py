@@ -140,7 +140,8 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
         raise ParseError("malformed-json", "top level must be an object")
 
     version = obj.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    # true and 1.0 compare equal to 1, but only the integer is the version
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError("bad-version", f"unsupported format_version {version}")
 
     unknown = set(obj) - _KNOWN_FIELDS

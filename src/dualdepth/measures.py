@@ -78,6 +78,8 @@ class FlatMeasureSpec:
             if name in p and _finite_array(p[name], shape) is None:
                 what = f"{self.dim} finite numbers" if shape else "a finite number"
                 raise ValueError(f"{self.kind} {name} must be {what}, got {p[name]!r}")
+            if name in p and name in ("radius", "std", "sigma") and _finite_array(p[name]) < 0:
+                raise ValueError(f"{self.kind} {name} must not be negative, got {p[name]!r}")
         if self.kind == "smoothed-points":
             flats = p.get("flats")
             if not flats:

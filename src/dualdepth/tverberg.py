@@ -17,7 +17,8 @@ facet's integer row a . y = b, its multiplier D and its inward sign f
 (``_facet_rows``).  The two searches read every vertex off the vertex pass
 that checks general position; the planar partition builds a group's
 vertices when an order first reaches it.  ``form_simplex`` is the rational
-view of the same construction.
+view of the same construction.  The margin LP reads its bases from
+``cofactor_blocks``, the kernel of the vertex table.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import geometry
 from .depth import max_depth_point, signature_of
 from .geometry import (
     DegenerateSubfamilyError,
@@ -39,6 +39,7 @@ from .geometry import (
     Instance,
     Point,
     checked_vertex_blocks,
+    cofactor_blocks,
     exact_int_array,
     scale_to_int,
     stacked_cofactors,
@@ -156,14 +157,6 @@ def _table_simplices(F: Instance, blocks):
     return simplex
 
 
-@functools.cache
-def _bases(m: int, k: int) -> np.ndarray:
-    """The k-subsets of range(m) in combinations order, as one (C(m, k), k) index table."""
-    table = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
-    table.setflags(write=False)  # shared by every caller
-    return table
-
-
 def _deeper(u: list, v: list) -> int:
     """Positive when (x, e, den) u has the larger slack, or the same slack and the smaller x."""
     du, dv = u[-1], v[-1]
@@ -185,17 +178,15 @@ def _max_slack(rows) -> tuple[Point, Fraction]:
     linearly independent rows tight.  ``rows`` holds each facet's row
     (-normal, 1, offset) scaled to integers (a positive multiple of it), as
     ``_facet_rows`` builds them and ``common_interior_point`` scales them,
-    and ``stacked_cofactors`` on the (d+1)-subsets of rows gives for each
-    a vector proportional to (x, e, 1), nonzero in its last entry exactly
-    when the subset is nonsingular.  A call takes as many subsets as keep
-    their product with every row within ``geometry._BUDGET`` entries, the
-    rule of ``cofactor_blocks``.  The feasible ones are checked with one
-    matmul per slice in the dtype ``exact_int_array`` picks, and compared by
+    and ``cofactor_blocks`` gives for each (d+1)-subset of rows a vector
+    proportional to (x, e, 1), nonzero in its last entry exactly when the
+    subset is nonsingular.  The feasible ones are checked with one matmul
+    per block in the dtype ``exact_int_array`` picks, and compared by
     cross-multiplied Python ints: the largest e wins, ties go to the
-    lexicographically smaller x.  The slices' winners compete by the same
+    lexicographically smaller x.  The blocks' winners compete by the same
     rule.  The lexicographically least point of the optimal face is one of
     its vertices, so the witness depends on neither the enumeration order,
-    the slicing nor a pivoting rule.
+    the blocks nor a pivoting rule.
 
     The enumeration costs C(rows, d+1) bases, a few hundred at the sizes
     the searches pose.
@@ -204,12 +195,8 @@ def _max_slack(rows) -> tuple[Point, Fraction]:
     """
     d = len(rows[0]) - 2
     M = exact_int_array(rows, d + 2)
-    bases = _bases(len(M), d + 1)
-    entry = geometry._OBJECT_ENTRY if M.dtype == object else 1
-    size = max(1, geometry._BUDGET // (len(M) * entry))
     winners = []
-    for start in range(0, len(bases), size):
-        cof = stacked_cofactors(M[bases[start:start + size]])
+    for _, cof in cofactor_blocks(M):
         cof = cof[cof[:, d + 1] != 0]
         cof *= np.sign(cof[:, d + 1])[:, np.newaxis]
         # with the last entry (the denominator) positive, row . cof <= 0 on every row

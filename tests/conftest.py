@@ -42,7 +42,7 @@ from dualdepth import (  # noqa: E402
     form_simplex,
     max_depth_point,
 )
-from dualdepth.depth import _edge_blocks, _first_min  # noqa: E402
+from dualdepth.depth import _edge_blocks  # noqa: E402
 from dualdepth.geometry import (  # noqa: E402
     DegenerateSubfamilyError,
     DimensionMismatchError,
@@ -527,12 +527,19 @@ def max_depth_point_reference(F: Instance) -> DepthCertificate:
     return DepthCertificate(point, -neg_depth, witness, bound, -neg_depth >= bound)
 
 
+def _first_min(counts: np.ndarray):
+    """Column of the first least entry of each row, and that entry."""
+    j = counts.argmin(axis=1)
+    return j, counts[np.arange(len(j)), j]
+
+
 def max_depth_point_unpruned(F: Instance) -> DepthCertificate:
     """``max_depth_point`` without the probe bound (n >= d only).
 
     The library's batched vertex and edge tables with the full count
     product on every vertex, after a separate general-position pass, and
-    the same tie and witness rules.  It checks the pruned search at sizes
+    the same tie and witness rules.  Its counts are two products, one per
+    side, independent of the library's one ± table.  It checks the pruned search at sizes
     where ``max_depth_point_reference`` takes seconds.
     """
     ensure_general_position(F)
@@ -810,7 +817,8 @@ def parse_instance_reference(data, strict: bool = False) -> Instance:
     if not isinstance(obj, dict):
         raise ParseError("malformed-json", "top level must be an object")
     version = obj.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    # true and 1.0 compare equal to 1, but only the integer is the version
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError("bad-version", f"unsupported format_version {version}")
     unknown = set(obj) - _KNOWN_FIELDS
     if unknown and strict:

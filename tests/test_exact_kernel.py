@@ -474,13 +474,19 @@ def test_max_slack_families_take_both_dtypes():
 @pytest.mark.parametrize("size", [1, 7])
 def test_max_slack_slices_keep_the_answer(size, monkeypatch):
     # every fourth family keeps each dimension, dtype and simplex count; at
-    # most 500 bases per LP keeps one base per slice fast
+    # most 500 bases per LP keeps one base per block fast
     lps = [margin_rows(facets) for _, F in SUBFAMILY_CASES[::4] for facets in _margin_lps(F)
            if math.comb(len(facets), F.dim + 1) <= 500]
     whole = [_max_slack(rows) for rows in lps]
     calls = []
-    real = tverberg.stacked_cofactors
-    monkeypatch.setattr(tverberg, "stacked_cofactors", lambda M: calls.append(len(M)) or real(M))
+    real = tverberg.cofactor_blocks
+
+    def counting(M):
+        for subsets, cof in real(M):
+            calls.append(len(subsets))
+            yield subsets, cof
+
+    monkeypatch.setattr(tverberg, "cofactor_blocks", counting)
     sliced = []
     for rows in lps:
         # a budget of size bases' products with every row

@@ -173,6 +173,17 @@ class TestInstanceRoundTrip:
             parse_instance(data)
         assert exc.value.code == "bad-version"
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_version_equal_to_one_is_not_the_version(self, capsys, tmp_path, version):
+        # both compare equal to 1; only the integer is the format version
+        path = tmp_path / "version.json"
+        path.write_text(json.dumps({"format_version": version, "dim": 2, "hyperplanes": []}))
+        with pytest.raises(ParseError) as exc:
+            parse_instance(path.read_bytes())
+        assert exc.value.code == "bad-version"
+        code, report, err = run_cli(capsys, "validate", "--instance", str(path))
+        assert (code, report, err) == (2, None, f"error: {exc.value}\n")
+
     def test_malformed_json(self):
         with pytest.raises(ParseError) as exc:
             parse_instance(b"{nope")
@@ -313,6 +324,19 @@ class TestGenerators:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             gen_instance("bogus", 3, 2, seed=0)
+
+    def test_sphere_tangent_on_the_line_has_one_hyperplane(self, capsys, tmp_path):
+        # in d = 1 every draw is x = 1, so two hyperplanes can never be in
+        # general position; the refusal comes before any draw
+        F = gen_instance("uniform-sphere-tangent", 1, 1, seed=0)
+        assert F.hyperplanes == [Hyperplane((Fraction(1),), Fraction(1))]
+        with pytest.raises(ValueError, match="n must be 1"):
+            gen_instance("uniform-sphere-tangent", 2, 1, seed=0)
+        path = tmp_path / "tangent.json"
+        code, report, err = run_cli(capsys, "gen", "--model", "uniform-sphere-tangent",
+                                    "--d", "1", "--n", "2", "--seed", "0", "--out", str(path))
+        assert (code, report) == (2, None) and "n must be 1" in err
+        assert not path.exists()
 
 
 # JSON that json.loads refuses with other errors than JSONDecodeError: an
@@ -506,6 +530,24 @@ class TestCli:
         )
         assert code == 2 and report is None
         assert err == f"error: out of memory: {shown}\n"
+
+    @pytest.mark.parametrize("kind,params", [
+        ("uniform-angle-offset", {"radius": -1.0}),
+        ("gaussian-offset", {"std": -1.0}),
+        ("smoothed-points", {"flats": [[[1, 0], 0]], "sigma": -1.0}),
+    ], ids=["radius", "std", "sigma"])
+    def test_verify_measure_negative_spread_exits_two(self, capsys, tri_file, tmp_path,
+                                                      kind, params):
+        obj = json.loads(open(tri_file).read())
+        obj["measure"] = {"dim": 2, "codim": 1, "kind": kind, "params": params, "seed": 0}
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = run_cli(
+            capsys, "verify-measure", "--instance", str(path), "--point", "0,0"
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error: malformed-json: bad measure stanza:")
+        assert "must not be negative" in err
 
     def test_verify_measure_missing_stanza(self, capsys, tri_file):
         code, _, err = run_cli(
