@@ -38,7 +38,6 @@ from .io import (
 )
 from .measures import (
     FlatMeasureSpec,
-    _sample_arrays,
     search_center_sampled,
     verify_dual_cpt_measure,
     verify_dual_ctr,
@@ -259,17 +258,12 @@ def _run(args):
         spec = instance_measure(inst)
         if spec is None:
             raise InputError("instance file has no measure stanza")
-        flats = None
         if args.point:
             point = _parse_point(args.point)
         else:
-            # the search's first draw is the verifier's sample; a spec of
-            # another codimension gets the search's own error first
-            if spec.codim == 1:
-                flats = _sample_arrays(spec, args.samples)
-            point = search_center_sampled(spec, args.samples, flats)
-        rep = verify_dual_cpt_measure(spec, [float(c) for c in point], args.samples, args.probes,
-                                      flats=flats)
+            # the search's first draw is the verifier's sample, kept by the spec
+            point = search_center_sampled(spec, args.samples)
+        rep = verify_dual_cpt_measure(spec, [float(c) for c in point], args.samples, args.probes)
         result = _verification_json(rep)
         result["point"] = _point_json(point)
         return digest, result, EXIT_OK if rep.passed else EXIT_NOT_FOUND

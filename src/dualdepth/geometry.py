@@ -36,7 +36,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-Scalar = Fraction
 Point = tuple[Fraction, ...]
 Direction = tuple[Fraction, ...]
 
@@ -89,7 +88,7 @@ def as_scalar(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(value)
-    raise TypeError(f"cannot convert {type(value).__name__} to Scalar")
+    raise TypeError(f"cannot convert {type(value).__name__} to a scalar")
 
 
 def as_point(coords: Iterable) -> Point:

@@ -64,6 +64,8 @@ class FlatMeasureSpec:
     kind: str
     params: dict = field(default_factory=dict)
     seed: int = 0
+    # the last draw of ``_sample_arrays``: (N, bases, points)
+    _draw: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.codim <= self.dim:
@@ -172,20 +174,24 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def _sample_arrays(spec: FlatMeasureSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw N flats as stacked arrays: bases (N, c, d) and points (N, d).
+    """N flats of the spec, read-only: bases (N, c, d) and points (N, d).
 
     Bit-exact replayable for a fixed spec and seed.  The random stream is
     that of drawing the flats one at a time: each flat's raw draws are taken
     in order (in a single call for gaussian-offset, whose draws are all
     normals), and everything derived from them is computed for all flats at
-    once, with one stacked QR for the frames.  Raises ``OverflowError`` when
-    a sampled flat leaves float range.
+    once, with one stacked QR for the frames.  The spec keeps its last draw
+    for the next call with the same N.  Raises ``OverflowError`` when a
+    sampled flat leaves float range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        bases, points = _draw_arrays(spec, N)
-    if not (np.isfinite(bases).all() and np.isfinite(points).all()):
-        raise OverflowError("the measure's sampled flats are not finite")
-    return bases, points
+    if spec._draw is None or spec._draw[0] != N:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            bases, points = _draw_arrays(spec, N)
+        if not (np.isfinite(bases).all() and np.isfinite(points).all()):
+            raise OverflowError("the measure's sampled flats are not finite")
+        bases.flags.writeable = points.flags.writeable = False
+        object.__setattr__(spec, "_draw", (N, bases, points))
+    return spec._draw[1:]
 
 
 def _draw_arrays(spec: FlatMeasureSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,10 +338,15 @@ def _ray_fractions(normals, offsets, x, dirs) -> np.ndarray:
 # Verifiers and searcher
 # ---------------------------------------------------------------------------
 
-# tolerance of the verifiers, in binomial standard errors
-_SE_MULTIPLIER = 3.0
 # rounds of seeded probes around the running minimum in verify_dual_cpt_measure
 _REFINE_ROUNDS = 2
+
+
+def _tolerance(bound: float, N: int) -> tuple[float, float]:
+    """The binomial standard error of a fraction ``bound`` of N samples, and
+    the verifiers' tolerance below the bound: three of them."""
+    se = math.sqrt(bound * (1.0 - bound) / N)
+    return se, 3.0 * se
 
 
 def verify_dual_cpt_measure(
@@ -343,14 +354,13 @@ def verify_dual_cpt_measure(
     x: Sequence[float],
     N: int,
     ray_probes: int = 720,
-    flats: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> VerificationReport:
     """Monte Carlo check of the ray-measure lower bound 1/(d+1) at x.
 
     Probes a deterministic sphere covering, then refines with seeded random
     directions near the running minimum (the adversarial quantifier over
-    rays needs density where the estimate dips).  ``flats`` is the draw
-    ``_sample_arrays(spec, N)`` when the caller already holds it.
+    rays needs density where the estimate dips).  It reads the spec's own
+    sample, as ``search_center_sampled(spec, N)`` does.
     """
     if spec.codim != 1:
         raise DimensionMismatchError("dual central point verification needs codim 1")
@@ -359,7 +369,7 @@ def verify_dual_cpt_measure(
     d = spec.dim
     if len(x) != d:
         raise DimensionMismatchError(f"point must have {d} coordinates, got {len(x)}")
-    normals, offsets = _hyperplane_arrays(*(_sample_arrays(spec, N) if flats is None else flats))
+    normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, N))
     xv = np.asarray([float(c) for c in x], dtype=float)
 
     dirs = sphere_covering(d, ray_probes)
@@ -380,8 +390,7 @@ def verify_dual_cpt_measure(
             worst = cand[jj]
 
     bound = 1.0 / (d + 1)
-    se = math.sqrt(bound * (1.0 - bound) / N)
-    tolerance = _SE_MULTIPLIER * se
+    se, tolerance = _tolerance(bound, N)
     return VerificationReport(
         estimate=estimate,
         bound=bound,
@@ -401,8 +410,7 @@ def verify_dual_cpt_measure(
 _EXACT_SUBSAMPLE = 10
 
 
-def search_center_sampled(spec: FlatMeasureSpec, N: int,
-                          flats: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Point:
+def search_center_sampled(spec: FlatMeasureSpec, N: int) -> Point:
     """Candidate central point for a sampled hyperplane measure.
 
     Two starts: the exact depth maximizer of 10 evenly spread sampled
@@ -410,27 +418,26 @@ def search_center_sampled(spec: FlatMeasureSpec, N: int,
     general position), and the mean of the sampled feet of perpendiculars
     from the origin.  Both are scored by the sampled min-ray fraction and
     the better one is polished by pattern search.  The result is a
-    candidate only; certify it with verify_dual_cpt_measure.  Raises
-    DegenerateInstanceError when 9 draws all miss general position.  The
-    first draw is ``_sample_arrays(spec, N)``, or ``flats`` when given;
-    the others redraw with seeds spec.seed + 1000 + attempt.
+    candidate only; certify it with verify_dual_cpt_measure.  The first
+    draw is the spec's own sample; the others redraw with seeds
+    spec.seed + 1000 + attempt.  When all 9 miss general position, as for
+    hyperplanes through one point, the polish starts from the mean of the
+    spec's own sample alone.
     """
     if spec.codim != 1:
         raise DimensionMismatchError("center search needs codim 1")
+    bases, points = _sample_arrays(spec, N)
+    starts = (points.mean(axis=0),)  # when no draw is in general position
     for attempt in range(9):
-        if attempt:
-            bases, points = _sample_arrays(replace(spec, seed=spec.seed + 1000 + attempt), N)
-        else:
-            bases, points = _sample_arrays(spec, N) if flats is None else flats
-        inst = _exact_instance(bases, points, min(_EXACT_SUBSAMPLE, N))
-        try:
-            center = max_depth_point(inst)  # its vertex pass checks general position
-            break
+        drawn = (bases, points) if not attempt else _sample_arrays(
+            replace(spec, seed=spec.seed + 1000 + attempt), N)
+        try:  # the vertex pass checks general position
+            center = max_depth_point(_exact_instance(*drawn, min(_EXACT_SUBSAMPLE, N)))
         except DegenerateInstanceError:
-            pass
-    else:
-        raise DegenerateInstanceError("could not draw a general-position subsample")
-    starts = (center.point, points.mean(axis=0))
+            continue
+        bases, points = drawn
+        starts = (center.point, points.mean(axis=0))
+        break
     return _polish_center(spec, *_hyperplane_arrays(bases, points), starts)
 
 
@@ -594,8 +601,7 @@ def verify_dual_ctr(
     probe_dirs = sphere_covering(k + 1, probes) @ W  # (P, d)
 
     bound = 1.0 / (k + 2)
-    se = math.sqrt(bound * (1.0 - bound) / N)
-    tolerance = _SE_MULTIPLIER * se
+    se, tolerance = _tolerance(bound, N)
 
     per_measure = []
     overall = 1.0

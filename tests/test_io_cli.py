@@ -56,9 +56,10 @@ def test_star_import_binds_every_export():
 
 
 def test_library_has_no_dead_code():
-    # every top-level function and class of the package is named in its
-    # code outside its own body, or exported; every module-level import is
-    # used.  A name in a docstring or comment does not count.
+    # every top-level function, class and assigned name of the package is
+    # named in its code outside its own statement, or exported; every
+    # module-level import is used.  A name in a docstring, comment or string
+    # does not count.
     exported = set(dualdepth.__all__)
     nodes = []  # (module, top-level statement, the names it reads)
     for path in sorted(Path(dualdepth.__file__).parent.glob("*.py")):
@@ -76,6 +77,11 @@ def test_library_has_no_dead_code():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if node.name not in exported and not named(node.name, node):
                 dead.append(f"{module}: {node.name}")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}:
+                if name != "__all__" and name not in exported and not named(name, node):
+                    dead.append(f"{module}: {name} =")
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
@@ -853,10 +859,10 @@ class TestCli:
         assert err.startswith("error: ") and "general position" in err
         assert "Traceback" not in err
 
-    def test_verify_measure_search_without_general_position_exits_two(
+    def test_verify_measure_search_without_general_position_climbs_from_the_mean(
             self, capsys, tmp_path, triangle):
         # every sampled line is x1 = 0 or x1 = 1, so no subsample is in
-        # general position
+        # general position; the search starts from the mean of the feet
         triangle.metadata["_measure"] = FlatMeasureSpec(
             2, 1, "smoothed-points", {"flats": [[[1, 0], 0], [[1, 0], 1]], "sigma": 0}, seed=0
         )
@@ -865,9 +871,27 @@ class TestCli:
         code, report, err = run_cli(
             capsys, "verify-measure", "--instance", str(path), "--samples", "200"
         )
-        assert code == 2 and report is None
-        assert err.startswith("error: ") and "general-position" in err
-        assert "Traceback" not in err
+        assert code in (0, 1) and "Traceback" not in err
+        x1, x2 = (parse_scalar(c) for c in report["result"]["point"])
+        assert 0 < x1 < 1 and x2 == 0
+
+    @pytest.mark.parametrize("kind,params", [
+        ("uniform-angle-offset", {"radius": 0.0}),
+        ("gaussian-offset", {"std": 0.0}),
+    ], ids=["radius-zero", "std-zero"])
+    def test_verify_measure_search_of_concurrent_measure(
+            self, capsys, tmp_path, kind, params):
+        # every sampled line passes through the origin, so no subsample is in
+        # general position, and the mean of the feet is the origin itself
+        inst = gen_instance("random-rational", 6, 2, seed=0)
+        inst.metadata["_measure"] = FlatMeasureSpec(2, 1, kind, params, seed=0)
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(inst))
+        code, report, _ = run_cli(
+            capsys, "verify-measure", "--instance", str(path), "--samples", "500", "--probes", "30"
+        )
+        assert code == 0 and report["result"]["pass"] is True
+        assert report["result"]["estimate"] == 1.0 and report["result"]["point"] == ["0", "0"]
 
     @pytest.mark.parametrize("kind,params", [
         ("uniform-angle-offset", {"radius": None}),

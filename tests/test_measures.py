@@ -1,6 +1,7 @@
 """Flat-measure samplers and Monte Carlo verification of the depth bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,11 +41,40 @@ class TestSampleFlats:
     """The array sampler ``_sample_arrays``: replay, shapes and the law of each kind."""
 
     def test_deterministic_replay(self):
-        spec = FlatMeasureSpec(2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=1)
-        first = _sample_arrays(spec, 3)
-        second = _sample_arrays(spec, 3)
+        # two equal specs draw apart, and draw the same flats
+        specs = [FlatMeasureSpec(2, 1, "uniform-angle-offset", {"radius": 1.0}, seed=1)
+                 for _ in range(2)]
+        first, second = (_sample_arrays(spec, 3) for spec in specs)
         assert first[0].shape == (3, 1, 2) and first[1].shape == (3, 2)
+        assert first[0] is not second[0] and first[1] is not second[1]
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_spec_keeps_its_draw(self, monkeypatch):
+        draws = []
+        real_draw = measures._draw_arrays
+
+        def counting(spec, N):
+            draws.append((spec.seed, N))
+            return real_draw(spec, N)
+
+        monkeypatch.setattr(measures, "_draw_arrays", counting)
+        spec = FlatMeasureSpec(2, 1, "gaussian-offset", seed=4)
+        bases, points = _sample_arrays(spec, 20)
+        again = _sample_arrays(spec, 20)
+        assert again[0] is bases and again[1] is points and draws == [(4, 20)]
+        for arr in (bases, points):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # another N draws again
+        assert len(_sample_arrays(spec, 30)[1]) == 30 and draws == [(4, 20), (4, 30)]
+        # a replaced spec and an equal one keep their own draws, and equality
+        # ignores the draw a spec holds
+        twin = FlatMeasureSpec(2, 1, "gaussian-offset", seed=4)
+        assert twin == spec and replace(spec, seed=4) == spec
+        _sample_arrays(replace(spec, seed=5), 30)
+        _sample_arrays(twin, 30)
+        _sample_arrays(replace(spec, seed=4), 30)
+        assert draws == [(4, 20), (4, 30), (5, 30), (4, 30), (4, 30)]
 
     def test_smoothed_sigma_zero_copies(self):
         spec = FlatMeasureSpec(
