@@ -14,13 +14,17 @@ arrangement {u : w_i . u = 0}, so the minimum is attained on a minimal face:
 either the common null space (count 0) or an edge spanned by the null space
 of d-1 of the vectors.  Enumerating those edges is exact and complete.
 
-A depth query runs in integers.  The point is written x = X / L with X
-integer and L > 0 the lcm of its denominators, and each hyperplane in its
-integer form a . y = b (``Instance.scaled``), a positive multiple of the
-rational one, so sign(a . X - b L) is the side of x; ``signature_of``
-returns those signs as a tuple.  ``dual_depth`` counts the zeros, the
-hyperplanes through x, and adds the hemisphere count of the integer normals
-(``Instance.normal_ints``) of the others, negated by side.
+A depth query runs in integers, on the instance's row array.  The point is
+written x = X / L with X integer and L > 0 the lcm of its denominators, and
+each hyperplane in its integer form a . y = b (``Instance.row_array``), a
+positive multiple of the rational one, so sign(a . X - b L) is the side of
+x, one product of the rows with (X, -L); ``signature_of`` returns those
+signs as a tuple.  ``dual_depth`` counts the zeros, the hyperplanes through
+x, and adds the hemisphere count of the integer normals
+(``Instance.normal_ints``) of the others, negated by side.  The edge
+directions' products with those normals are float64 where their bound
+proves them exact (``_edge_blocks``), and the counts are float32 0/1
+products, exact because a count is at most n.
 
 Depth maximization enumerates only arrangement vertices: moving from any
 face into an incident face with a larger containment set gains one crossing
@@ -54,7 +58,6 @@ from .geometry import (
     checked_vertex_blocks,
     cofactor_blocks,
     ensure_general_position,
-    exact_int_array,
     fraction_nullspace,
     scale_to_int,
     solve_underdetermined,
@@ -73,37 +76,53 @@ def _unit(dim: int) -> Direction:
 # Direction-space searches
 # ---------------------------------------------------------------------------
 
-def _edge_blocks(ints: list[tuple[int, ...]], dim: int):
-    """Edge directions of the central arrangement {u : v . u = 0, v in ints}.
+def _edge_blocks(A: np.ndarray, max_abs: int):
+    """Edge directions of the central arrangement {u : v . u = 0, v a row of A}.
 
-    Yields ``(dirs, D)`` over the (dim-1)-subsets of ``ints`` in
-    combinations order, in blocks: ``dirs`` holds the nonzero cofactor
-    directions (a rank-deficient subset's edge shows up elsewhere) and
-    ``D = dirs @ A.T`` their exact products with every vector.
+    ``A`` is an (m, dim) integer array whose entries are at most
+    ``max_abs`` in absolute value.  Yields ``(dirs, D)`` over the
+    (dim-1)-subsets of its rows in combinations order, in the blocks of
+    ``cofactor_blocks``: ``dirs`` holds the nonzero cofactor directions (a
+    rank-deficient subset's edge shows up elsewhere) and ``D = dirs @ A.T``
+    their exact products with every row.  D is at most dim! * max_abs^dim,
+    and below ``_FLOAT_SAFE`` it is a float64 product holding the same
+    integers.
     """
-    A = exact_int_array(ints, dim)
+    dim = A.shape[1]
+    A = A.astype(geometry._exact_dtype(max_abs, dim), copy=False)
+    exact_float = geometry._stage_bound(max_abs, dim) < geometry._FLOAT_SAFE
+    At = A.T.astype(np.float64) if exact_float else A.T
     for _, dirs in cofactor_blocks(A):
-        dirs = dirs[(dirs != 0).any(axis=1)]
-        yield dirs, dirs @ A.T
+        nonzero = (dirs != 0).any(axis=1)
+        if not nonzero.all():
+            dirs = dirs[nonzero]
+        yield dirs, (dirs.astype(np.float64) if exact_float else dirs) @ At
 
 
-def _hemisphere_ints(ints: list[tuple[int, ...]], dim: int):
+def _hemisphere_ints(W: np.ndarray, max_abs: int):
     """Exact min over directions u != 0 of #{w : w . u > 0}, with a witness.
 
-    Takes nonzero integer vectors of length ``dim`` and does not check them.
-    No vectors give (0, e_1).
+    Takes an (m, dim) array of nonzero integer vectors, each entry at most
+    ``max_abs`` in absolute value, and does not check them.  No vectors
+    give (0, e_1).
     """
+    m, dim = W.shape
+    ones = np.ones(m, dtype=np.float32)
     best = None
     witness = None
-    for dirs, D in _edge_blocks(ints, dim):
+    for dirs, D in _edge_blocks(W, max_abs):
         if not len(dirs):
             continue
         if best is None and not (D[0] != 0).any():
             # an edge orthogonal to every vector: they span less than R^dim,
             # and a full-rank family has no such edge
             break
-        # counts in (pos_0, neg_0, pos_1, ...) order; the first minimum wins
-        counts = np.stack([(D > 0).sum(axis=1), (D < 0).sum(axis=1)], axis=1).ravel()
+        # counts in (pos_0, neg_0, pos_1, ...) order, as 0/1 products in
+        # float32 (exact: counts are <= m); the first minimum wins
+        signs = np.empty((len(D), 2, m), dtype=np.float32)
+        np.greater(D, 0, out=signs[:, 0])
+        np.less(D, 0, out=signs[:, 1])
+        counts = signs.reshape(-1, m) @ ones
         k = int(counts.argmin())
         if best is None or counts[k] < best:
             best = int(counts[k])
@@ -113,7 +132,7 @@ def _hemisphere_ints(ints: list[tuple[int, ...]], dim: int):
     if best is None:
         # positive row scalings leave the reduced row echelon form, and so
         # this basis, as it is for the rational vectors
-        return 0, fraction_nullspace(ints, dim)[0]
+        return 0, fraction_nullspace(W.tolist(), dim)[0]
     return best, tuple(Fraction(c) for c in witness)
 
 
@@ -138,28 +157,34 @@ def ray_crossings(F: Instance, x: Point, u: Direction) -> int:
     )
 
 
-def signature_of(F: Instance, x: Point) -> tuple[int, ...]:
-    x = as_point(x)
+def _sides(F: Instance, x: Point) -> np.ndarray:
+    """The side of x, sign(a . x - b), of every hyperplane a . y = b of F, as an int64 array."""
     if len(x) != F.dim:
         raise DimensionMismatchError("point dimension mismatch")
     # x = X / L with X integer and L > 0; each integer hyperplane a . y = b
     # is a positive multiple of the rational one, so sign(a . X - b L) is
-    # the side of x
+    # the side of x, one product of the rows with (X, -L)
     L = math.lcm(*(c.denominator for c in x))
-    X = [c.numerator * (L // c.denominator) for c in x]
-    signs = []
-    for a, b in zip(*F.scaled()):
-        v = sum(p * q for p, q in zip(a, X)) - b * L
-        signs.append((v > 0) - (v < 0))
-    return tuple(signs)
+    v = [c.numerator * (L // c.denominator) for c in x] + [-L]
+    A, max_abs = F.row_array()
+    dtype = np.int64 if max(max_abs, 1) * sum(map(abs, v)) < geometry._NUMPY_SAFE else object
+    P = A.astype(dtype, copy=False) @ np.array(v, dtype=dtype)
+    return (P > 0).astype(np.int64) - (P < 0)
+
+
+def signature_of(F: Instance, x: Point) -> tuple[int, ...]:
+    return tuple(_sides(F, as_point(x)).tolist())
 
 
 def dual_depth(F: Instance, x: Point):
     """Minimum ray crossings over all directions, with a witness direction."""
-    signs = signature_of(F, x)
-    w = [tuple(-s * c for c in a) for s, a in zip(signs, F.normal_ints()) if s != 0]
-    hemi, witness = _hemisphere_ints(w, F.dim)
-    return signs.count(0) + hemi, witness
+    s = _sides(F, as_point(x))
+    off = s != 0
+    # the normals of the hyperplanes off x, each turned away from x's side
+    N, max_abs = F.normal_ints()
+    W = N[off] * -s[off, np.newaxis]
+    hemi, witness = _hemisphere_ints(W, max_abs)
+    return len(s) - len(W) + hemi, witness
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +233,8 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         point = solve_underdetermined(rows, rhs) if rows else (Fraction(0),) * d
         return DepthCertificate(point, n, _unit(d), bound, n >= bound)
 
-    blocks = list(_edge_blocks(F.scaled()[0], d))
+    normals = F.row_array()[0][:, :d]
+    blocks = list(_edge_blocks(normals, int(np.abs(normals).max())))
     dirs = np.concatenate([b[0] for b in blocks])
     S = np.concatenate([b[1] for b in blocks])
     E = len(dirs)
@@ -225,7 +251,9 @@ def max_depth_point(F: Instance) -> DepthCertificate:
     # vertices per full count product, within the kernels' entry budget
     chunk = max(1, geometry._BUDGET // max(1, 2 * E))
     for _, nums, den, R in checked_vertex_blocks(F):
-        sides = np.concatenate([R > 0, R < 0], axis=1).astype(np.float32)
+        sides = np.empty((len(R), 2 * n), dtype=np.float32)
+        np.greater(R, 0, out=sides[:, :n])
+        np.less(R, 0, out=sides[:, n:])
         # least count over the probes, an upper bound on the depth
         reach = d + (sides @ probed).min(axis=1).astype(np.int64)
         r = int(reach.argmax())

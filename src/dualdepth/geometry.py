@@ -3,16 +3,22 @@
 All predicates and linear solves in this module are exact: a sign is zero
 if and only if the underlying quantity is zero.  The kernels run on integer
 rows; ``fractions.Fraction`` holds the rational ``Hyperplane`` view, the
-reported points and the RREF.  Floating point appears nowhere here; the
-heuristic and Monte Carlo layers live in other modules and re-certify their
-answers through these primitives.
+reported points and the RREF.  Floating point appears here only as a
+carrier of integers: a product whose bound proves every term and partial
+sum below 2^53 (``_FLOAT_SAFE``) runs as a float64 matrix product, which
+holds exactly those integers whatever order BLAS adds them in (a static
+filter in the sense of Fortune & Van Wyk, 1996).  The heuristic and Monte
+Carlo layers live in other modules and re-certify their answers through
+these primitives.
 
 An ``Instance`` is its integer rows (each hyperplane multiplied by the lcm
 of its denominators), which preserve every sign and every intersection
-point while keeping arithmetic in plain ints; the hot paths read only those.
+point while keeping arithmetic in plain ints; the hot paths read only those,
+as one (n, d+1) array (``Instance.row_array``) with its largest entry.
 The batched kernels run the same integer arithmetic on numpy arrays: int64
-when a bound computed from the input proves that nothing overflows, Python
-ints (``dtype=object``) otherwise.  ``cofactor_blocks`` gives the cofactor
+when a bound computed from that entry proves that nothing overflows, Python
+ints (``dtype=object``) otherwise, and the products with every row take
+float64 below 2^53.  ``cofactor_blocks`` gives the cofactor
 vector of every (k-1)-subset of k-wide rows from one minor table shared by
 all subsets with the same prefix, in blocks sized by an entry budget; every
 d-subset's vertex (``vertex_blocks``), every edge direction of ``depth``
@@ -42,6 +48,10 @@ Direction = tuple[Fraction, ...]
 # Magnitude below which every product and partial sum of the int64 kernels
 # stays exact.
 _NUMPY_SAFE = 1 << 62
+# The same for a float64 product of integers: every integer below 2^53 is a
+# float64, so a product whose terms and partial sums all stay below it comes
+# out of BLAS exactly, whatever its summation order.
+_FLOAT_SAFE = 1 << 53
 # Entries of a block's product with every row (subsets x rows) in the
 # batched kernels; bounds their working memory.  An entry of an object
 # array, a pointer to a Python int of three or more words, counts as
@@ -99,18 +109,44 @@ def as_point(coords: Iterable) -> Point:
 # Integer linear algebra (stacked cofactors, exact elimination)
 # ---------------------------------------------------------------------------
 
+def int_array(values: Sequence[int], width: int) -> tuple[np.ndarray, int]:
+    """Integers as the rows of a read-only (m, width) array, with their largest |entry|.
+
+    ``values`` lists the entries row by row.  The array is int64 when every
+    entry fits and holds Python ints (dtype=object) otherwise; a kernel
+    picks its working dtype from the largest entry (``_exact_dtype``).
+    """
+    max_abs = max(map(abs, values), default=0)
+    arr = np.array(values, dtype=np.int64 if max_abs < 1 << 63 else object).reshape(-1, width)
+    arr.setflags(write=False)
+    return arr, max_abs
+
+
+def _stage_bound(max_abs: int, width: int) -> int:
+    """width! * max_abs^width, the bound of a product of a cofactor with a row.
+
+    With every entry at most max_abs in absolute value, a cofactor of
+    width-1 rows is at most (width-1)! * max_abs^(width-1), and its dot
+    product with one more row at most width! * max_abs^width; every partial
+    sum of the expansions and of the product obeys the same bound.
+    """
+    return math.factorial(width) * max_abs**width
+
+
+def _exact_dtype(max_abs: int, width: int):
+    """int64 when ``_stage_bound`` is below ``_NUMPY_SAFE``, else Python ints (object)."""
+    return np.int64 if _stage_bound(max_abs, width) < _NUMPY_SAFE else object
+
+
 def exact_int_array(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
     """Integer rows as an (m, width) array in a dtype the batched kernels keep exact.
 
-    With every entry at most M in absolute value, a cofactor of width-1 rows
-    is at most (width-1)! * M^(width-1), and its dot product with one more
-    row at most width! * M^width; every partial sum of the expansions obeys
-    the same bound.  Below ``_NUMPY_SAFE`` the array is int64, otherwise it
-    holds Python ints (dtype=object) and the same array code runs exactly.
+    The dtype is ``_exact_dtype`` of the largest entry: int64 below
+    ``_NUMPY_SAFE``, otherwise Python ints (dtype=object), on which the
+    same array code runs exactly.
     """
     max_abs = max((abs(c) for r in rows for c in r), default=0)
-    exact64 = math.factorial(width) * max_abs**width < _NUMPY_SAFE
-    return np.array(rows, dtype=np.int64 if exact64 else object).reshape(len(rows), width)
+    return np.array(rows, dtype=_exact_dtype(max_abs, width)).reshape(len(rows), width)
 
 
 @functools.cache
@@ -350,16 +386,18 @@ class Instance:
 
     An instance is its integer rows: hyperplane i is ``normals[i] . y =
     offsets[i]``, the rational hyperplane times ``dens[i]``, the lcm of its
-    reduced denominators.  ``scaled()`` returns the rows, ``normal_ints()``
-    each normal alone scaled to integers, and every kernel reads only these.
-    ``hyperplanes``, the rational ``Hyperplane`` form, is a view built on
-    first access.  ``parse_instance`` builds the rows straight from a file
-    through ``from_rows``; the constructor takes Hyperplanes, computes their
-    rows and keeps the Hyperplanes as the view.
+    reduced denominators.  ``scaled()`` returns the rows as tuples,
+    ``row_array()`` as one array, ``normal_ints()`` each normal alone scaled
+    to integers, and every kernel reads only these.  ``hyperplanes``, the
+    rational ``Hyperplane`` form, is a view built on first access.
+    ``parse_instance`` builds the rows straight from a file through
+    ``from_rows``; the constructor takes Hyperplanes, computes their rows
+    and keeps the Hyperplanes as the view.
 
     Treated as an immutable value: equal instances have equal dimensions,
     rows (so equal hyperplanes), colors and metadata.  Private fields cache
-    the normals' integer form and the general-position verdict.
+    the row array, the normals' integer form and the general-position
+    verdict.
     """
 
     dim: int
@@ -368,7 +406,8 @@ class Instance:
     colors: Optional[list[int]]
     metadata: dict
     _hyperplanes: Optional[list[Hyperplane]] = field(default=None, repr=False, compare=False)
-    _normal_ints: Optional[list] = field(default=None, repr=False, compare=False)
+    _rows: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False, compare=False)
+    _normal_ints: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False, compare=False)
     _gp: Optional[GeneralPositionResult] = field(default=None, repr=False, compare=False)
 
     def __init__(self, dim: int, hyperplanes: Sequence[Hyperplane],
@@ -431,16 +470,32 @@ class Instance:
         """The row multipliers: row i is hyperplane i times ``dens()[i]``."""
         return self._dens
 
-    def normal_ints(self) -> list[tuple[int, ...]]:
-        """Each normal alone scaled to integers (``scale_to_int``), a positive multiple of it."""
+    def row_array(self) -> tuple[np.ndarray, int]:
+        """The rows (normals[i], offsets[i]) as one read-only (n, d+1) ``int_array``.
+
+        Returned with the rows' largest |entry|.
+        """
+        if self._rows is None:
+            self._rows = int_array([c for a, b in zip(*self._scaled) for c in (*a, b)], self.dim + 1)
+        return self._rows
+
+    def normal_ints(self) -> tuple[np.ndarray, int]:
+        """Each normal alone scaled to integers (``scale_to_int``), a positive multiple of it.
+
+        The rows of a read-only (n, d) array in the dtype of ``row_array()``,
+        returned with their largest |entry|.
+        """
         if self._normal_ints is None:
-            ints = []
-            for a, den in zip(self._scaled[0], self._dens):
-                # gcd(a, den) is the factor by which the offset's denominator
-                # multiplied the normal's own lcm of denominators
-                g = math.gcd(den, *a) if den != 1 else 1
-                ints.append(a if g == 1 else tuple(c // g for c in a))
-            self._normal_ints = ints
+            ints = self.row_array()[0][:, :self.dim]
+            scaled = [i for i, den in enumerate(self._dens) if den != 1]
+            if scaled:
+                ints = ints.copy()
+                for i in scaled:
+                    # gcd(a, den) is the factor by which the offset's denominator
+                    # multiplied the normal's own lcm of denominators
+                    ints[i] //= math.gcd(self._dens[i], *ints[i].tolist())
+                ints.setflags(write=False)
+            self._normal_ints = ints, int(np.abs(ints).max(initial=0))
         return self._normal_ints
 
     def color_classes(self) -> dict[int, list[int]]:
@@ -452,11 +507,11 @@ class Instance:
         return classes
 
 
-def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
+def vertex_blocks(F: Instance):
     """Every d-subset's common point with its residuals, in blocks.
 
-    Takes integer hyperplanes normal_i . y = offset_i (at least d of them)
-    and yields ``(subsets, nums, den, R)`` over their d-subsets in
+    Takes the integer hyperplanes normal_i . y = offset_i of F (at least d
+    of them) and yields ``(subsets, nums, den, R)`` over their d-subsets in
     combinations order, in the blocks of ``cofactor_blocks``.  ``subsets`` is (B, d);
     the vertex of subset b is nums[b] / den[b], where ``den`` (B,) is the
     absolute determinant of the subset's normals (0 for a singular subset)
@@ -464,14 +519,24 @@ def vertex_blocks(normals: Sequence[Sequence[int]], offsets: Sequence[int]):
     offset_i * den - normal_i . nums, which is zero exactly when hyperplane i
     passes through the vertex.  Each vertex is the cofactor vector of the
     rows (normal_i, -offset_i), which is proportional to (x, 1).
+
+    The cofactors run in ``_exact_dtype`` of the rows.  R is at most
+    (d+1)! * M^(d+1) for entries of size M, and below ``_FLOAT_SAFE`` it is
+    a float64 product (holding the same integers), else one in that dtype.
     """
-    d = len(normals[0])
-    rows = exact_int_array([tuple(a) + (-b,) for a, b in zip(normals, offsets)], d + 1)
+    A, max_abs = F.row_array()
+    d = F.dim
+    rows = A.astype(_exact_dtype(max_abs, d + 1))
+    rows[:, d] *= -1
     # (nums, den) . (normal_i, -offset_i) is -R[:, i]
     negated = -rows.T
+    exact_float = _stage_bound(max_abs, d + 1) < _FLOAT_SAFE
+    if exact_float:
+        negated = negated.astype(np.float64)
     for subsets, cof in cofactor_blocks(rows):
         cof = cof * np.where(cof[:, d] < 0, -1, 1)[:, np.newaxis]
-        yield subsets, cof[:, :d], cof[:, d], cof @ negated
+        R = (cof.astype(np.float64) if exact_float else cof) @ negated
+        yield subsets, cof[:, :d], cof[:, d], R
 
 
 def checked_vertex_blocks(F: Instance):
@@ -487,21 +552,24 @@ def checked_vertex_blocks(F: Instance):
     if F._gp is not None:
         ensure_general_position(F)  # raises on a cached violation
     violation = None
-    for block in vertex_blocks(*F.scaled()):
+    for block in vertex_blocks(F):
         subsets, _, den, R = block
         singular = np.flatnonzero(den == 0)
         if singular.size:
             violation = tuple(subsets[singular[0]].tolist()), "degenerate"
             break
         if violation is None:
-            # (d+1)-subset sub + (j,) with j > max(sub), in combinations order
-            n = R.shape[1]
-            hits = np.flatnonzero((R == 0) & (np.arange(n) > subsets[:, -1:]))
-            if hits.size:
-                v, j = divmod(int(hits[0]), n)
-                violation = tuple(subsets[v].tolist()) + (j,), "concurrent"
-            else:
+            # a nonsingular vertex is on its own d hyperplanes, so a block
+            # with more zeros holds a (d+1)-subset on one point: the first in
+            # combinations order is sub + (j,) with j > max(sub)
+            zero = R == 0
+            if np.count_nonzero(zero) == zero.shape[0] * subsets.shape[1]:
                 yield block
+                continue
+            n = R.shape[1]
+            hits = np.flatnonzero(zero & (np.arange(n) > subsets[:, -1:]))
+            v, j = divmod(int(hits[0]), n)
+            violation = tuple(subsets[v].tolist()) + (j,), "concurrent"
     F._gp = GeneralPositionResult(False, *violation) if violation else GeneralPositionResult(True)
     ensure_general_position(F)
 

@@ -7,22 +7,29 @@ fields are rejected in strict mode and preserved through a round trip in
 lenient mode.
 
 An instance is its integer rows (see ``Instance``), and ``parse_instance``
-builds them in one pass: each scalar becomes a reduced (p, q) pair, straight
-from the text by int() for JSON integers and the plain ASCII "p" and "p/q"
-spellings that write_instance emits, through ``Fraction``'s parser for every
-other spelling, and each row is scaled by the lcm of its denominators.  The
-rational ``Hyperplane``s are a view the instance builds on first access;
-``write_instance`` reads it.
+builds them in one pass.  A file whose scalars are all JSON integers, or all
+plain ASCII integer strings of at most 18 characters, is read in one
+batched pass (``_int_rows``).  Any other file goes scalar by
+scalar (``_ratio_rows``): each scalar becomes a reduced (p, q) pair,
+straight from the text by int() for JSON integers and the plain ASCII "p"
+and "p/q" spellings that write_instance emits, through ``Fraction``'s
+parser for every other spelling, and each row is scaled by the lcm of its
+denominators; this loop raises every error, so both passes give the same
+rows and the same errors.  The rational ``Hyperplane``s are a view the
+instance builds on first access; ``write_instance`` reads it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 import sys
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 from .geometry import Instance, check_general_position, ensure_general_position
 from .measures import FlatMeasureSpec
@@ -124,6 +131,82 @@ def parse_scalar(raw) -> Fraction:
     return Fraction(*_ratio(raw))
 
 
+# Comma-joined string spellings of integers that ``_ratio`` reads by int().
+_INT_LIST = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def _int_rows(raw_planes: list, dim: int):
+    """The rows of a file whose scalars are all integers, in one batched pass.
+
+    Applies when every hyperplane is an object with a normal list of length
+    ``dim`` and an offset, every scalar is a JSON integer or every scalar a
+    string of at most 18 characters that ``_ratio`` reads by int(), and no
+    normal is zero.  Then the rows are the file's scalars, with every
+    multiplier 1, and this returns ``(normals, offsets)``.  Otherwise it
+    returns None, and the per-scalar loop parses the file and raises its
+    errors.
+    """
+    try:
+        cells = [hp["normal"] + [hp["offset"]] for hp in raw_planes]
+    except (TypeError, KeyError):
+        return None
+    if set(map(len, cells)) - {dim + 1}:
+        return None
+    flat = list(itertools.chain.from_iterable(cells))
+    kinds = set(map(type, flat))
+    if kinds == {str}:
+        if max(map(len, flat)) > 18:
+            return None
+        # one match for all scalars; a comma inside one adds to the count
+        text = ",".join(flat)
+        if text.count(",") != len(flat) - 1 or not _INT_LIST.fullmatch(text):
+            return None
+        # every value is below 10^18 in absolute value, so int64 holds it
+        flat = np.fromstring(text, dtype=np.int64, sep=",").tolist()
+    elif kinds - {int}:
+        return None
+    normals = list(zip(*(flat[j::dim + 1] for j in range(dim))))
+    if not all(map(any, normals)):
+        return None
+    return normals, flat[dim::dim + 1]
+
+
+def _ratio_rows(raw_planes: list, dim: int):
+    """The rows of any file, scalar by scalar through ``_ratio``: ``(normals, offsets, dens)``.
+
+    Each hyperplane goes straight to its integer row, the rational row
+    times its lcm of denominators ``dens[i]``.
+    """
+    normals, offsets, dens = [], [], []
+    for i, hp in enumerate(raw_planes):
+        if not isinstance(hp, dict):
+            raise ParseError("bad-type", f"hyperplane {i} must be an object")
+        if "normal" not in hp or "offset" not in hp:
+            missing = sorted({"normal", "offset"} - set(hp))
+            raise ParseError("malformed-json", f"hyperplane {i} is missing {missing}")
+        raw_normal = hp["normal"]
+        if not isinstance(raw_normal, list):
+            raise ParseError("bad-type", f"hyperplane {i} normal must be a list")
+        pairs = [_ratio(v) for v in raw_normal]
+        if len(pairs) != dim:
+            raise ParseError(
+                "dimension-mismatch",
+                f"hyperplane {i} normal has length {len(pairs)}, expected {dim}",
+            )
+        nums, qs = zip(*pairs)
+        if not any(nums):
+            raise ParseError("zero-normal", f"hyperplane {i} has zero normal")
+        b, qb = _ratio(hp["offset"])
+        den = math.lcm(qb, *qs)
+        if den != 1:
+            nums = tuple(p * (den // q) for p, q in pairs)
+            b *= den // qb
+        normals.append(nums)
+        offsets.append(b)
+        dens.append(den)
+    return normals, offsets, dens
+
+
 def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
     if isinstance(data, bytes):
         try:
@@ -160,35 +243,12 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
     if not isinstance(raw_planes, list):
         raise ParseError("bad-type", "hyperplanes must be a list")
 
-    # each hyperplane goes straight to its integer row: the rational row
-    # times its lcm of denominators
-    normals, offsets, dens = [], [], []
-    for i, hp in enumerate(raw_planes):
-        if not isinstance(hp, dict):
-            raise ParseError("bad-type", f"hyperplane {i} must be an object")
-        if "normal" not in hp or "offset" not in hp:
-            missing = sorted({"normal", "offset"} - set(hp))
-            raise ParseError("malformed-json", f"hyperplane {i} is missing {missing}")
-        raw_normal = hp["normal"]
-        if not isinstance(raw_normal, list):
-            raise ParseError("bad-type", f"hyperplane {i} normal must be a list")
-        pairs = [_ratio(v) for v in raw_normal]
-        if len(pairs) != dim:
-            raise ParseError(
-                "dimension-mismatch",
-                f"hyperplane {i} normal has length {len(pairs)}, expected {dim}",
-            )
-        nums, qs = zip(*pairs)
-        if not any(nums):
-            raise ParseError("zero-normal", f"hyperplane {i} has zero normal")
-        b, qb = _ratio(hp["offset"])
-        den = math.lcm(qb, *qs)
-        if den != 1:
-            nums = tuple(p * (den // q) for p, q in pairs)
-            b *= den // qb
-        normals.append(nums)
-        offsets.append(b)
-        dens.append(den)
+    int_rows = _int_rows(raw_planes, dim)
+    if int_rows is not None:
+        normals, offsets = int_rows
+        dens = [1] * len(offsets)
+    else:
+        normals, offsets, dens = _ratio_rows(raw_planes, dim)
 
     colors = obj.get("colors")
     if colors is not None:

@@ -35,6 +35,7 @@ from .geometry import (
     Instance,
     Point,
     fraction_rank,
+    rref,
 )
 
 KINDS = ("uniform-angle-offset", "gaussian-offset", "smoothed-points")
@@ -319,17 +320,20 @@ def _probe_counts(dirs, x_t, hit) -> np.ndarray:
     return counts
 
 
-def _ray_fractions(normals, offsets, x, dirs) -> np.ndarray:
+def _ray_fractions(normals, offsets, x, dirs, parallel=None) -> np.ndarray:
     """Fraction of sampled hyperplanes met by the ray from x, per direction.
 
     A hyperplane containing x is met by every ray.  Any other is met when
     the direction has a positive projection on its normal flipped to point
-    from x towards it.
+    from x towards it, except the rows that the mask ``parallel`` marks as
+    parallel to every direction: those are met by no ray that starts off
+    them.
     """
     r = offsets - normals @ x
     contained = np.count_nonzero(r == 0.0)
-    # zero columns for contained hyperplanes
-    toward_t = np.ascontiguousarray((normals * np.sign(r)[:, np.newaxis]).T)
+    side = np.sign(r) if parallel is None else np.where(parallel, 0.0, np.sign(r))
+    # zero columns for contained (and parallel) hyperplanes
+    toward_t = np.ascontiguousarray((normals * side[:, np.newaxis]).T)
     hits = _probe_counts(dirs, toward_t, lambda proj: proj > 0.0)
     return (hits + contained) / len(r)
 
@@ -377,8 +381,17 @@ def verify_dual_cpt_measure(
     j = int(fracs.argmin())
     estimate = float(fracs[j])
     worst = dirs[j]
-    rng = np.random.default_rng((spec.seed, 0x5EED))
     total_probes = len(dirs)
+    # an atom of the measure is missed by every ray parallel to it, a set
+    # of directions that no covering meets exactly
+    for cand, parallel in _parallel_probes(spec, normals, max(1, ray_probes // 4)):
+        fr = _ray_fractions(normals, offsets, xv, cand, parallel)
+        total_probes += len(cand)
+        jj = int(fr.argmin())
+        if fr[jj] < estimate:
+            estimate = float(fr[jj])
+            worst = cand[jj]
+    rng = np.random.default_rng((spec.seed, 0x5EED))
     for _ in range(_REFINE_ROUNDS):
         cand = worst[np.newaxis, :] + 0.2 * rng.normal(size=(max(1, ray_probes // 4), d))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
@@ -404,6 +417,47 @@ def verify_dual_cpt_measure(
             "standard_error": se,
         },
     )
+
+
+def _complement(D: np.ndarray, d: int) -> np.ndarray:
+    """An orthonormal basis (rows) of the complement of the orthonormal rows of D in R^d."""
+    comp = np.eye(d) - D.T @ D if D.shape[0] else np.eye(d)
+    eigval, eigvec = np.linalg.eigh(comp)
+    return eigvec[:, eigval > 0.5].T
+
+
+def _parallel_probes(spec: FlatMeasureSpec, normals: np.ndarray, count: int):
+    """Directions parallel to the atoms of a sigma-0 ``smoothed-points`` spec.
+
+    Groups the listed flats by the line of their normal, found exactly (the
+    reduced row echelon form of the normal), and yields per group
+    ``(dirs, parallel)``: the directions parallel to its flats (in d=2 the
+    two perpendiculars of its first normal, in d >= 3
+    ``sphere_covering(d-1, count)`` mapped onto that normal's complement),
+    and the mask of the sampled ``normals`` that are copies of the group's
+    flats.  The samples of a sigma-0 spec are exact copies of their flat's
+    unit normal, so no rounding of a product with a probe decides whether
+    the ray meets them.  Other specs yield nothing.
+    """
+    d = spec.dim
+    if spec.kind != "smoothed-points" or float(spec.params.get("sigma", 0.0)) > 0.0 or d < 2:
+        return
+    groups: dict[tuple, list[np.ndarray]] = {}
+    for normal, _ in spec.params["flats"]:
+        normal = np.asarray(normal, dtype=float)
+        line = tuple(rref([[Fraction(c) for c in normal.tolist()]], d)[0][0])
+        # the unit normal exactly as the sampler computes it
+        groups.setdefault(line, []).append(normal / np.linalg.norm(normal))
+    for units in groups.values():
+        unit = units[0]
+        if d == 2:
+            dirs = np.array([[-unit[1], unit[0]], [unit[1], -unit[0]]])
+        else:
+            dirs = sphere_covering(d - 1, count) @ _complement(unit[np.newaxis, :], d)
+        parallel = np.zeros(len(normals), dtype=bool)
+        for other in units:
+            parallel |= (normals == other).all(axis=1)
+        yield dirs, parallel
 
 
 # hyperplanes in the exact stage of the center search
@@ -593,10 +647,7 @@ def verify_dual_ctr(
         D = Q.T
     else:
         D = np.zeros((0, d))
-    full = np.eye(d)
-    comp = full - D.T @ D if D.shape[0] else full
-    eigval, eigvec = np.linalg.eigh(comp)
-    W = eigvec[:, eigval > 0.5].T  # (k+1, d) orthonormal complement basis
+    W = _complement(D, d)  # (k+1, d)
 
     probe_dirs = sphere_covering(k + 1, probes) @ W  # (P, d)
 

@@ -544,15 +544,15 @@ def max_depth_point_unpruned(F: Instance) -> DepthCertificate:
     """
     ensure_general_position(F)
     n, d = F.n, F.dim
-    normals, offsets = F.scaled()
-    blocks = list(_edge_blocks(normals, d))
+    A, max_abs = F.row_array()
+    blocks = list(_edge_blocks(A[:, :d], max_abs))
     dirs = np.concatenate([b[0] for b in blocks])
     S = np.concatenate([b[1] for b in blocks])
     same = np.concatenate([S > 0, S < 0], axis=1).astype(np.float32).T
     opposite = np.concatenate([S < 0, S > 0], axis=1).astype(np.float32).T
     best_depth = -1
     best_point = best_witness = None
-    for _, nums, den, R in vertex_blocks(normals, offsets):
+    for _, nums, den, R in vertex_blocks(F):
         sides = np.concatenate([R > 0, R < 0], axis=1).astype(np.float32)
         jp, least_pos = _first_min(sides @ same)
         jn, least_neg = _first_min(sides @ opposite)
@@ -914,7 +914,12 @@ def assert_parses_like_reference(data, strict: bool = False):
     inst = parse_instance(data, strict=strict)
     assert (inst.dim, inst.n) == (want.dim, want.n)
     assert inst.scaled() == want.scaled()
-    assert inst.normal_ints() == want.normal_ints()
+    assert inst.normal_ints()[0].tolist() == want.normal_ints()[0].tolist()
+    assert inst.normal_ints()[1] == want.normal_ints()[1]
+    # the row array holds the rows: the same entries, dtype and largest |entry|
+    rows, max_abs = inst.row_array()
+    assert (rows.tolist(), rows.dtype, max_abs) == (
+        want.row_array()[0].tolist(), want.row_array()[0].dtype, want.row_array()[1])
     assert inst.hyperplanes == want.hyperplanes
     assert inst.colors == want.colors
     assert repr(inst.metadata) == repr(want.metadata)

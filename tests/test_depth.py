@@ -14,14 +14,15 @@ from dualdepth import (
     ray_crossings,
 )
 from dualdepth.depth import _hemisphere_ints, signature_of
-from dualdepth.geometry import DegenerateInstanceError, scale_to_int
+from dualdepth.geometry import DegenerateInstanceError, int_array, scale_to_int
 
 from conftest import dot, hemisphere_depth_reference, sampled_depth_oracle
 
 
 def hemisphere(vecs, dim):
     """``_hemisphere_ints`` of nonzero rational vectors, checked against the reference."""
-    got = _hemisphere_ints([scale_to_int([Fraction(c) for c in v]) for v in vecs], dim)
+    ints = [c for v in vecs for c in scale_to_int([Fraction(c) for c in v])]
+    got = _hemisphere_ints(*int_array(ints, dim))
     assert got == hemisphere_depth_reference(vecs, dim)
     return got
 

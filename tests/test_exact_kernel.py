@@ -29,6 +29,7 @@ from dualdepth.tverberg import _max_slack, form_simplex
 from dualdepth.geometry import (
     DegenerateSubfamilyError,
     exact_int_array,
+    int_array,
     scale_to_int,
     stacked_cofactors,
     vertex_blocks,
@@ -78,7 +79,13 @@ def _float_lifted(n, d, seed):
 
 
 def _vertex_dtype(F):
-    return next(vertex_blocks(*F.scaled()))[1].dtype
+    return next(vertex_blocks(F))[1].dtype
+
+
+def _normal_array(F):
+    """F's normals as the rows of an array, with a bound on their entries."""
+    A, max_abs = F.row_array()
+    return A[:, :F.dim], max_abs
 
 
 def _families():
@@ -122,7 +129,7 @@ def test_pruning_with_few_probes_matches_vertex_loop(F, monkeypatch):
 @pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
 def test_full_counts_in_chunks_match_vertex_loop(F, monkeypatch):
     # one probe keeps many vertices, and they get their full counts three at a time
-    J = sum(len(dirs) for dirs, _ in depth._edge_blocks(F.scaled()[0], F.dim))
+    J = sum(len(dirs) for dirs, _ in depth._edge_blocks(*_normal_array(F)))
     ref = max_depth_point_unpruned(F)
     monkeypatch.setattr(depth, "_PROBES", 1)
     monkeypatch.setattr(geometry, "_BUDGET", 3 * J)
@@ -185,7 +192,7 @@ def test_vertices_exact_just_under_the_bound():
     ]
     F = Instance(2, hs)
     normals, offsets = F.scaled()
-    for subsets, nums, den, R in vertex_blocks(normals, offsets):
+    for subsets, nums, den, R in vertex_blocks(F):
         assert nums.dtype == np.int64 and R.dtype == np.int64
         for sub, nu, de, r in zip(subsets.tolist(), nums.tolist(), den.tolist(), R.tolist()):
             sol = solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub])
@@ -215,8 +222,9 @@ def test_hemisphere_depth_matches_direction_loop(scale):
             vecs = [tuple(int(c) * scale for c in v) for v in rng.integers(-4, 5, size=(m, dim))]
             vecs = [v for v in vecs if any(v)]
             if vecs:
-                ints = [scale_to_int([Fraction(c) for c in v]) for v in vecs]
-                assert _hemisphere_ints(ints, dim) == hemisphere_depth_reference(vecs, dim)
+                ints = [c for v in vecs for c in scale_to_int([Fraction(c) for c in v])]
+                assert _hemisphere_ints(*int_array(ints, dim)) \
+                    == hemisphere_depth_reference(vecs, dim)
 
 
 def test_hemisphere_depth_rank_deficient():
@@ -224,7 +232,7 @@ def test_hemisphere_depth_rank_deficient():
     plane = [(1, 2, 0), (-3, 1, 0), (2, -5, 0), (1, 1, 0)]
     line = [(2, 4, 6), (-1, -2, -3), (3, 6, 9)]
     for vecs in (plane, line, [(10**30, 0, 0), (-1, 0, 0)]):
-        got = _hemisphere_ints([scale_to_int([Fraction(c) for c in v]) for v in vecs], 3)
+        got = _hemisphere_ints(*int_array([c for v in vecs for c in v], 3))
         assert got == hemisphere_depth_reference(vecs, 3)
         assert got[0] == 0
 
@@ -399,7 +407,7 @@ def test_intersect_subfamily_matches_cramer_solve(F):
     # every d-subset's vertex as ``vertex_blocks`` computes it, against one Cramer solve each
     normals, offsets = F.scaled()
     singular = 0
-    for subsets, nums, den, R in vertex_blocks(normals, offsets):
+    for subsets, nums, den, R in vertex_blocks(F):
         for sub, nu, de, r in zip(subsets.tolist(), nums.tolist(), den.tolist(), R.tolist()):
             sol = solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub])
             if sol is None:
@@ -418,7 +426,7 @@ def test_intersect_subfamily_matches_cramer_solve(F):
 def test_search_table_matches_form_simplex(F):
     # the searches' table, read past their general-position check so that
     # the degenerate families reach the simplex construction too
-    simplex = tverberg._table_simplices(F, vertex_blocks(*F.scaled()))
+    simplex = tverberg._table_simplices(F, vertex_blocks(F))
     for idx in itertools.combinations(range(F.n), F.dim + 1):
         try:
             spec = form_simplex(F, idx)
@@ -531,23 +539,24 @@ def test_block_boundaries_keep_the_tables(F, size, monkeypatch):
     rows = exact_int_array([a + (-b,) for a, b in zip(normals, offsets)], d + 1)
     subsets, cof = _cofactor_table(rows, d)
     vertices = cof * np.where(cof[:, d] < 0, -1, 1)[:, np.newaxis]
-    ints = F.normal_ints()
-    A = exact_int_array(ints, d)
+    A = exact_int_array(F.normal_ints()[0].tolist(), d)
     dirs = _cofactor_table(A, d - 1)[1]
     dirs = dirs[(dirs != 0).any(axis=1)]
     entry = geometry._OBJECT_ENTRY if rows.dtype == object else 1
     monkeypatch.setattr(geometry, "_BUDGET", size * F.n * entry)
 
-    blocks = list(vertex_blocks(normals, offsets))
+    blocks = list(vertex_blocks(F))
     assert [len(b[0]) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
     assert np.concatenate([b[0] for b in blocks]).tolist() == subsets.tolist()
     assert np.concatenate([b[1] for b in blocks]).tolist() == vertices[:, :d].tolist()
     assert np.concatenate([b[2] for b in blocks]).tolist() == vertices[:, d].tolist()
     R = np.concatenate([b[3] for b in blocks])
     assert R.tolist() == (vertices @ -rows.T).tolist()
-    assert R.dtype == vertices.dtype
+    # a float64 product where the residual bound (d+1)! * M^(d+1) proves it exact
+    exact_float = geometry._stage_bound(F.row_array()[1], d + 1) < geometry._FLOAT_SAFE
+    assert R.dtype == (np.float64 if exact_float else vertices.dtype)
 
-    edges = list(depth._edge_blocks(ints, d))
+    edges = list(depth._edge_blocks(*F.normal_ints()))
     assert np.concatenate([e[0] for e in edges]).tolist() == dirs.tolist()
     assert np.concatenate([e[1] for e in edges]).tolist() == (dirs @ A.T).tolist()
 
@@ -572,7 +581,7 @@ def test_boundary_families_take_both_dtypes_in_every_dimension():
 def test_benchmark_shapes_match_references(d, n, seed):
     # the sizes of the largest benchmark instances, several vertex blocks each
     F = gen_instance("random-rational", n, d, seed=seed)
-    assert len(list(vertex_blocks(*F.scaled()))) > 1
+    assert len(list(vertex_blocks(F))) > 1
     assert max_depth_point(F) == max_depth_point_unpruned(F)
     rng = np.random.default_rng([d, n, seed])
     for _ in range(8):
@@ -588,12 +597,122 @@ def test_blocks_stay_within_the_budget(n, bound):
     normals = [tuple(int(c) for c in rng.integers(1, bound, 2) * rng.choice([-1, 1], 2))
                for _ in range(n)]
     offsets = [int(c) for c in rng.integers(-bound, bound, n)]
+    F = Instance.from_rows(2, normals, offsets, [1] * n)
     budget = geometry._BUDGET // (1 if bound < 10**5 else geometry._OBJECT_ENTRY)
     count = 0
-    for subsets, _, _, R in vertex_blocks(normals, offsets):
+    for subsets, _, _, R in vertex_blocks(F):
         assert R.shape == (len(subsets), n) and R.size <= budget
-        assert R.dtype == (np.int64 if bound < 10**5 else object)
+        # 3! * 10^9 is below 2^53, so R is a float64 product there
+        assert R.dtype == (np.float64 if bound < 10**5 else object)
         count += len(subsets)
     assert count == math.comb(n, 2)
-    for dirs, D in depth._edge_blocks(normals, 2):
+    for dirs, D in depth._edge_blocks(*_normal_array(F)):
         assert D.size <= geometry._BUDGET
+
+
+# ---------------------------------------------------------------------------
+# The float64 rung: products whose bound width! * M^width is below 2^53
+# ---------------------------------------------------------------------------
+
+def _largest_below(width):
+    """The largest M with width! * M^width below 2^53."""
+    M = int((2**53 / math.factorial(width)) ** (1 / width)) + 2
+    while geometry._stage_bound(M, width) >= geometry._FLOAT_SAFE:
+        M -= 1
+    return M
+
+
+def _wide_family(n, d, M, seed):
+    """n integer hyperplanes in general position, entries in [-M, M], one of them M."""
+    rng = np.random.default_rng([n, d, M, seed])
+    while True:
+        rows = [[int(v) for v in rng.integers(-M, M + 1, d + 1)] for _ in range(n)]
+        rows[0][0] = M
+        if all(any(r[:d]) for r in rows):
+            F = Instance.from_rows(d, [tuple(r[:d]) for r in rows], [r[d] for r in rows], [1] * n)
+            if check_general_position(F).ok:
+                return F
+
+
+# (d, width of the rung's product, M): each rung's bound with M just below
+# it and M just past it, and d=2 at M = 10^5, where R reaches 6 * 10^15
+RUNG_EDGES = [(d, w, M + k) for d in (2, 3, 4) for w in (d, d + 1)
+              for M in [_largest_below(w)] for k in (0, 1)] + [(2, 3, 10**5)]
+N_AT = {2: 9, 3: 8, 4: 7}
+
+
+def _tables(F):
+    """Every vertex table entry and edge direction product of F, as Python numbers."""
+    vertices = [(s.tolist(), nums.tolist(), den.tolist(), R.tolist())
+                for s, nums, den, R in vertex_blocks(F)]
+    A, max_abs = F.row_array()
+    edges = [(dirs.tolist(), D.tolist()) for dirs, D in depth._edge_blocks(A[:, :F.dim], max_abs)]
+    return vertices, edges
+
+
+def _answers(F, points):
+    return max_depth_point(F), [dual_depth(F, x) for x in points]
+
+
+@pytest.mark.parametrize("d,width,M", RUNG_EDGES,
+                         ids=[f"d{d}-width{w}-M{M}" for d, w, M in RUNG_EDGES])
+def test_rung_edges_match_int64_object_and_references(d, width, M, monkeypatch):
+    F = _wide_family(N_AT[d], d, M, seed=0)
+    assert F.row_array()[1] == M
+    below = geometry._stage_bound(M, width) < geometry._FLOAT_SAFE
+    # the product that this family's M puts at the edge runs in float64 below it only
+    if width == d:
+        dtypes = {D.dtype for _, D in depth._edge_blocks(F.row_array()[0][:, :d], M)}
+    else:
+        dtypes = {R.dtype for *_, R in vertex_blocks(F)}
+    assert (dtypes == {np.dtype(np.float64)}) == below
+    rng = np.random.default_rng(M)
+    points = [_meet(F.hyperplanes[:d])] + [
+        tuple(Fraction(int(v), int(q)) for v, q in zip(rng.integers(-M, M, d), rng.integers(1, 9, d)))
+        for _ in range(3)
+    ]
+    tables, answers = _tables(F), _answers(F, points)
+    assert answers == (max_depth_point_reference(F), [dual_depth_reference(F, x) for x in points])
+    # no float64 product, then no int64 either: the same tables and answers
+    monkeypatch.setattr(geometry, "_FLOAT_SAFE", 0)
+    assert (_tables(F), _answers(F, points)) == (tables, answers)
+    monkeypatch.setattr(geometry, "_NUMPY_SAFE", 0)
+    assert {nums.dtype for _, nums, _, _ in vertex_blocks(F)} == {np.dtype(object)}
+    assert (_tables(F), _answers(F, points)) == (tables, answers)
+
+
+def test_edge_products_are_bounded_by_the_normals_alone(monkeypatch):
+    # offsets past int64 with normals of at most 50: the rows are Python
+    # ints, but the edge products of both searches stay float64
+    rng = np.random.default_rng(7)
+    normals = [tuple(int(v) for v in rng.integers(-50, 51, 3)) for _ in range(8)]
+    offsets = [int(v) * 10**15 + 1 for v in rng.integers(-10**6, 10**6, 8)]
+    F = Instance.from_rows(3, normals, offsets, [1] * 8)
+    assert F.row_array()[0].dtype == object and F.normal_ints()[1] <= 50
+    dtypes = []
+    real = depth._edge_blocks
+    monkeypatch.setattr(depth, "_edge_blocks",
+                        lambda *a: ((dirs, D) for dirs, D in real(*a) if not dtypes.append(D.dtype)))
+    points = [_meet(F.hyperplanes[:3]), (Fraction(10**20, 7), Fraction(-3), Fraction(1, 2))]
+    assert _answers(F, points) == (max_depth_point_reference(F),
+                                   [dual_depth_reference(F, x) for x in points])
+    assert set(dtypes) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["int64", "object"])
+def test_side_product_at_the_int64_edge(past):
+    # x = (1/L, -1/L): the side product's bound is M * (2 + L)
+    F = _wide_family(9, 2, 114501, seed=1)
+    M = F.row_array()[1]
+    L = geometry._NUMPY_SAFE // M - (-1 if past else 3)
+    assert (M * (2 + L) >= geometry._NUMPY_SAFE) == past
+    x = (Fraction(1, L), Fraction(-1, L))
+    signs = tuple((v > 0) - (v < 0) for v in
+                  (sum(a * c for a, c in zip(h.normal, x)) - h.offset for h in F.hyperplanes))
+    assert depth.signature_of(F, x) == signs
+    assert dual_depth(F, x) == dual_depth_reference(F, x)
+
+
+def test_side_of_a_huge_point_against_no_hyperplanes():
+    assert depth.signature_of(Instance(2, []), (10**30, Fraction(1, 10**30))) == ()
+    assert dual_depth(Instance(2, []), (10**30, 1)) == (0, (1, 0))

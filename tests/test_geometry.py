@@ -55,7 +55,7 @@ def side(h: Hyperplane, x) -> int:
 def meet(hs):
     """The one vertex of d hyperplanes in R^d from ``vertex_blocks``, or None
     when they have no unique common point."""
-    [(_, nums, den, R)] = vertex_blocks(*Instance(len(hs), hs).scaled())
+    [(_, nums, den, R)] = vertex_blocks(Instance(len(hs), hs))
     if den[0] == 0:
         return None
     # hyperplane i passes through the vertex exactly when R[0, i] is 0

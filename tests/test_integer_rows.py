@@ -12,11 +12,13 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dualdepth import Hyperplane, Instance, gen_instance, parse_instance, write_instance
 from dualdepth.cli import main
 from dualdepth.generators import MODELS
+from dualdepth import io
 from dualdepth.io import ParseError
 
 from conftest import assert_parses_like_reference
@@ -117,6 +119,14 @@ FILES = {
     "json-floats": '{"dim": 2, "hyperplanes": [{"normal": [1, 2.5e-3], "offset": -0.0}]}',
     "json-infinity": '{"dim": 2, "hyperplanes": [{"normal": [1, Infinity], "offset": 0}]}',
     "json-nan": '{"dim": 2, "hyperplanes": [{"normal": [1, NaN], "offset": 0}]}',
+    "json-integers": '{"dim": 2, "hyperplanes": [{"normal": [1, -2], "offset": 3}, '
+                     '{"normal": [-0, 7], "offset": %s}]}' % ("9" * 30),
+    "json-integer-zero-normal": '{"dim": 2, "hyperplanes": [{"normal": [0, -0], "offset": 1}]}',
+    "string-integer-zero-normal": _file((["0", "-0"], "1")),
+    "integers-and-strings": '{"dim": 2, "hyperplanes": [{"normal": [1, "2"], "offset": 0}]}',
+    "integer-normal-too-long": _file((["1", "2", "3"], "0")),
+    "integer-offset-missing": '{"dim": 2, "hyperplanes": [{"normal": ["1", "2"]}]}',
+    "integer-normal-not-a-list": _file(("12", "0")),
     "deep-nesting": "[" * 100_000 + "]" * 100_000,
     "deep-field": '{"dim": 2, "hyperplanes": [], "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
 }
@@ -134,7 +144,8 @@ def test_rows_are_the_instance():
     data = _file((["1/2", "-1/3"], "5/4"), (["3", "0"], "1/6"), (["-2/6", "4"], "7"))
     F = parse_instance(data)
     assert F.scaled() == ([(6, -4), (18, 0), (-1, 12)], [15, 1, 21])
-    assert F.normal_ints() == [(3, -2), (3, 0), (-1, 12)]
+    assert F.normal_ints()[0].tolist() == [[3, -2], [3, 0], [-1, 12]]
+    assert F.normal_ints()[1] == 12
     assert F.hyperplanes == [
         Hyperplane((Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 4)),
         Hyperplane((Fraction(3), Fraction(0)), Fraction(1, 6)),
@@ -208,6 +219,56 @@ def test_hyperplane_view_is_built_once(tmp_path, capsys, count_hyperplanes):
     assert len(count_hyperplanes) == 6
     F = parse_instance(path.read_bytes())
     assert F.hyperplanes is F.hyperplanes
+
+
+SPELLINGS = {
+    "json-int": -7, "true": True, "json-float": 1.0, "plus": "+5", "space": " 5",
+    "underscore": "1_0", "minus-zero": "-0", "leading-zeros": "007",
+    "arabic-indic": "\u0665", "ratio": "3/4",
+    "past-digit-limit": "9" * (sys.get_int_max_str_digits() + 1),
+}
+
+
+@pytest.mark.parametrize("raw", SPELLINGS.values(), ids=SPELLINGS.keys())
+def test_each_spelling_parses_as_ratio_reads_it(raw):
+    # the spelling under test among plain integer strings, in a normal and as
+    # an offset: the same rows as ``_ratio`` gives, or its ParseError code
+    for plane in (([raw, "2"], "3"), (["1", "-4"], raw)):
+        data = _file((["1", "1"], "0"), plane)
+        try:
+            values = [io._ratio(v) for v in plane[0] + [plane[1]]]
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_instance(data)
+            assert got.value.code == exc.code
+            continue
+        *normal, offset = (Fraction(p, q) for p, q in values)
+        assert parse_instance(data) == Instance(2, [Hyperplane((1, 1), 0), Hyperplane(normal, offset)])
+        assert_parses_like_reference(data)
+
+
+@pytest.mark.parametrize("data,batched", [
+    # 18 characters at most: int64 holds every value
+    (_file((["1", "-0"], "007"), (["-12", "5"], "-" + "9" * 17)), True),
+    # longer strings go scalar by scalar, to int64 rows or Python ints
+    (_file((["1", "-0"], "007"), (["-12", "5"], "9" * 40)), False),
+    (_file((["1", str(10**18)], str(-2**63)), (["-12", "5"], str(2**63))), False),
+    ('{"dim": 2, "hyperplanes": [{"normal": [3, -4], "offset": -%s}]}' % ("8" * 25), True),
+    (_file((["1", "2"], "1/2")), False),
+    (_file((["1", "+2"], "0")), False),
+], ids=["strings", "long-strings", "nineteen-digits", "json-integers", "ratio", "plus"])
+def test_integer_files_take_the_batched_pass(data, batched, monkeypatch):
+    assert_parses_like_reference(data)
+    want = parse_instance(data)
+    calls = []
+    real = io._ratio_rows
+    monkeypatch.setattr(io, "_ratio_rows", lambda *a: calls.append(1) or real(*a))
+    F = parse_instance(data)
+    assert F == want and bool(calls) != batched
+    # int64 rows while every entry fits, Python ints past that
+    rows, max_abs = F.row_array()
+    assert max_abs == max(abs(c) for a, b in zip(*F.scaled()) for c in (*a, b))
+    assert rows.dtype == (np.int64 if max_abs < 2**63 else object)
 
 
 def test_digit_limit_is_the_interpreters():

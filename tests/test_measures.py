@@ -504,6 +504,41 @@ class TestVerifyDualCptMeasure:
         assert rep.passed
         assert rep.estimate == 1.0  # containment counts for every ray
 
+    @pytest.mark.parametrize("normal,offsets,x", [
+        ((1, 0), (0, 1), (0.56, 0.0)),
+        ((1, 3), (0, 2), (0.3, 0.1)),
+        ((1, 0, 0), (0, 1), (0.56, 0.0, 0.0)),
+        ((1, 2, 2), (0, 3), (0.5, 0.25, 0.25)),
+    ], ids=["d2-axis", "d2-oblique", "d3-axis", "d3-oblique"])
+    def test_ray_parallel_to_the_atoms_meets_none(self, normal, offsets, x):
+        # every sampled hyperplane is one of two parallel atoms with x
+        # between them, so a ray parallel to them meets none; a product of
+        # an oblique normal with its perpendicular need not round to 0
+        d = len(normal)
+        flats = [[list(normal), b] for b in offsets]
+        spec = FlatMeasureSpec(d, 1, "smoothed-points", {"flats": flats, "sigma": 0}, seed=0)
+        rep = verify_dual_cpt_measure(spec, x, 2000, 360)
+        assert rep.estimate == 0.0 and not rep.passed
+        unit = np.asarray(normal) / np.linalg.norm(normal)
+        assert abs(np.dot(rep.details["worst_direction"], unit)) < 1e-12
+        # the covering, two refinement rounds and one set of parallel probes
+        # for the two parallel atoms
+        assert rep.trials == 360 + 2 * 90 + (2 if d == 2 else 90)
+
+    def test_parallel_probes_once_per_line_of_normals(self):
+        # five flats on two lines of normals, the scaled and negated ones
+        # parallel exactly: one set of parallel probes per line
+        flats = [[[1, 0], 0], [[2, 0], 1], [[-1, 0], 3], [[1, 1], 0], [[-3, -3], 1]]
+        spec = FlatMeasureSpec(2, 1, "smoothed-points", {"flats": flats, "sigma": 0}, seed=0)
+        rep = verify_dual_cpt_measure(spec, (0.25, 0.5), 1000, 360)
+        assert rep.trials == 360 + 2 * 90 + 2 * 2
+
+    def test_smoothed_spec_with_sigma_probes_no_parallels(self):
+        spec = FlatMeasureSpec(2, 1, "smoothed-points",
+                               {"flats": [[[1, 0], 0], [[1, 0], 1]], "sigma": 0.1}, seed=0)
+        rep = verify_dual_cpt_measure(spec, (0.56, 0.0), 2000, 360)
+        assert rep.trials == 360 + 2 * 90 and rep.estimate > 0.4
+
     def test_report_consistency(self):
         spec = FlatMeasureSpec(3, 1, "gaussian-offset", {}, seed=5)
         rep = verify_dual_cpt_measure(spec, (0.0, 0.0, 0.0), 2000, 200)

@@ -305,9 +305,9 @@ class TestDualTverbergSearch:
         passes = []
         real = geometry.vertex_blocks
 
-        def counting(normals, offsets):
-            passes.append(len(normals))
-            return real(normals, offsets)
+        def counting(F):
+            passes.append(F.n)
+            return real(F)
 
         def refuse(F, groups):
             raise AssertionError("the search built a simplex by its own cofactor call")
