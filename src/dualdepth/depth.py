@@ -152,7 +152,7 @@ def ray_crossings(F: Instance, x: Point, u: Direction) -> int:
     # points from x's side s towards it, that is when s * (a . u) < 0
     U = scale_to_int(u)
     return sum(
-        1 for s, a in zip(signature_of(F, x), F.scaled()[0])
+        1 for s, a in zip(signature_of(F, x), F.row_array()[0][:, :F.dim].tolist())
         if s == 0 or s * sum(p * q for p, q in zip(a, U)) < 0
     )
 
@@ -229,8 +229,9 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         # hyperplanes at all that flat is R^d; take its origin.
         # scaling a row of the system by a positive integer leaves its
         # reduced row echelon form, and so the point, as it is
-        rows, rhs = F.scaled()
-        point = solve_underdetermined(rows, rhs) if rows else (Fraction(0),) * d
+        rows = F.row_array()[0].tolist()
+        point = (solve_underdetermined([r[:d] for r in rows], [r[d] for r in rows]) if rows
+                 else (Fraction(0),) * d)
         return DepthCertificate(point, n, _unit(d), bound, n >= bound)
 
     normals = F.row_array()[0][:, :d]

@@ -13,8 +13,8 @@ these primitives.
 
 An ``Instance`` is its integer rows (each hyperplane multiplied by the lcm
 of its denominators), which preserve every sign and every intersection
-point while keeping arithmetic in plain ints; the hot paths read only those,
-as one (n, d+1) array (``Instance.row_array``) with its largest entry.
+point while keeping arithmetic in plain ints: one (n, d+1) ``int_array``
+with its largest entry (``Instance.row_array``), which every kernel reads.
 The batched kernels run the same integer arithmetic on numpy arrays: int64
 when a bound computed from that entry proves that nothing overflows, Python
 ints (``dtype=object``) otherwise, and the products with every row take
@@ -109,14 +109,19 @@ def as_point(coords: Iterable) -> Point:
 # Integer linear algebra (stacked cofactors, exact elimination)
 # ---------------------------------------------------------------------------
 
-def int_array(values: Sequence[int], width: int) -> tuple[np.ndarray, int]:
+def int_array(values, width: int) -> tuple[np.ndarray, int]:
     """Integers as the rows of a read-only (m, width) array, with their largest |entry|.
 
-    ``values`` lists the entries row by row.  The array is int64 when every
-    entry fits and holds Python ints (dtype=object) otherwise; a kernel
-    picks its working dtype from the largest entry (``_exact_dtype``).
+    ``values`` lists the entries row by row, as Python ints or as an int64
+    array with no entry -2^63.  The array is int64 when every entry fits and
+    holds Python ints (dtype=object) otherwise; a kernel picks its working
+    dtype from the largest entry (``_exact_dtype``), a Python int, so that
+    the bounds computed from it cannot overflow.
     """
-    max_abs = max(map(abs, values), default=0)
+    if isinstance(values, np.ndarray):
+        max_abs = int(np.abs(values).max(initial=0))
+    else:
+        max_abs = max(map(abs, values), default=0)
     arr = np.array(values, dtype=np.int64 if max_abs < 1 << 63 else object).reshape(-1, width)
     arr.setflags(write=False)
     return arr, max_abs
@@ -136,17 +141,6 @@ def _stage_bound(max_abs: int, width: int) -> int:
 def _exact_dtype(max_abs: int, width: int):
     """int64 when ``_stage_bound`` is below ``_NUMPY_SAFE``, else Python ints (object)."""
     return np.int64 if _stage_bound(max_abs, width) < _NUMPY_SAFE else object
-
-
-def exact_int_array(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
-    """Integer rows as an (m, width) array in a dtype the batched kernels keep exact.
-
-    The dtype is ``_exact_dtype`` of the largest entry: int64 below
-    ``_NUMPY_SAFE``, otherwise Python ints (dtype=object), on which the
-    same array code runs exactly.
-    """
-    max_abs = max((abs(c) for r in rows for c in r), default=0)
-    return np.array(rows, dtype=_exact_dtype(max_abs, width)).reshape(len(rows), width)
 
 
 @functools.cache
@@ -195,7 +189,7 @@ def _leading_minors(rows: np.ndarray, levels) -> np.ndarray:
     ``_expansion_plan``.  The minors of the leading r rows are built for
     every r-subset of columns at once by expanding along row r, one array
     operation per position in the subset, so the arithmetic stays in the
-    dtype of ``rows`` (see ``exact_int_array`` for when int64 is exact).
+    dtype of ``rows`` (see ``_exact_dtype`` for when int64 is exact).
     """
     minors = np.ones((len(rows), 1), dtype=rows.dtype)
     for r, (cols, sub) in enumerate(levels):
@@ -380,35 +374,32 @@ class GeneralPositionResult:
     reason: Optional[str] = None
 
 
-@dataclass(init=False)
+@dataclass(init=False, eq=False)
 class Instance:
     """A family of hyperplanes in R^d, optionally colored.
 
-    An instance is its integer rows: hyperplane i is ``normals[i] . y =
-    offsets[i]``, the rational hyperplane times ``dens[i]``, the lcm of its
-    reduced denominators.  ``scaled()`` returns the rows as tuples,
-    ``row_array()`` as one array, ``normal_ints()`` each normal alone scaled
-    to integers, and every kernel reads only these.  ``hyperplanes``, the
-    rational ``Hyperplane`` form, is a view built on first access.
-    ``parse_instance`` builds the rows straight from a file through
-    ``from_rows``; the constructor takes Hyperplanes, computes their rows
-    and keeps the Hyperplanes as the view.
+    An instance is its integer rows: row i is hyperplane i times
+    ``dens()[i]``, the lcm of its reduced denominators, stored once as the
+    (n, d+1) ``int_array`` of ``row_array()`` with its largest |entry|.
+    ``normal_ints()`` scales each normal alone to integers, and every kernel
+    reads only these.  ``hyperplanes``, the rational ``Hyperplane`` form,
+    is a view built on first access.  ``parse_instance`` hands the array it
+    builds from a file to ``from_rows``; the constructor takes Hyperplanes,
+    computes their rows and keeps the Hyperplanes as the view.
 
     Treated as an immutable value: equal instances have equal dimensions,
     rows (so equal hyperplanes), colors and metadata.  Private fields cache
-    the row array, the normals' integer form and the general-position
-    verdict.
+    the normals' integer form and the general-position verdict.
     """
 
     dim: int
-    _scaled: tuple[list[tuple[int, ...]], list[int]]
+    _rows: tuple[np.ndarray, int]
     _dens: list[int]
     colors: Optional[list[int]]
     metadata: dict
-    _hyperplanes: Optional[list[Hyperplane]] = field(default=None, repr=False, compare=False)
-    _rows: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False, compare=False)
-    _normal_ints: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False, compare=False)
-    _gp: Optional[GeneralPositionResult] = field(default=None, repr=False, compare=False)
+    _hyperplanes: Optional[list[Hyperplane]] = field(default=None, repr=False)
+    _normal_ints: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False)
+    _gp: Optional[GeneralPositionResult] = field(default=None, repr=False)
 
     def __init__(self, dim: int, hyperplanes: Sequence[Hyperplane],
                  colors: Optional[list[int]] = None, metadata: Optional[dict] = None):
@@ -422,31 +413,40 @@ class Instance:
             if len(colors) != len(hyperplanes):
                 raise DimensionMismatchError("colors length differs from hyperplane count")
             for c in colors:
-                if not 0 <= c <= dim:
-                    raise ValueError(f"color {c} out of range [0, {dim}]")
-        normals, offsets, dens = [], [], []
+                # as the parser reads them, so that the file parses back
+                if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c <= dim:
+                    raise ValueError(f"color {c!r} out of range [0, {dim}]")
+        flat, dens = [], []
         for h in hyperplanes:
             den = math.lcm(h.offset.denominator, *(c.denominator for c in h.normal))
-            normals.append(tuple(c.numerator * (den // c.denominator) for c in h.normal))
-            offsets.append(h.offset.numerator * (den // h.offset.denominator))
+            flat.extend(c.numerator * (den // c.denominator) for c in h.normal)
+            flat.append(h.offset.numerator * (den // h.offset.denominator))
             dens.append(den)
-        self.dim, self._scaled, self._dens = dim, (normals, offsets), dens
+        self.dim, self._rows, self._dens = dim, int_array(flat, dim + 1), dens
         self.colors, self.metadata = colors, {} if metadata is None else metadata
         self._hyperplanes = hyperplanes
 
     @classmethod
-    def from_rows(cls, dim: int, normals: list[tuple[int, ...]], offsets: list[int],
-                  dens: list[int], colors: Optional[list[int]] = None,
+    def from_rows(cls, dim: int, rows: tuple[np.ndarray, int], dens: list[int],
+                  colors: Optional[list[int]] = None,
                   metadata: Optional[dict] = None) -> "Instance":
         """The instance of checked integer rows.
 
-        Row i is a nonzero normal of length ``dim`` and an offset: hyperplane
-        i times ``dens[i]``, the lcm of its reduced denominators.
+        ``rows`` is the ``int_array`` of the rows, each a nonzero normal of
+        length ``dim`` and an offset: hyperplane i times ``dens[i]``, the lcm
+        of its reduced denominators.
         """
         inst = cls.__new__(cls)
-        inst.dim, inst._scaled, inst._dens = dim, (normals, offsets), dens
+        inst.dim, inst._rows, inst._dens = dim, rows, dens
         inst.colors, inst.metadata = colors, {} if metadata is None else metadata
         return inst
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return ((self.dim, self._dens, self.colors, self.metadata)
+                == (other.dim, other._dens, other.colors, other.metadata)
+                and np.array_equal(self._rows[0], other._rows[0]))
 
     @property
     def n(self) -> int:
@@ -454,29 +454,23 @@ class Instance:
 
     @property
     def hyperplanes(self) -> list[Hyperplane]:
-        """The rational hyperplanes: row i divided by ``dens[i]``."""
+        """The rational hyperplanes: row i divided by ``dens()[i]``."""
         if self._hyperplanes is None:
             self._hyperplanes = [
-                Hyperplane(tuple(Fraction(a, den) for a in normal), Fraction(b, den))
-                for normal, b, den in zip(*self._scaled, self._dens)
+                Hyperplane(tuple(Fraction(a, den) for a in row[:-1]), Fraction(row[-1], den))
+                for row, den in zip(self._rows[0].tolist(), self._dens)
             ]
         return self._hyperplanes
-
-    def scaled(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The integer rows (normals, offsets)."""
-        return self._scaled
 
     def dens(self) -> list[int]:
         """The row multipliers: row i is hyperplane i times ``dens()[i]``."""
         return self._dens
 
     def row_array(self) -> tuple[np.ndarray, int]:
-        """The rows (normals[i], offsets[i]) as one read-only (n, d+1) ``int_array``.
+        """The rows (normal_i, offset_i) as one read-only (n, d+1) ``int_array``.
 
-        Returned with the rows' largest |entry|.
+        Returned with the rows' largest |entry|, a Python int.
         """
-        if self._rows is None:
-            self._rows = int_array([c for a, b in zip(*self._scaled) for c in (*a, b)], self.dim + 1)
         return self._rows
 
     def normal_ints(self) -> tuple[np.ndarray, int]:
@@ -585,7 +579,7 @@ def check_general_position(F: Instance) -> GeneralPositionResult:
     if F._gp is None and F.n < F.dim:
         # fewer hyperplanes than d: require independent normals instead
         F._gp = GeneralPositionResult(True)
-        if fraction_rank(F.scaled()[0]) < F.n:
+        if fraction_rank(F.row_array()[0][:, :F.dim].tolist()) < F.n:
             F._gp = GeneralPositionResult(False, tuple(range(F.n)), "degenerate")
     elif F._gp is None:
         try:

@@ -6,17 +6,17 @@ so parse(write(x)) == x holds coordinate for coordinate.  Unknown top-level
 fields are rejected in strict mode and preserved through a round trip in
 lenient mode.
 
-An instance is its integer rows (see ``Instance``), and ``parse_instance``
-builds them in one pass.  A file whose scalars are all JSON integers, or all
-plain ASCII integer strings of at most 18 characters, is read in one
-batched pass (``_int_rows``).  Any other file goes scalar by
-scalar (``_ratio_rows``): each scalar becomes a reduced (p, q) pair,
-straight from the text by int() for JSON integers and the plain ASCII "p"
-and "p/q" spellings that write_instance emits, through ``Fraction``'s
-parser for every other spelling, and each row is scaled by the lcm of its
-denominators; this loop raises every error, so both passes give the same
-rows and the same errors.  The rational ``Hyperplane``s are a view the
-instance builds on first access; ``write_instance`` reads it.
+An instance is its integer rows, one ``int_array`` (see ``Instance``), and
+``parse_instance`` builds that array in one pass and hands it over.  A file
+whose scalars are all JSON integers, or all plain ASCII integer strings of
+at most 18 characters, is read in one batched pass (``_int_rows``).  Any
+other file goes scalar by scalar (``_ratio_rows``): each scalar becomes a
+reduced (p, q) pair, straight from the text by int() for JSON integers and
+the plain ASCII "p" and "p/q" spellings that write_instance emits, through
+``Fraction``'s parser for every other spelling, and each row is scaled by
+the lcm of its denominators; this loop raises every error, so both passes
+give the same rows and the same errors.  The rational ``Hyperplane``s are a
+view the instance builds on first access; ``write_instance`` reads it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Instance, check_general_position, ensure_general_position
+from .geometry import Instance, check_general_position, ensure_general_position, int_array
 from .measures import FlatMeasureSpec
 
 FORMAT_VERSION = 1
@@ -142,9 +142,9 @@ def _int_rows(raw_planes: list, dim: int):
     ``dim`` and an offset, every scalar is a JSON integer or every scalar a
     string of at most 18 characters that ``_ratio`` reads by int(), and no
     normal is zero.  Then the rows are the file's scalars, with every
-    multiplier 1, and this returns ``(normals, offsets)``.  Otherwise it
-    returns None, and the per-scalar loop parses the file and raises its
-    errors.
+    multiplier 1, and this returns ``(int_array, dens)`` as ``_ratio_rows``
+    does.  Otherwise it returns None, and the per-scalar loop parses the
+    file and raises its errors.
     """
     try:
         cells = [hp["normal"] + [hp["offset"]] for hp in raw_planes]
@@ -162,22 +162,22 @@ def _int_rows(raw_planes: list, dim: int):
         if text.count(",") != len(flat) - 1 or not _INT_LIST.fullmatch(text):
             return None
         # every value is below 10^18 in absolute value, so int64 holds it
-        flat = np.fromstring(text, dtype=np.int64, sep=",").tolist()
+        flat = np.fromstring(text, dtype=np.int64, sep=",")
     elif kinds - {int}:
         return None
-    normals = list(zip(*(flat[j::dim + 1] for j in range(dim))))
-    if not all(map(any, normals)):
+    rows = int_array(flat, dim + 1)
+    if not (rows[0][:, :dim] != 0).any(axis=1).all():
         return None
-    return normals, flat[dim::dim + 1]
+    return rows, [1] * len(cells)
 
 
 def _ratio_rows(raw_planes: list, dim: int):
-    """The rows of any file, scalar by scalar through ``_ratio``: ``(normals, offsets, dens)``.
+    """The rows of any file, scalar by scalar through ``_ratio``: ``(int_array, dens)``.
 
     Each hyperplane goes straight to its integer row, the rational row
     times its lcm of denominators ``dens[i]``.
     """
-    normals, offsets, dens = [], [], []
+    flat, dens = [], []
     for i, hp in enumerate(raw_planes):
         if not isinstance(hp, dict):
             raise ParseError("bad-type", f"hyperplane {i} must be an object")
@@ -201,10 +201,10 @@ def _ratio_rows(raw_planes: list, dim: int):
         if den != 1:
             nums = tuple(p * (den // q) for p, q in pairs)
             b *= den // qb
-        normals.append(nums)
-        offsets.append(b)
+        flat.extend(nums)
+        flat.append(b)
         dens.append(den)
-    return normals, offsets, dens
+    return int_array(flat, dim + 1), dens
 
 
 def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
@@ -243,12 +243,7 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
     if not isinstance(raw_planes, list):
         raise ParseError("bad-type", "hyperplanes must be a list")
 
-    int_rows = _int_rows(raw_planes, dim)
-    if int_rows is not None:
-        normals, offsets = int_rows
-        dens = [1] * len(offsets)
-    else:
-        normals, offsets, dens = _ratio_rows(raw_planes, dim)
+    rows, dens = _int_rows(raw_planes, dim) or _ratio_rows(raw_planes, dim)
 
     colors = obj.get("colors")
     if colors is not None:
@@ -281,7 +276,7 @@ def parse_instance(data: Union[bytes, str], strict: bool = False) -> Instance:
             )
         metadata["_measure"] = measure
 
-    inst = Instance.from_rows(dim, normals, offsets, dens, colors=colors, metadata=metadata)
+    inst = Instance.from_rows(dim, rows, dens, colors=colors, metadata=metadata)
     # write_instance lifts a truthy metadata.general_position to the
     # top-level declaration, so either one declares it
     if obj.get("general_position") or metadata.get("general_position"):

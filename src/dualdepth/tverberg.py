@@ -40,7 +40,8 @@ from .geometry import (
     Point,
     checked_vertex_blocks,
     cofactor_blocks,
-    exact_int_array,
+    _exact_dtype,
+    int_array,
     scale_to_int,
     stacked_cofactors,
 )
@@ -100,8 +101,9 @@ def _simplex_vertices(F: Instance, groups: Sequence[tuple[int, ...]]) -> list[li
     point.  One ``stacked_cofactors`` call serves all the groups.
     """
     d = F.dim
-    normals, offsets = F.scaled()
-    rows = exact_int_array([normals[i] + (-offsets[i],) for g in groups for i in g], d + 1)
+    A, max_abs = F.row_array()
+    rows = A[[i for g in groups for i in g]].astype(_exact_dtype(max_abs, d + 1))
+    rows[:, d] *= -1
     omit = [[k for k in range(d + 1) if k != i] for i in range(d + 1)]
     # the cofactor vector of the rows through vertex i is proportional to (vertex, 1)
     cof = stacked_cofactors(rows.reshape(len(groups), d + 1, d + 1)[:, omit].reshape(-1, d, d + 1))
@@ -124,11 +126,9 @@ def _facet_rows(F: Instance, idx: tuple[int, ...], vertices) -> list[tuple[int, 
     for i, v in enumerate(vertices):
         if v[-1] == 0:
             raise DegenerateSubfamilyError(idx[:i] + idx[i + 1:], f"subfamily {idx} is degenerate")
-    normals, offsets = F.scaled()
     dens = F.dens()
     rows = []
-    for i, v in zip(idx, vertices):
-        a, b = normals[i], offsets[i]
+    for i, (*a, b), v in zip(idx, F.row_array()[0][list(idx)].tolist(), vertices):
         s = sum(c * x for c, x in zip(a, v)) - b * v[-1]  # (a . x - b) * den
         if s == 0:
             raise DegenerateSubfamilyError(idx, "flat simplex (vertex on its facet)")
@@ -181,7 +181,7 @@ def _max_slack(rows) -> tuple[Point, Fraction]:
     and ``cofactor_blocks`` gives for each (d+1)-subset of rows a vector
     proportional to (x, e, 1), nonzero in its last entry exactly when the
     subset is nonsingular.  The feasible ones are checked with one matmul
-    per block in the dtype ``exact_int_array`` picks, and compared by
+    per block in the ``_exact_dtype`` of their ``int_array``, and compared by
     cross-multiplied Python ints: the largest e wins, ties go to the
     lexicographically smaller x.  The blocks' winners compete by the same
     rule.  The lexicographically least point of the optimal face is one of
@@ -194,7 +194,8 @@ def _max_slack(rows) -> tuple[Point, Fraction]:
     1984; Seidel 1991), which this module does not implement.
     """
     d = len(rows[0]) - 2
-    M = exact_int_array(rows, d + 2)
+    M, max_abs = int_array([c for r in rows for c in r], d + 2)
+    M = M.astype(_exact_dtype(max_abs, d + 2), copy=False)
     winners = []
     for _, cof in cofactor_blocks(M):
         cof = cof[cof[:, d + 1] != 0]
@@ -292,7 +293,8 @@ def dual_tverberg_plane(F: Instance) -> PartitionResult:
     # turned towards the line: negated where x lies on the positive side.
     # A row is a positive multiple of the rational line, so the angles agree.
     signs = signature_of(F, x)
-    dirs = [tuple(-c for c in a) if s > 0 else a for s, a in zip(signs, F.scaled()[0])]
+    normals = F.row_array()[0][:, :2].tolist()
+    dirs = [[-c for c in a] if s > 0 else a for s, a in zip(signs, normals)]
     # sorted() is stable, so lines of one angle keep their index order
     naive = sorted(range(F.n), key=cmp_to_key(lambda i, j: _angle_cmp(dirs[i], dirs[j])))
     a, b = (i for i, s in enumerate(signs) if s == 0)

@@ -46,6 +46,7 @@ from dualdepth.depth import _edge_blocks  # noqa: E402
 from dualdepth.geometry import (  # noqa: E402
     DegenerateSubfamilyError,
     DimensionMismatchError,
+    _exact_dtype,
     check_general_position,
     fraction_nullspace,
     fraction_rank,
@@ -310,11 +311,25 @@ def margin_rows(facets):
     return [scale_to_int([-v for v in normal] + [Fraction(1), offset]) for normal, offset in facets]
 
 
+def exact_dtype_of(rows) -> np.dtype:
+    """The dtype the batched kernels run integer ``rows`` in.
+
+    ``_exact_dtype`` of their largest |entry|, as ``_max_slack`` picks it.
+    """
+    return np.dtype(_exact_dtype(max(abs(c) for r in rows for c in r), len(rows[0])))
+
+
 def margin_lp(facets):
     """The max-slack LP of inward facets: maximize e st normal . x >= offset + e."""
     d = len(facets[0][0])
     A = [[-v for v in normal] + [Fraction(1)] for normal, _ in facets]
     return [Fraction(0)] * d + [Fraction(1)], A, [-offset for _, offset in facets]
+
+
+def int_rows(F: Instance):
+    """F's integer rows as Python ints: the normals as tuples, and the offsets."""
+    rows = F.row_array()[0].tolist()
+    return [tuple(r[:-1]) for r in rows], [r[-1] for r in rows]
 
 
 @pytest.fixture
@@ -341,7 +356,7 @@ def sampled_depth_oracle(F: Instance, x, n_dirs: int, seed: int) -> int:
     algorithm is what the calling tests assert.
     """
     d = F.dim
-    normals, offsets = F.scaled()
+    normals, offsets = int_rows(F)
     N = np.array(normals, dtype=np.int64)
     off = np.array(offsets, dtype=np.int64)
 
@@ -503,7 +518,7 @@ def max_depth_point_reference(F: Instance) -> DepthCertificate:
     """
     ensure_general_position(F)
     n, d = F.n, F.dim
-    normals, offsets = F.scaled()
+    normals, offsets = int_rows(F)
     dirs = _edge_directions(normals, d)
     S = [[_sign(sum(a * v for a, v in zip(normal, u))) for normal in normals] for u in dirs]
     best = None
@@ -586,7 +601,7 @@ def form_simplex_reference(F: Instance, idx):
 
     d = F.dim
     idx = tuple(sorted(idx))
-    normals, offsets = F.scaled()
+    normals, offsets = int_rows(F)
     vertices = []
     for i in idx:
         others = tuple(j for j in idx if j != i)
@@ -609,7 +624,7 @@ def form_simplex_reference(F: Instance, idx):
 def check_general_position_reference(F: Instance) -> GeneralPositionResult:
     """First singular d-subset, else first concurrent (d+1)-subset (n >= d only)."""
     d, n = F.dim, F.n
-    normals, offsets = F.scaled()
+    normals, offsets = int_rows(F)
     for sub in itertools.combinations(range(n), d):
         if solve_int_square([normals[i] for i in sub], [offsets[i] for i in sub]) is None:
             return GeneralPositionResult(False, sub, "degenerate")
@@ -913,7 +928,7 @@ def assert_parses_like_reference(data, strict: bool = False):
         return None
     inst = parse_instance(data, strict=strict)
     assert (inst.dim, inst.n) == (want.dim, want.n)
-    assert inst.scaled() == want.scaled()
+    assert inst.dens() == want.dens()
     assert inst.normal_ints()[0].tolist() == want.normal_ints()[0].tolist()
     assert inst.normal_ints()[1] == want.normal_ints()[1]
     # the row array holds the rows: the same entries, dtype and largest |entry|

@@ -28,7 +28,6 @@ from dualdepth.depth import _hemisphere_ints
 from dualdepth.tverberg import _max_slack, form_simplex
 from dualdepth.geometry import (
     DegenerateSubfamilyError,
-    exact_int_array,
     int_array,
     scale_to_int,
     stacked_cofactors,
@@ -39,8 +38,10 @@ from conftest import (
     check_general_position_reference,
     cofactor_direction,
     dual_depth_reference,
+    exact_dtype_of,
     form_simplex_reference,
     hemisphere_depth_reference,
+    int_rows,
     margin_lp,
     margin_rows,
     max_depth_point_reference,
@@ -173,8 +174,8 @@ def test_general_position_matches_subset_loop(F):
 
 def test_bound_picks_dtype():
     # width 2: int64 while 2! * M^2 < 2^62, i.e. M <= 2^30
-    assert exact_int_array([(2**30, -1)], 2).dtype == np.int64
-    assert exact_int_array([(2**31, -1)], 2).dtype == object
+    assert exact_dtype_of([(2**30, -1)]) == np.int64
+    assert exact_dtype_of([(2**31, -1)]) == object
     assert _vertex_dtype(gen_instance("random-rational", 8, 4, seed=0)) == np.int64
     assert _vertex_dtype(gen_instance("uniform-sphere-tangent", 2, 2, seed=0)) == np.int64
     # sphere-tangent coefficients reach ~2.3e7 in d=3: 4! * M^4 is far past 2^62
@@ -191,7 +192,7 @@ def test_vertices_exact_just_under_the_bound():
         for _ in range(12)
     ]
     F = Instance(2, hs)
-    normals, offsets = F.scaled()
+    normals, offsets = int_rows(F)
     for subsets, nums, den, R in vertex_blocks(F):
         assert nums.dtype == np.int64 and R.dtype == np.int64
         for sub, nu, de, r in zip(subsets.tolist(), nums.tolist(), den.tolist(), R.tolist()):
@@ -253,7 +254,7 @@ def _through(point, normal):
 
 def _meet(hs):
     """The common point of d hyperplanes in R^d, by the Cramer solve."""
-    normals, offsets = Instance(len(hs), hs).scaled()
+    normals, offsets = int_rows(Instance(len(hs), hs))
     nums, den = solve_int_square(normals, offsets)
     return tuple(Fraction(v, den) for v in nums)
 
@@ -405,7 +406,7 @@ SUBFAMILY_CASES = (
                          ids=[name for name, _ in SUBFAMILY_CASES])
 def test_intersect_subfamily_matches_cramer_solve(F):
     # every d-subset's vertex as ``vertex_blocks`` computes it, against one Cramer solve each
-    normals, offsets = F.scaled()
+    normals, offsets = int_rows(F)
     singular = 0
     for subsets, nums, den, R in vertex_blocks(F):
         for sub, nu, de, r in zip(subsets.tolist(), nums.tolist(), den.tolist(), R.tolist()):
@@ -473,7 +474,7 @@ def test_max_slack_matches_vertex_loop(F):
 
 def test_max_slack_families_take_both_dtypes():
     dtypes = {
-        exact_int_array(margin_rows(facets), F.dim + 2).dtype
+        exact_dtype_of(margin_rows(facets))
         for _, F in SUBFAMILY_CASES for facets in _margin_lps(F)
     }
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
@@ -498,7 +499,7 @@ def test_max_slack_slices_keep_the_answer(size, monkeypatch):
     sliced = []
     for rows in lps:
         # a budget of size bases' products with every row
-        object_rows = exact_int_array(rows, len(rows[0])).dtype == object
+        object_rows = exact_dtype_of(rows) == object
         entry = geometry._OBJECT_ENTRY if object_rows else 1
         monkeypatch.setattr(geometry, "_BUDGET", size * len(rows) * entry)
         sliced.append(_max_slack(rows))
@@ -535,11 +536,13 @@ def test_block_boundaries_keep_the_tables(F, size, monkeypatch):
     # vertex blocks of 1 and of 7 subsets: the children of most prefixes
     # cross a block boundary
     d = F.dim
-    normals, offsets = F.scaled()
-    rows = exact_int_array([a + (-b,) for a, b in zip(normals, offsets)], d + 1)
+    A, max_abs = F.row_array()
+    rows = A.astype(geometry._exact_dtype(max_abs, d + 1))
+    rows[:, d] *= -1
     subsets, cof = _cofactor_table(rows, d)
     vertices = cof * np.where(cof[:, d] < 0, -1, 1)[:, np.newaxis]
-    A = exact_int_array(F.normal_ints()[0].tolist(), d)
+    N, max_abs = F.normal_ints()
+    A = N.astype(geometry._exact_dtype(max_abs, d))
     dirs = _cofactor_table(A, d - 1)[1]
     dirs = dirs[(dirs != 0).any(axis=1)]
     entry = geometry._OBJECT_ENTRY if rows.dtype == object else 1
@@ -597,7 +600,8 @@ def test_blocks_stay_within_the_budget(n, bound):
     normals = [tuple(int(c) for c in rng.integers(1, bound, 2) * rng.choice([-1, 1], 2))
                for _ in range(n)]
     offsets = [int(c) for c in rng.integers(-bound, bound, n)]
-    F = Instance.from_rows(2, normals, offsets, [1] * n)
+    F = Instance.from_rows(2, int_array([c for a, b in zip(normals, offsets) for c in (*a, b)], 3),
+                           [1] * n)
     budget = geometry._BUDGET // (1 if bound < 10**5 else geometry._OBJECT_ENTRY)
     count = 0
     for subsets, _, _, R in vertex_blocks(F):
@@ -629,7 +633,7 @@ def _wide_family(n, d, M, seed):
         rows = [[int(v) for v in rng.integers(-M, M + 1, d + 1)] for _ in range(n)]
         rows[0][0] = M
         if all(any(r[:d]) for r in rows):
-            F = Instance.from_rows(d, [tuple(r[:d]) for r in rows], [r[d] for r in rows], [1] * n)
+            F = Instance.from_rows(d, int_array([c for r in rows for c in r], d + 1), [1] * n)
             if check_general_position(F).ok:
                 return F
 
@@ -687,7 +691,8 @@ def test_edge_products_are_bounded_by_the_normals_alone(monkeypatch):
     rng = np.random.default_rng(7)
     normals = [tuple(int(v) for v in rng.integers(-50, 51, 3)) for _ in range(8)]
     offsets = [int(v) * 10**15 + 1 for v in rng.integers(-10**6, 10**6, 8)]
-    F = Instance.from_rows(3, normals, offsets, [1] * 8)
+    F = Instance.from_rows(3, int_array([c for a, b in zip(normals, offsets) for c in (*a, b)], 4),
+                           [1] * 8)
     assert F.row_array()[0].dtype == object and F.normal_ints()[1] <= 50
     dtypes = []
     real = depth._edge_blocks

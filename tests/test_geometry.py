@@ -139,7 +139,7 @@ class TestHyperplane:
 
     def test_scaled_integer_form(self):
         h = Hyperplane((Fraction(1, 2), Fraction(1, 3)), Fraction(1, 6))
-        assert Instance(2, [h]).scaled() == ([(3, 2)], [1])
+        assert Instance(2, [h]).row_array()[0].tolist() == [[3, 2, 1]]
 
     def test_instance_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):

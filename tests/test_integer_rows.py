@@ -19,6 +19,7 @@ from dualdepth import Hyperplane, Instance, gen_instance, parse_instance, write_
 from dualdepth.cli import main
 from dualdepth.generators import MODELS
 from dualdepth import io
+from dualdepth.geometry import _exact_dtype, int_array
 from dualdepth.io import ParseError
 
 from conftest import assert_parses_like_reference
@@ -143,7 +144,7 @@ def test_rows_are_the_instance():
     # and normal_ints scales the normal alone
     data = _file((["1/2", "-1/3"], "5/4"), (["3", "0"], "1/6"), (["-2/6", "4"], "7"))
     F = parse_instance(data)
-    assert F.scaled() == ([(6, -4), (18, 0), (-1, 12)], [15, 1, 21])
+    assert F.row_array()[0].tolist() == [[6, -4, 15], [18, 0, 1], [-1, 12, 21]]
     assert F.normal_ints()[0].tolist() == [[3, -2], [3, 0], [-1, 12]]
     assert F.normal_ints()[1] == 12
     assert F.hyperplanes == [
@@ -154,7 +155,7 @@ def test_rows_are_the_instance():
     assert F == Instance(2, F.hyperplanes)
     # one integer row of two rational rows: two instances, as their Hyperplanes are
     whole, halves = _file((["1", "1"], "1")), _file((["1/2", "1/2"], "1/2"))
-    assert parse_instance(whole).scaled() == parse_instance(halves).scaled()
+    assert np.array_equal(parse_instance(whole).row_array()[0], parse_instance(halves).row_array()[0])
     assert parse_instance(whole) != parse_instance(halves)
 
 
@@ -267,14 +268,92 @@ def test_integer_files_take_the_batched_pass(data, batched, monkeypatch):
     assert F == want and bool(calls) != batched
     # int64 rows while every entry fits, Python ints past that
     rows, max_abs = F.row_array()
-    assert max_abs == max(abs(c) for a, b in zip(*F.scaled()) for c in (*a, b))
+    assert max_abs == max(abs(c) for r in rows.tolist() for c in r)
     assert rows.dtype == (np.int64 if max_abs < 2**63 else object)
 
 
 def test_digit_limit_is_the_interpreters():
     limit = sys.get_int_max_str_digits()
     ok = _file((["1", "9" * limit], "0"))
-    assert parse_instance(ok).scaled()[0][0][1] == int("9" * limit)
+    assert parse_instance(ok).row_array()[0][0, 1] == int("9" * limit)
     with pytest.raises(ParseError) as exc:
         parse_instance(_file((["1", "9" * (limit + 1)], "0")))
     assert exc.value.code == "bad-scalar"
+
+
+ROUTES = {
+    "constructor": lambda: Instance(
+        2, [Hyperplane((3, -4), 5), Hyperplane((Fraction(1, 2), 2), -7)]),
+    "json-integers": lambda: parse_instance(
+        '{"dim": 2, "hyperplanes": [{"normal": [3, -4], "offset": 5}]}'),
+    "strings": lambda: parse_instance(_file((["3", "-4"], "5"), (["-100000", "2"], "0"))),
+    "ratios": lambda: parse_instance(_file((["3/2", "-4"], "5/3"))),
+    "json-integer-past-int64": lambda: parse_instance(
+        '{"dim": 2, "hyperplanes": [{"normal": [3, -4], "offset": %d}]}' % 2**63),
+    "string-past-int64": lambda: parse_instance(_file((["3", str(-2**63)], "5"))),
+    "generator": lambda: gen_instance("uniform-sphere-tangent", 5, 3, seed=0),
+}
+
+
+@pytest.mark.parametrize("build", ROUTES.values(), ids=ROUTES.keys())
+def test_largest_entry_is_a_python_int(build):
+    # a numpy scalar would overflow the kernels' bounds on the way to _exact_dtype
+    F = build()
+    rows, max_abs = F.row_array()
+    assert type(max_abs) is int and max_abs == max(abs(c) for r in rows.tolist() for c in r)
+    assert type(F.normal_ints()[1]) is int
+    # int64 exactly when every entry fits
+    assert rows.dtype == (np.int64 if max_abs < 2**63 else object)
+    if max_abs >= 10**5:
+        # 4! * M^4 passes 2^62
+        assert _exact_dtype(max_abs, 4) is object
+
+
+def test_equal_rows_from_every_route_are_equal_instances():
+    want = Instance(2, [Hyperplane((3, -4), 5), Hyperplane((1, 2), -7)])
+    files = [
+        '{"dim": 2, "hyperplanes": [{"normal": [3, -4], "offset": 5}, '
+        '{"normal": [1, 2], "offset": -7}]}',
+        _file((["3", "-4"], "5"), (["1", "2"], "-7")),
+        _file((["6/2", "-8/2"], "10/2"), (["3/3", "2"], "-21/3")),
+    ]
+    for data in files:
+        assert parse_instance(data) == want
+    rows, _ = want.row_array()
+    for changed in ([3, -4, 6, 1, 2, -7], [3, -4, 5, 1, 2, -7, 0, 1, 1]):
+        assert Instance.from_rows(2, int_array(changed, 3), [1] * (len(changed) // 3)) != want
+    assert Instance.from_rows(2, int_array(rows.ravel().tolist(), 3), [1, 2]) != want
+    assert Instance.from_rows(2, int_array(rows.ravel().tolist(), 3), [1, 1]) == want
+
+
+def test_object_rows_compare_by_value():
+    big = 2**70
+    want = Instance(2, [Hyperplane((big, -4), 5), Hyperplane((1, 2), -big)])
+    data = '{"dim": 2, "hyperplanes": [{"normal": [%d, -4], "offset": 5}, ' \
+           '{"normal": [1, 2], "offset": -%d}]}' % (big, big)
+    assert want.row_array()[0].dtype == object
+    assert parse_instance(data) == want
+    assert parse_instance(_file(([str(big), "-4"], "5"), (["1", "2"], str(-big)))) == want
+    assert parse_instance(data.replace(str(big), str(big + 1), 1)) != want
+    assert parse_instance(_file((["3", "-4"], "5"), (["1", "2"], "-7"))) != want
+
+
+def test_instance_is_unequal_to_other_objects():
+    F = Instance(2, [Hyperplane((3, -4), 5)])
+    assert not F == object() and F != object()
+    assert F != F.row_array()
+
+
+@pytest.mark.parametrize("color", [True, False, 0.0, 1.0, -1, 3, "1", None], ids=repr)
+def test_constructor_refuses_the_colors_the_parser_refuses(color):
+    # so that every instance the library builds writes a file that parses back
+    hs = [Hyperplane((1, 0), 0), Hyperplane((0, 1), 0), Hyperplane((1, 1), 1)]
+    F = Instance(2, hs, colors=[0, 1, 2])
+    assert parse_instance(write_instance(F)) == F
+    with pytest.raises(ValueError, match="out of range"):
+        Instance(2, hs, colors=[color, 1, 2])
+    obj = json.loads(write_instance(F))
+    obj["colors"][0] = color
+    with pytest.raises(ParseError) as exc:
+        parse_instance(json.dumps(obj))
+    assert exc.value.code == "bad-color"

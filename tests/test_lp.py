@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from dualdepth import Hyperplane, Instance, gen_instance
-from dualdepth.geometry import DegenerateSubfamilyError, exact_int_array
+from dualdepth.geometry import DegenerateSubfamilyError
 from dualdepth.tverberg import _max_slack, common_interior_point, form_simplex
 
 from conftest import (
@@ -18,6 +18,7 @@ from conftest import (
     OPTIMAL,
     UNBOUNDED,
     dot,
+    exact_dtype_of,
     margin_lp,
     margin_rows,
     simplex_reference,
@@ -183,7 +184,7 @@ class TestMaxSlack:
         ])
         simplices = [form_simplex(F, (0, 1, 2)), form_simplex(F, (3, 4, 5))]
         facets = facets_of(simplices)
-        assert exact_int_array(margin_rows(facets), 4).dtype == object
+        assert exact_dtype_of(margin_rows(facets)) == object
         # slack 2 on the segment x + y = 1 inside both; its least point is
         # where the facet on plane 4 (x - big y >= -big) has slack 2 too
         x, e = assert_matches_references(facets)
