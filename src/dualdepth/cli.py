@@ -167,12 +167,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     vm.add_argument("--point", help="candidate point; searched when omitted")
     vm.add_argument("--samples", type=int, default=10000)
-    vm.add_argument("--probes", type=int, default=720)
+    vm.add_argument("--probes", type=int, default=720,
+                    help="probe directions where the rays' directions form a sphere of "
+                         "dimension >= 2 (d >= 3), at least 1; in the plane every direction "
+                         "is swept exactly")
 
     vt = sub.add_parser("verify-transversal", help="Monte Carlo central transversal check")
     vt.add_argument("--spec", required=True, help="transversal spec JSON file")
     vt.add_argument("--samples", type=int, default=10000)
-    vt.add_argument("--probes", type=int, default=360)
+    vt.add_argument("--probes", type=int, default=360,
+                    help="probe directions where the half-flats' directions form a sphere "
+                         "of dimension >= 2 (k >= 2), at least 1; a circle of them (k = 1) "
+                         "is swept exactly")
 
     pl = sub.add_parser("plot", parents=[reads], help="render a planar instance as SVG")
     pl.add_argument("--out", required=True)

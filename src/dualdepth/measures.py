@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional, Sequence
 
 import numpy as np
@@ -316,7 +317,7 @@ def _probe_counts(dirs, x_t, hit) -> np.ndarray:
     for lo in range(0, len(dirs), _BLOCK):
         block = dirs[lo:lo + _BLOCK]
         hits = hit(np.matmul(block, x_t, out=proj[:len(block)]))
-        counts[lo:lo + len(block)] = [np.count_nonzero(row) for row in hits]
+        counts[lo:lo + len(block)] = np.count_nonzero(hits, axis=1)
     return counts
 
 
@@ -336,6 +337,128 @@ def _ray_fractions(normals, offsets, x, dirs, parallel=None) -> np.ndarray:
     toward_t = np.ascontiguousarray((normals * side[:, np.newaxis]).T)
     hits = _probe_counts(dirs, toward_t, lambda proj: proj > 0.0)
     return (hits + contained) / len(r)
+
+
+# ---------------------------------------------------------------------------
+# Exact sweep of a circle of directions
+# ---------------------------------------------------------------------------
+
+# float angles further apart than this are in exact order; closer ones are
+# ordered by exact cross products where their float cross product cannot
+_ANGLE_TIE = 1e-9
+
+
+def _circle_sweep(arcs: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """Exact minimum over the directions v of the plane of how many of the
+    open half-circles ``{v : a . v > 0}``, one per nonzero row a of
+    ``arcs``, hold v.
+
+    Returns that count, a direction attaining it and the number of
+    directions examined: every distinct arc end and the gap after it.  Each
+    half-circle runs counterclockwise from its start (a1, -a0) to its end
+    (-a1, a0).  An end holds no arc that ends or starts there, so its count
+    is at most that of the gaps beside it, and the minimum is attained at an
+    end; the direction returned is that end, exactly (with no arc it is
+    (1, 0)).  The ends are sorted once, as one representative p per line of
+    ends in the upper half-plane, angle [0, pi): an arc ends at its p or
+    starts there, and leaves or enters at -p.  The count at p_k then follows
+    from prefix sums, and every arc off p_k's line holds exactly one of p_k
+    and -p_k.  The order and the ties of the representatives are exact on
+    their float values (``_exact_order``); a direction is given by its first
+    row in ``arcs``, so that no order among ties shows.
+    """
+    a0, a1 = arcs[:, 0], arcs[:, 1]
+    keep = (a0 != 0.0) | (a1 != 0.0)
+    a0, a1 = a0[keep], a1[keep]
+    m = len(a0)
+    if not m:
+        return 0, np.array([1.0, 0.0]), 1
+    # where the end (-a1, a0) is in the lower half-plane, p is the start
+    starts_up = (a0 < 0.0) | ((a0 == 0.0) & (a1 > 0.0))
+    flip = np.where(starts_up, -1.0, 1.0)
+    px, py = -a1 * flip, a0 * flip
+    order, new = _exact_order(px, py)
+    first = np.flatnonzero(new)  # the first position of each line of ends
+    n_in = np.add.reduceat(starts_up[order].astype(np.int64), first)
+    n_out = np.diff(np.append(first, m)) - n_in
+    # the gap below p_0 is held by the arcs that end in the upper half
+    before = n_out.sum() + np.concatenate([[0], np.cumsum(n_in - n_out)[:-1]])
+    at_p = before - n_out
+    counts = np.concatenate([at_p, m - n_in - n_out - at_p])  # at each p_k, then each -p_k
+    k = int(counts.argmin())
+    K = len(first)
+    i = np.minimum.reduceat(order, first)[k % K]
+    sign = 1.0 if k < K else -1.0
+    direction = np.array([px[i] * sign, py[i] * sign]) + 0.0  # + 0.0: no -0.0 entries
+    return int(counts[k]), direction, 4 * K
+
+
+def _exact_order(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order of the nonzero upper-half-plane vectors (px, py) by exact
+    angle, and per position of it whether that vector's direction differs
+    from the one before (``True`` at position 0).
+
+    The float angles order every pair that is more than ``_ANGLE_TIE``
+    apart.  A closer neighbour follows exactly when both are the same
+    vector (a tie) or when the float cross product exceeds its rounding
+    bound (it comes strictly after).  Each run of close angles holding any
+    other pair is sorted again by exact cross products of its distinct
+    vectors.
+    """
+    angle = np.arctan2(py, px)
+    order = np.argsort(angle)
+    qx, qy, a = px[order], py[order], angle[order]
+    x0, y0, x1, y1 = qx[:-1], qy[:-1], qx[1:], qy[1:]
+    same = (x0 == x1) & (y0 == y1)
+    far = np.diff(a) > _ANGLE_TIE
+    # four units in the last place of the terms bound the rounding error
+    xy, yx = x0 * y1, y0 * x1
+    after = far | (xy - yx > 2.0**-50 * (np.abs(xy) + np.abs(yx)) + 1e-300)
+    new = np.concatenate([[True], ~same])
+    breaks = np.flatnonzero(far)  # a run of close angles ends at each
+    end = 0
+    for i in np.flatnonzero(~(same | after)).tolist():
+        if i < end:
+            continue
+        j = int(np.searchsorted(breaks, i))
+        lo = int(breaks[j - 1]) + 1 if j else 0
+        end = int(breaks[j]) if j < len(breaks) else len(far)
+        run = np.stack([qx[lo:end + 1], qy[lo:end + 1]], axis=1)
+        rows, inverse = np.unique(run, axis=0, return_inverse=True)
+        exact = [(Fraction(u), Fraction(v)) for u, v in rows.tolist()]
+
+        def cross(s, t):  # positive when row t lies counterclockwise of row s
+            return exact[s][0] * exact[t][1] - exact[s][1] * exact[t][0]
+
+        ranked = sorted(range(len(rows)), key=cmp_to_key(lambda s, t: cross(t, s)))
+        rank = np.empty(len(rows), dtype=np.int64)
+        k = 0
+        for prev, cur in zip(ranked[:1] + ranked, ranked):
+            k += cross(prev, cur) > 0
+            rank[cur] = k
+        ranks = rank[inverse.ravel()]
+        by_rank = np.argsort(ranks, kind="stable")
+        order[lo:end + 1] = order[lo:end + 1][by_rank]
+        ranks = ranks[by_rank]
+        new[lo + 1:end + 1] = ranks[1:] != ranks[:-1]
+    return order, new
+
+
+def _planar_rays(normals, offsets, x) -> tuple[int, np.ndarray, int]:
+    """The fewest sampled lines met by a ray from x in the plane.
+
+    Returns (hits, direction, examined).  A line through x is met by every
+    ray; any other by the open half-circle of directions with a positive
+    projection on its normal flipped towards it (``_circle_sweep``).  The
+    hits are counted along the direction that the sweep returns with
+    elementwise products, no BLAS, so that the flipped copies of a line's
+    own normal give exact zeros against its perpendicular.
+    """
+    r = offsets - normals @ x
+    toward = normals * np.sign(r)[:, np.newaxis]  # zero rows for contained lines
+    _, u, examined = _circle_sweep(toward)
+    ahead = toward[:, 0] * u[0] + toward[:, 1] * u[1] > 0.0
+    return int(np.count_nonzero(r == 0.0) + np.count_nonzero(ahead)), u, examined
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +484,16 @@ def verify_dual_cpt_measure(
 ) -> VerificationReport:
     """Monte Carlo check of the ray-measure lower bound 1/(d+1) at x.
 
-    Probes a deterministic sphere covering, then refines with seeded random
-    directions near the running minimum (the adversarial quantifier over
-    rays needs density where the estimate dips).  It reads the spec's own
-    sample, as ``search_center_sampled(spec, N)`` does.
+    In the plane every direction is swept exactly (``_planar_rays``): the
+    estimate is the sampled minimum over all rays, counted along the
+    reported ``worst_direction``, and ``trials`` counts the directions the
+    sweep examined.  In d >= 3 it probes ``ray_probes`` directions of a
+    deterministic sphere covering, the directions parallel to the atoms of
+    an atomic spec (``_parallel_probes``), and then two rounds of seeded
+    random directions near the running minimum (the adversarial quantifier
+    over rays needs density where the estimate dips); ``trials`` counts
+    those probes.  It reads the spec's own sample, as
+    ``search_center_sampled(spec, N)`` does.
     """
     if spec.codim != 1:
         raise DimensionMismatchError("dual central point verification needs codim 1")
@@ -376,31 +505,35 @@ def verify_dual_cpt_measure(
     normals, offsets = _hyperplane_arrays(*_sample_arrays(spec, N))
     xv = np.asarray([float(c) for c in x], dtype=float)
 
-    dirs = sphere_covering(d, ray_probes)
-    fracs = _ray_fractions(normals, offsets, xv, dirs)
-    j = int(fracs.argmin())
-    estimate = float(fracs[j])
-    worst = dirs[j]
-    total_probes = len(dirs)
-    # an atom of the measure is missed by every ray parallel to it, a set
-    # of directions that no covering meets exactly
-    for cand, parallel in _parallel_probes(spec, normals, max(1, ray_probes // 4)):
-        fr = _ray_fractions(normals, offsets, xv, cand, parallel)
-        total_probes += len(cand)
-        jj = int(fr.argmin())
-        if fr[jj] < estimate:
-            estimate = float(fr[jj])
-            worst = cand[jj]
-    rng = np.random.default_rng((spec.seed, 0x5EED))
-    for _ in range(_REFINE_ROUNDS):
-        cand = worst[np.newaxis, :] + 0.2 * rng.normal(size=(max(1, ray_probes // 4), d))
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        fr = _ray_fractions(normals, offsets, xv, cand)
-        total_probes += len(cand)
-        jj = int(fr.argmin())
-        if fr[jj] < estimate:
-            estimate = float(fr[jj])
-            worst = cand[jj]
+    if d == 2:
+        hits, worst, total_probes = _planar_rays(normals, offsets, xv)
+        estimate = hits / N
+    else:
+        dirs = sphere_covering(d, ray_probes)
+        fracs = _ray_fractions(normals, offsets, xv, dirs)
+        j = int(fracs.argmin())
+        estimate = float(fracs[j])
+        worst = dirs[j]
+        total_probes = len(dirs)
+        # an atom of the measure is missed by every ray parallel to it, a
+        # set of directions that no covering meets exactly
+        for cand, parallel in _parallel_probes(spec, normals, max(1, ray_probes // 4)):
+            fr = _ray_fractions(normals, offsets, xv, cand, parallel)
+            total_probes += len(cand)
+            jj = int(fr.argmin())
+            if fr[jj] < estimate:
+                estimate = float(fr[jj])
+                worst = cand[jj]
+        rng = np.random.default_rng((spec.seed, 0x5EED))
+        for _ in range(_REFINE_ROUNDS):
+            cand = worst[np.newaxis, :] + 0.2 * rng.normal(size=(max(1, ray_probes // 4), d))
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            fr = _ray_fractions(normals, offsets, xv, cand)
+            total_probes += len(cand)
+            jj = int(fr.argmin())
+            if fr[jj] < estimate:
+                estimate = float(fr[jj])
+                worst = cand[jj]
 
     bound = 1.0 / (d + 1)
     se, tolerance = _tolerance(bound, N)
@@ -427,20 +560,20 @@ def _complement(D: np.ndarray, d: int) -> np.ndarray:
 
 
 def _parallel_probes(spec: FlatMeasureSpec, normals: np.ndarray, count: int):
-    """Directions parallel to the atoms of a sigma-0 ``smoothed-points`` spec.
+    """Directions parallel to the atoms of a sigma-0 ``smoothed-points`` spec
+    in d >= 3 (in the plane the sweep meets them as arc ends).
 
     Groups the listed flats by the line of their normal, found exactly (the
     reduced row echelon form of the normal), and yields per group
-    ``(dirs, parallel)``: the directions parallel to its flats (in d=2 the
-    two perpendiculars of its first normal, in d >= 3
-    ``sphere_covering(d-1, count)`` mapped onto that normal's complement),
-    and the mask of the sampled ``normals`` that are copies of the group's
-    flats.  The samples of a sigma-0 spec are exact copies of their flat's
-    unit normal, so no rounding of a product with a probe decides whether
-    the ray meets them.  Other specs yield nothing.
+    ``(dirs, parallel)``: ``sphere_covering(d-1, count)`` mapped onto the
+    complement of its first normal, and the mask of the sampled ``normals``
+    that are copies of the group's flats.  The samples of a sigma-0 spec are
+    exact copies of their flat's unit normal, so no rounding of a product
+    with a probe decides whether the ray meets them.  Other specs yield
+    nothing.
     """
     d = spec.dim
-    if spec.kind != "smoothed-points" or float(spec.params.get("sigma", 0.0)) > 0.0 or d < 2:
+    if spec.kind != "smoothed-points" or float(spec.params.get("sigma", 0.0)) > 0.0 or d < 3:
         return
     groups: dict[tuple, list[np.ndarray]] = {}
     for normal, _ in spec.params["flats"]:
@@ -449,11 +582,7 @@ def _parallel_probes(spec: FlatMeasureSpec, normals: np.ndarray, count: int):
         # the unit normal exactly as the sampler computes it
         groups.setdefault(line, []).append(normal / np.linalg.norm(normal))
     for units in groups.values():
-        unit = units[0]
-        if d == 2:
-            dirs = np.array([[-unit[1], unit[0]], [unit[1], -unit[0]]])
-        else:
-            dirs = sphere_covering(d - 1, count) @ _complement(unit[np.newaxis, :], d)
+        dirs = sphere_covering(d - 1, count) @ _complement(units[0][np.newaxis, :], d)
         parallel = np.zeros(len(normals), dtype=bool)
         for other in units:
             parallel |= (normals == other).all(axis=1)
@@ -616,8 +745,13 @@ def verify_dual_ctr(
 
     L has dimension d-k-1 and is given by a point and spanning directions;
     the d-k measures live on k-flats (codimension d-k).  Half-flats bounded
-    by L are L + nonnegative multiples of a unit vector w orthogonal to L;
-    w sweeps a deterministic covering of the sphere in that complement.
+    by L are L + nonnegative multiples of a unit vector w orthogonal to L.
+    For k = 1 the directions w form a circle, swept exactly for each measure
+    (``_planar_rays`` for lines in the plane, ``_halfflat_sweep`` in d >= 3),
+    and ``trials`` counts the directions the sweeps examined, summed over
+    the measures.  Otherwise w runs over ``probes`` directions of a
+    deterministic covering of the sphere in that complement (the two
+    directions +-w for k = 0), and ``trials`` counts them.
     """
     if not specs:
         raise ValueError("need at least one measure spec")
@@ -649,33 +783,50 @@ def verify_dual_ctr(
         D = np.zeros((0, d))
     W = _complement(D, d)  # (k+1, d)
 
-    probe_dirs = sphere_covering(k + 1, probes) @ W  # (P, d)
+    # for k = 1 the directions form a circle and are swept exactly
+    probe_dirs = None if k == 1 else sphere_covering(k + 1, probes) @ W  # (P, d)
 
     bound = 1.0 / (k + 2)
     se, tolerance = _tolerance(bound, N)
 
     per_measure = []
-    overall = 1.0
+    examined = 0
     for spec in specs:
         bases, points = _sample_arrays(spec, N)
-        if c == 1:
+        if k == 1:
+            if c == 1:
+                hits, _, swept = _planar_rays(*_hyperplane_arrays(bases, points), l0)
+            else:
+                hits, swept = _halfflat_sweep(bases, points, l0, D, W)
+            m, examined = hits / N, examined + swept
+        elif c == 1:
             normals, offsets = _hyperplane_arrays(bases, points)
-            fracs = _ray_fractions(normals, offsets, l0, probe_dirs)
-            m = float(fracs.min())
+            m = float(_ray_fractions(normals, offsets, l0, probe_dirs).min())
         else:
             m = _halfflat_min_fraction(bases, points, l0, D, probe_dirs)
         per_measure.append(m)
-        overall = min(overall, m)
 
     return VerificationReport(
-        estimate=overall,
+        estimate=min(per_measure),
         bound=bound,
-        trials=len(probe_dirs),
+        trials=examined if k == 1 else len(probe_dirs),
         sample_size=N,
         tolerance=tolerance,
         passed=all(m >= bound - tolerance for m in per_measure),
         details={"per_measure_min": per_measure, "standard_error": se},
     )
+
+
+def _halfflat_terms(bases, points, l0, D) -> tuple[np.ndarray, np.ndarray]:
+    """h (N, d) and num (N,) of the half-flat test of ``_halfflat_min_fraction``."""
+    c = bases.shape[1]
+    rhs = np.einsum("ncd,nd->nc", bases, points - l0[np.newaxis, :])  # (N, c)
+    BD = bases @ D.T  # (N, c, c-1)
+    cof = np.stack(
+        [(-1) ** (j + c - 1) * np.linalg.det(np.delete(BD, j, axis=1)) for j in range(c)],
+        axis=1,
+    )
+    return np.einsum("nc,ncd->nd", cof, bases), np.einsum("nc,nc->n", cof, rhs)
 
 
 def _halfflat_min_fraction(bases, points, l0, D, probe_dirs) -> float:
@@ -691,15 +842,7 @@ def _halfflat_min_fraction(bases, points, l0, D, probe_dirs) -> float:
     When no |num| is below 1e-300 that product cannot round to zero, and
     the test is (sign(num) h) . w > 1e-12, one comparison per entry.
     """
-    c = bases.shape[1]
-    rhs = np.einsum("ncd,nd->nc", bases, points - l0[np.newaxis, :])  # (N, c)
-    BD = bases @ D.T  # (N, c, c-1)
-    cof = np.stack(
-        [(-1) ** (j + c - 1) * np.linalg.det(np.delete(BD, j, axis=1)) for j in range(c)],
-        axis=1,
-    )
-    h = np.einsum("nc,ncd->nd", cof, bases)
-    num = np.einsum("nc,nc->n", cof, rhs)
+    h, num = _halfflat_terms(bases, points, l0, D)
     if (np.abs(num) >= 1e-300).all():
         # flipping the sign of h flips that of h . w exactly
         toward_t = np.ascontiguousarray((h * np.sign(num)[:, np.newaxis]).T)
@@ -708,3 +851,24 @@ def _halfflat_min_fraction(bases, points, l0, D, probe_dirs) -> float:
         hits = _probe_counts(probe_dirs, np.ascontiguousarray(h.T),
                              lambda hw: (np.abs(hw) > 1e-12) & (num * hw >= 0.0))
     return int(hits.min()) / len(h)
+
+
+def _halfflat_sweep(bases, points, l0, D, W) -> tuple[int, int]:
+    """The fewest sampled flats meeting a half-flat of L when its directions
+    w = W^T v, for v on the unit circle, form a circle (W has 2 rows).
+
+    Returns (hits, examined).  With g = W h the test of
+    ``_halfflat_min_fraction`` reads |g . v| > 1e-12 and num * (g . v) >= 0:
+    the open half-circle about sign(num) g less a sliver of 1e-12 / |g| at
+    each end, or, when num = 0, the circle less the two directions
+    perpendicular to g.  ``_circle_sweep`` finds the exact minimum of the
+    half-circles, and the hits are counted along its direction with that
+    test and elementwise products.
+    """
+    h, num = _halfflat_terms(bases, points, l0, D)
+    g = h @ W.T
+    through = num == 0.0
+    _, v, examined = _circle_sweep(np.concatenate(
+        [g * np.sign(num)[:, np.newaxis], g[through], -g[through]]))
+    gv = g[:, 0] * v[0] + g[:, 1] * v[1]
+    return int(np.count_nonzero((np.abs(gv) > 1e-12) & (num * gv >= 0.0))), examined

@@ -962,6 +962,30 @@ def ray_fractions_reference(normals, offsets, x, dirs) -> np.ndarray:
     return (hits + contained) / len(r)
 
 
+def planar_min_fraction_reference(normals, offsets, x) -> Fraction:
+    """Exact minimum over all directions u of the plane of the fraction of
+    sampled lines met by the ray from x along u.
+
+    Works in Fraction arithmetic on ``Fraction(float)`` of the sample.  Each
+    line's side of x is the float sign of ``offsets - normals @ x``, as in
+    the kernels: a line through x (side 0) is met by every ray, and any
+    other by the directions u with t . u > 0, t its normal flipped towards
+    it.  The count changes only at the perpendiculars of the t, so the
+    candidates are +-perp(t) and the sum of each pair of angularly adjacent
+    candidates, a direction inside the gap between them, ordered exactly
+    as ``tverberg._angle_cmp`` orders them.
+    """
+    r = offsets - normals @ x
+    contained = int(np.count_nonzero(r == 0.0))
+    toward = [(Fraction(s * a), Fraction(s * b))
+              for (a, b), s in zip(normals.tolist(), np.sign(r).tolist()) if s and (a or b)]
+    cands = sorted((v for a, b in toward for v in ((-b, a), (b, -a))), key=cmp_to_key(_angle_cmp))
+    gaps = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(cands, cands[1:] + cands[:1])]
+    dirs = cands + [g for g in gaps if g != (0, 0)] or [(Fraction(1), Fraction(0))]
+    fewest = min(sum(a * u + b * v > 0 for a, b in toward) for u, v in dirs)
+    return Fraction(contained + fewest, len(r))
+
+
 def halfflat_min_fraction_reference(bases, points, l0, D, probe_dirs) -> float:
     """Minimum over probes of the fraction of flats meeting the half-flat,
     by the closed form |h . w| > 1e-12 and num * (h . w) >= 0."""

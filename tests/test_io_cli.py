@@ -925,9 +925,49 @@ class TestCli:
             "--samples", "200", "--probes", str(probes),
         )
         assert code in (0, 1) and "Traceback" not in err
-        # the planar covering has `probes` directions, then each of the two
-        # refine rounds draws one
+        # the plane is swept whatever --probes says: the 200 sampled lines
+        # give 200 lines of arc ends, each with two ends and two gaps
+        assert report["result"]["trials"] == 4 * 200
+        swept = run_cli(capsys, "verify-measure", "--instance", str(path), "--point", "0,0",
+                        "--samples", "200")[1]
+        assert report["result"] == swept["result"]
+
+    @pytest.mark.parametrize("probes", [1, 3])
+    def test_verify_measure_few_probes_d3(self, capsys, tmp_path, probes):
+        inst = gen_instance("random-rational", 4, 3, seed=0)
+        inst.metadata["_measure"] = FlatMeasureSpec(
+            3, 1, "uniform-angle-offset", {"radius": 1.0}, seed=0
+        )
+        path = tmp_path / "measured.json"
+        path.write_bytes(write_instance(inst))
+        code, report, err = run_cli(
+            capsys, "verify-measure", "--instance", str(path), "--point", "0,0,0",
+            "--samples", "200", "--probes", str(probes),
+        )
+        assert code in (0, 1) and "Traceback" not in err
+        # the covering has `probes` directions, then each of the two refine
+        # rounds draws one
         assert report["result"]["trials"] == probes + 2
+
+    @pytest.mark.parametrize("point", [[0, 0], [0.4, -0.3], [3, 1]])
+    def test_transversal_point_in_the_plane_matches_verify_measure(
+            self, capsys, tmp_path, triangle, point):
+        # codim-1 measures in d = 2 make L a point, and both commands sweep
+        # the rays from it on the same sample
+        measure = FlatMeasureSpec(2, 1, "gaussian-offset", {"mean": 0.3, "std": 1.1}, seed=4)
+        triangle.metadata["_measure"] = measure
+        inst = tmp_path / "measured.json"
+        inst.write_bytes(write_instance(triangle))
+        spec = tmp_path / "ctr.json"
+        spec.write_text(json.dumps({"measures": [measure.to_json()], "flat": {"point": point}}))
+        args = ("--samples", "3000")
+        _, ray, _ = run_cli(capsys, "verify-measure", "--instance", str(inst),
+                            "--point", ",".join(map(str, point)), *args)
+        code, ctr, _ = run_cli(capsys, "verify-transversal", "--spec", str(spec), *args)
+        assert ctr["result"]["detail_per_measure_min"] == [ray["result"]["estimate"]]
+        assert ctr["result"]["estimate"] == ray["result"]["estimate"]
+        assert ctr["result"]["trials"] == ray["result"]["trials"]
+        assert ctr["result"]["pass"] == ray["result"]["pass"] == (code == 0)
 
     def test_report_has_no_threads_field(self, capsys, tri_file):
         code, report, _ = run_cli(capsys, "center", "--instance", tri_file)

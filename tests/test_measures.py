@@ -521,23 +521,46 @@ class TestVerifyDualCptMeasure:
         assert rep.estimate == 0.0 and not rep.passed
         unit = np.asarray(normal) / np.linalg.norm(normal)
         assert abs(np.dot(rep.details["worst_direction"], unit)) < 1e-12
-        # the covering, two refinement rounds and one set of parallel probes
-        # for the two parallel atoms
-        assert rep.trials == 360 + 2 * 90 + (2 if d == 2 else 90)
+        # in the plane the sweep examines the one line of arc ends of both
+        # atoms, its two ends and the gap after each; in d = 3 the covering,
+        # two refinement rounds and one set of parallel probes for the two
+        # parallel atoms
+        assert rep.trials == (4 if d == 2 else 360 + 2 * 90 + 90)
 
     def test_parallel_probes_once_per_line_of_normals(self):
-        # five flats on two lines of normals, the scaled and negated ones
+        # five planes on two lines of normals, the scaled and negated ones
         # parallel exactly: one set of parallel probes per line
+        flats = [[[1, 0, 0], 0], [[2, 0, 0], 1], [[-1, 0, 0], 3], [[1, 1, 0], 0],
+                 [[-3, -3, 0], 1]]
+        spec = FlatMeasureSpec(3, 1, "smoothed-points", {"flats": flats, "sigma": 0}, seed=0)
+        rep = verify_dual_cpt_measure(spec, (0.25, 0.5, 0.0), 1000, 360)
+        assert rep.trials == 360 + 2 * 90 + 2 * 90
+        assert rep.estimate == 0.0
+
+    def test_sweep_meets_each_line_of_normals_once(self):
+        # the same five flats as lines: the unit normals of (1, 1) and
+        # (-3, -3) are not negatives of each other bit for bit, but their
+        # arc ends are exactly parallel, so the sweep sees two lines of ends
         flats = [[[1, 0], 0], [[2, 0], 1], [[-1, 0], 3], [[1, 1], 0], [[-3, -3], 1]]
         spec = FlatMeasureSpec(2, 1, "smoothed-points", {"flats": flats, "sigma": 0}, seed=0)
+        normals, _ = _hyperplane_arrays(*_sample_arrays(spec, 1000))
+        assert len(np.unique(normals, axis=0)) == 4
         rep = verify_dual_cpt_measure(spec, (0.25, 0.5), 1000, 360)
-        assert rep.trials == 360 + 2 * 90 + 2 * 2
+        assert rep.trials == 2 * 4 and rep.estimate == 0.0
+        assert rep.details["worst_direction"] == [0.0, 1.0]
 
     def test_smoothed_spec_with_sigma_probes_no_parallels(self):
+        spec = FlatMeasureSpec(3, 1, "smoothed-points",
+                               {"flats": [[[1, 0, 0], 0], [[1, 0, 0], 1]], "sigma": 0.1}, seed=0)
+        rep = verify_dual_cpt_measure(spec, (0.56, 0.0, 0.0), 2000, 360)
+        assert rep.trials == 360 + 2 * 90 and rep.estimate > 0.4
+
+    def test_smoothed_spec_with_sigma_sweeps_every_line(self):
+        # no two sampled normals are parallel: 2000 lines of arc ends
         spec = FlatMeasureSpec(2, 1, "smoothed-points",
                                {"flats": [[[1, 0], 0], [[1, 0], 1]], "sigma": 0.1}, seed=0)
         rep = verify_dual_cpt_measure(spec, (0.56, 0.0), 2000, 360)
-        assert rep.trials == 360 + 2 * 90 and rep.estimate > 0.4
+        assert rep.trials == 4 * 2000 and rep.estimate > 0.4
 
     def test_report_consistency(self):
         spec = FlatMeasureSpec(3, 1, "gaussian-offset", {}, seed=5)
@@ -636,6 +659,17 @@ class TestVerifyDualCtr:
         rep = verify_dual_ctr(specs, (2.0, 0.0), [[0.0, 1.0]], 4000, 64)
         assert not rep.passed
         assert min(rep.details["per_measure_min"]) == 0.0
+
+    def test_point_in_the_plane_misses_atoms_along_their_lines(self):
+        # lines x1 = 0, x1 = 1 and x2 = 0.5: the ray from (0.5, 0.2) along
+        # (0, -1) meets none of them, a direction that no covering holds
+        spec = FlatMeasureSpec(2, 1, "smoothed-points", {
+            "flats": [[[1.0, 0.0], 0.0], [[1.0, 0.0], 1.0], [[0.0, 1.0], 0.5]], "sigma": 0.0,
+        }, seed=3)
+        rep = verify_dual_ctr([spec], (0.5, 0.2), [], 2000, 360)
+        assert rep.details["per_measure_min"] == [0.0] and not rep.passed
+        # the two lines of arc ends, each with two ends and two gaps
+        assert rep.trials == 8
 
     def test_measure_count_checked(self):
         spec = FlatMeasureSpec(2, 2, "uniform-angle-offset", {"radius": 1.0})
