@@ -8,10 +8,11 @@ instance's measure stanza.
 
 Every command runs through ``_run``, which loads its input once and
 returns the report's digest, result and exit code; ``main`` writes the one
-report and is the one place that turns an exception into exit 2.  A
-library ``ValueError`` is an input error, and so is a float overflow,
-including a measure whose samples leave float range, and an input too
-large for memory.
+report and is the one place that turns an exception into exit 2.  ``_run``
+keeps the last instance parsed, so in-process calls on one file share its
+caches, which its bytes determine.  A library ``ValueError`` is an input
+error, and so is a float overflow, including a measure whose samples leave
+float range, and an input too large for memory.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     pass
+
+
+_parsed: dict = {}  # the last instance parsed, under its (digest, strict) key
 
 
 def _digest(data: bytes) -> str:
@@ -224,7 +228,10 @@ def _run(args):
     except OSError as exc:
         raise InputError(f"cannot read {args.instance}: {exc}") from exc
     digest = _digest(data)
-    inst = parse_instance(data, strict=getattr(args, "strict", False))
+    key = (digest, getattr(args, "strict", False))
+    inst = _parsed.get(key) or parse_instance(data, strict=key[1])
+    _parsed.clear()
+    _parsed[key] = inst
 
     if args.cmd == "validate":
         gp = check_general_position(inst)

@@ -6,25 +6,18 @@ x is met by every ray (the crossing at t = 0 counts); a hyperplane parallel
 to the ray and not through x is never met.  This makes the depth a function
 of the arrangement face containing x alone.
 
-One exact combinatorial search does the heavy lifting, over the edge
-directions of ``_edge_blocks``: ``_hemisphere_ints`` minimizes the number of
-strictly-positive inner products over all directions.  The count can only
-drop when a direction moves to a lower-dimensional face of the central
-arrangement {u : w_i . u = 0}, so the minimum is attained on a minimal face:
-either the common null space (count 0) or an edge spanned by the null space
-of d-1 of the vectors.  Enumerating those edges is exact and complete.
-
-A depth query runs in integers, on the instance's row array.  The point is
-written x = X / L with X integer and L > 0 the lcm of its denominators, and
-each hyperplane in its integer form a . y = b (``Instance.row_array``), a
-positive multiple of the rational one, so sign(a . X - b L) is the side of
-x, one product of the rows with (X, -L); ``signature_of`` returns those
-signs as a tuple.  ``dual_depth`` counts the zeros, the hyperplanes through
-x, and adds the hemisphere count of the integer normals
-(``Instance.normal_ints``) of the others, negated by side.  The edge
-directions' products with those normals are float64 where their bound
-proves them exact (``_edge_blocks``), and the counts are float32 0/1
-products, exact because a count is at most n.
+The depth is the number of hyperplanes through x plus the least number of
+the other normals, each turned away from x's side (times -s), with a
+positive product with a direction u.  That count can only drop when u moves
+to a lower-dimensional face of the central arrangement, so it is least on
+the common null space (count 0) or on an edge, the null space of d-1
+normals.  The edges belong to the instance: ``_edge_table`` keeps their
+cofactor directions and signs against every normal while they fit
+``_TABLE_CAP``, from the center or the second query on.  Cofactors are
+multilinear, so turning the normals turns a subset's edge by prod(-s_i),
+and a query is two float32 0/1 products of those signs with its exact sides
+(``_sides``), over the subsets holding no hyperplane through x; they are
+exact since a count is at most n.
 
 Depth maximization enumerates only arrangement vertices: moving from any
 face into an incident face with a larger containment set gains one crossing
@@ -66,74 +59,54 @@ from .geometry import (
 
 # Edge directions whose counts bound each vertex's depth in ``max_depth_point``.
 _PROBES = 64
-
-
-def _unit(dim: int) -> Direction:
-    return tuple(Fraction(int(i == 0)) for i in range(dim))
+# Signs of the largest edge table kept on its instance: 2 float32 each, 32 MiB.
+_TABLE_CAP = 1 << 22
 
 
 # ---------------------------------------------------------------------------
-# Direction-space searches
+# The edge table
 # ---------------------------------------------------------------------------
 
 def _edge_blocks(A: np.ndarray, max_abs: int):
     """Edge directions of the central arrangement {u : v . u = 0, v a row of A}.
 
     ``A`` is an (m, dim) integer array whose entries are at most
-    ``max_abs`` in absolute value.  Yields ``(dirs, D)`` over the
+    ``max_abs`` in absolute value.  Yields ``(subsets, dirs, D)`` over the
     (dim-1)-subsets of its rows in combinations order, in the blocks of
     ``cofactor_blocks``: ``dirs`` holds the nonzero cofactor directions (a
-    rank-deficient subset's edge shows up elsewhere) and ``D = dirs @ A.T``
-    their exact products with every row.  D is at most dim! * max_abs^dim,
-    and below ``_FLOAT_SAFE`` it is a float64 product holding the same
-    integers.
+    rank-deficient subset's edge shows up elsewhere), ``subsets`` their
+    subsets and ``D = dirs @ A.T`` their exact products with every row.  D
+    is at most dim! * max_abs^dim, and below ``_FLOAT_SAFE`` it is a float64
+    product holding the same integers.
     """
     dim = A.shape[1]
     A = A.astype(geometry._exact_dtype(max_abs, dim), copy=False)
     exact_float = geometry._stage_bound(max_abs, dim) < geometry._FLOAT_SAFE
     At = A.T.astype(np.float64) if exact_float else A.T
-    for _, dirs in cofactor_blocks(A):
+    for subsets, dirs in cofactor_blocks(A):
         nonzero = (dirs != 0).any(axis=1)
         if not nonzero.all():
-            dirs = dirs[nonzero]
-        yield dirs, (dirs.astype(np.float64) if exact_float else dirs) @ At
+            subsets, dirs = subsets[nonzero], dirs[nonzero]
+        yield subsets, dirs, (dirs.astype(np.float64) if exact_float else dirs) @ At
 
 
-def _hemisphere_ints(W: np.ndarray, max_abs: int):
-    """Exact min over directions u != 0 of #{w : w . u > 0}, with a witness.
+def _edge_table(F: Instance, whole: bool = False):
+    """``_edge_blocks`` of F's normals as ``(subsets, dirs, T)``, T = [D > 0 | D < 0].
 
-    Takes an (m, dim) array of nonzero integer vectors, each entry at most
-    ``max_abs`` in absolute value, and does not check them.  No vectors
-    give (0, e_1).
+    T is float32.  F keeps the blocks while the table's J * n signs fit
+    ``_TABLE_CAP``, from its second read on or from a ``whole`` read, one
+    that holds the whole table anyway.  Else a generator builds them
+    afresh, so that a one-off query holds one block at a time and stops at
+    the first block with a zero count.
     """
-    m, dim = W.shape
-    ones = np.ones(m, dtype=np.float32)
-    best = None
-    witness = None
-    for dirs, D in _edge_blocks(W, max_abs):
-        if not len(dirs):
-            continue
-        if best is None and not (D[0] != 0).any():
-            # an edge orthogonal to every vector: they span less than R^dim,
-            # and a full-rank family has no such edge
-            break
-        # counts in (pos_0, neg_0, pos_1, ...) order, as 0/1 products in
-        # float32 (exact: counts are <= m); the first minimum wins
-        signs = np.empty((len(D), 2, m), dtype=np.float32)
-        np.greater(D, 0, out=signs[:, 0])
-        np.less(D, 0, out=signs[:, 1])
-        counts = signs.reshape(-1, m) @ ones
-        k = int(counts.argmin())
-        if best is None or counts[k] < best:
-            best = int(counts[k])
-            witness = [c if k % 2 == 0 else -c for c in dirs[k // 2].tolist()]
-        if best == 0:
-            break
-    if best is None:
-        # positive row scalings leave the reduced row echelon form, and so
-        # this basis, as it is for the rational vectors
-        return 0, fraction_nullspace(W.tolist(), dim)[0]
-    return best, tuple(Fraction(c) for c in witness)
+    if not F._edges:  # None before any read, () after one that kept nothing
+        blocks = ((subsets, dirs, np.concatenate([D > 0, D < 0], axis=1).astype(np.float32))
+                  for subsets, dirs, D in _edge_blocks(*F.normal_ints()))
+        if F._edges is None and not whole or math.comb(F.n, F.dim - 1) * F.n > _TABLE_CAP:
+            F._edges = ()
+            return blocks
+        F._edges = list(blocks)
+    return F._edges
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +152,39 @@ def signature_of(F: Instance, x: Point) -> tuple[int, ...]:
 def dual_depth(F: Instance, x: Point):
     """Minimum ray crossings over all directions, with a witness direction."""
     s = _sides(F, as_point(x))
-    off = s != 0
-    # the normals of the hyperplanes off x, each turned away from x's side
-    N, max_abs = F.normal_ints()
-    W = N[off] * -s[off, np.newaxis]
-    hemi, witness = _hemisphere_ints(W, max_abs)
-    return len(s) - len(W) + hemi, witness
+    on, pos, neg = s == 0, s < 0, s > 0
+    # columns: the turned normals -s_j w_j with -s_j (w_j . u) > 0, then < 0
+    turned = np.array([np.concatenate([pos, neg]), np.concatenate([neg, pos])], np.float32).T
+    best = witness = None
+    through = on.any()
+    for subsets, dirs, T in _edge_table(F):
+        if not len(dirs):
+            continue
+        counts = T @ turned
+        if through:  # drop the subsets holding a hyperplane through x
+            counts[on[subsets].any(axis=1)] = np.inf
+        least = np.minimum(counts[:, 0], counts[:, 1])
+        e = int(least.argmin())
+        if least[e] == np.inf:
+            continue
+        if best is None and counts[e].sum() == 0:
+            # an edge orthogonal to every normal off x: they span less than
+            # R^d, so every edge is, and a full-rank family has no such edge
+            break
+        if best is None or least[e] < best:  # the first minimum wins
+            best = int(least[e])
+            # the turned edge is prod(-s_i) times the cached one; pos wins a tie
+            sign = math.prod(-v for v in s[subsets[e]].tolist())
+            sign *= 1 if counts[e, (1 - sign) // 2] == best else -1
+            witness = [sign * c for c in dirs[e].tolist()]
+        if best == 0:
+            break
+    if best is None:
+        # positive row scalings leave the reduced row echelon form, and so
+        # this basis, as it is for the rational vectors
+        W = F.normal_ints()[0][~on] * -s[~on, np.newaxis]
+        return int(on.sum()), fraction_nullspace(W.tolist(), F.dim)[0]
+    return int(on.sum()) + best, tuple(Fraction(c) for c in witness)
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +232,16 @@ def max_depth_point(F: Instance) -> DepthCertificate:
         rows = F.row_array()[0].tolist()
         point = (solve_underdetermined([r[:d] for r in rows], [r[d] for r in rows]) if rows
                  else (Fraction(0),) * d)
-        return DepthCertificate(point, n, _unit(d), bound, n >= bound)
+        unit = tuple(Fraction(int(i == 0)) for i in range(d))
+        return DepthCertificate(point, n, unit, bound, n >= bound)
 
-    normals = F.row_array()[0][:, :d]
-    blocks = list(_edge_blocks(normals, int(np.abs(normals).max())))
-    dirs = np.concatenate([b[0] for b in blocks])
-    S = np.concatenate([b[1] for b in blocks])
+    # the rows' normals are positive multiples of the table's: the same counts
+    subsets, dirs, T = map(np.concatenate, zip(*_edge_table(F, whole=True)))
     E = len(dirs)
     # hyperplane i counts for the ray along u from a vertex on side s_i when
     # s_i * (a_i . u) > 0; column j counts the ray along dirs[j] and E + j
     # along -dirs[j], as 0/1 products in float32 (exact: counts are <= n)
-    table = np.block([[S > 0, S < 0], [S < 0, S > 0]]).astype(np.float32).T
+    table = np.vstack([T, np.hstack([T[:, n:], T[:, :n]])]).T
     probes = np.arange(_PROBES) * E // _PROBES if E > _PROBES else np.arange(E)
     probed = table[:, np.concatenate([probes, E + probes])]
 
@@ -279,7 +278,9 @@ def max_depth_point(F: Instance) -> DepthCertificate:
                 continue
             best_depth = top
             best_point = points[v]
-            # the first least column: a pos count wins a tie with a neg one
+            # the first least column (pos wins a tie), its edge scaled as the rows are
             j = int(counts[v].argmin())
-            best_witness = tuple(Fraction(c if j < E else -c) for c in dirs[j % E].tolist())
+            scale = math.prod(F.normal_factors()[i] for i in subsets[j % E].tolist())
+            scale *= 1 if j < E else -1
+            best_witness = tuple(Fraction(c * scale) for c in dirs[j % E].tolist())
     return DepthCertificate(best_point, best_depth, best_witness, bound, best_depth >= bound)

@@ -389,7 +389,7 @@ class Instance:
 
     Treated as an immutable value: equal instances have equal dimensions,
     rows (so equal hyperplanes), colors and metadata.  Private fields cache
-    the normals' integer form and the general-position verdict.
+    the normals' integer form, the general-position verdict and the edges.
     """
 
     dim: int
@@ -398,8 +398,9 @@ class Instance:
     colors: Optional[list[int]]
     metadata: dict
     _hyperplanes: Optional[list[Hyperplane]] = field(default=None, repr=False)
-    _normal_ints: Optional[tuple[np.ndarray, int]] = field(default=None, repr=False)
+    _normal_ints: Optional[tuple[np.ndarray, int, list[int]]] = field(default=None, repr=False)
     _gp: Optional[GeneralPositionResult] = field(default=None, repr=False)
+    _edges: Optional[Sequence] = field(default=None, repr=False)
 
     def __init__(self, dim: int, hyperplanes: Sequence[Hyperplane],
                  colors: Optional[list[int]] = None, metadata: Optional[dict] = None):
@@ -480,17 +481,19 @@ class Instance:
         returned with their largest |entry|.
         """
         if self._normal_ints is None:
-            ints = self.row_array()[0][:, :self.dim]
-            scaled = [i for i, den in enumerate(self._dens) if den != 1]
-            if scaled:
-                ints = ints.copy()
-                for i in scaled:
-                    # gcd(a, den) is the factor by which the offset's denominator
-                    # multiplied the normal's own lcm of denominators
-                    ints[i] //= math.gcd(self._dens[i], *ints[i].tolist())
-                ints.setflags(write=False)
-            self._normal_ints = ints, int(np.abs(ints).max(initial=0))
-        return self._normal_ints
+            rows = self.row_array()[0]
+            # gcd(a, den) is the factor by which the offset's denominator
+            # multiplied the normal's own lcm of denominators
+            factors = [math.gcd(den, *row[:-1]) for den, row in zip(self._dens, rows.tolist())]
+            ints = rows[:, :-1] // np.array(factors, dtype=rows.dtype).reshape(-1, 1)
+            ints.setflags(write=False)
+            self._normal_ints = ints, int(np.abs(ints).max(initial=0)), factors
+        return self._normal_ints[:2]
+
+    def normal_factors(self) -> list[int]:
+        """The positive c_i: row i's normal is c_i times row i of ``normal_ints()``."""
+        self.normal_ints()
+        return self._normal_ints[2]
 
     def color_classes(self) -> dict[int, list[int]]:
         if self.colors is None:

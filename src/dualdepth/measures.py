@@ -822,8 +822,10 @@ def _halfflat_terms(bases, points, l0, D) -> tuple[np.ndarray, np.ndarray]:
     c = bases.shape[1]
     rhs = np.einsum("ncd,nd->nc", bases, points - l0[np.newaxis, :])  # (N, c)
     BD = bases @ D.T  # (N, c, c-1)
+    # a 1 x 1 minor is its entry, which np.linalg.det need not return exactly
+    det = (lambda m: m[:, 0, 0]) if c == 2 else np.linalg.det
     cof = np.stack(
-        [(-1) ** (j + c - 1) * np.linalg.det(np.delete(BD, j, axis=1)) for j in range(c)],
+        [(-1) ** (j + c - 1) * det(np.delete(BD, j, axis=1)) for j in range(c)],
         axis=1,
     )
     return np.einsum("nc,ncd->nd", cof, bases), np.einsum("nc,nc->n", cof, rhs)

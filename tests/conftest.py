@@ -38,10 +38,12 @@ from dualdepth import (  # noqa: E402
     Instance,
     PartitionResult,
     common_interior_point,
+    dual_depth,
     ensure_general_position,
     form_simplex,
     max_depth_point,
 )
+from dualdepth import cli  # noqa: E402
 from dualdepth.depth import _edge_blocks  # noqa: E402
 from dualdepth.geometry import (  # noqa: E402
     DegenerateSubfamilyError,
@@ -50,6 +52,7 @@ from dualdepth.geometry import (  # noqa: E402
     check_general_position,
     fraction_nullspace,
     fraction_rank,
+    int_array,
     scale_to_int,
     vertex_blocks,
 )
@@ -332,6 +335,14 @@ def int_rows(F: Instance):
     return [tuple(r[:-1]) for r in rows], [r[-1] for r in rows]
 
 
+@pytest.fixture(autouse=True)
+def _no_parsed_instance():
+    """Each test's CLI calls start from an empty parse cache, whatever ran before."""
+    cli._parsed.clear()
+    yield
+    cli._parsed.clear()
+
+
 @pytest.fixture
 def triangle() -> Instance:
     """The lines x1 = 0, x2 = 0, x1 + x2 = 1 bounding the standard triangle."""
@@ -495,6 +506,18 @@ def hemisphere_depth_reference(vectors, dim):
     return best, tuple(Fraction(c) for c in witness)
 
 
+def hemisphere_at_origin(ints, dim):
+    """``dual_depth`` at 0 of the hyperplanes w . y = 1, the w given row by row in ``ints``.
+
+    The origin is on side -1 of every such hyperplane, so its normal w is
+    turned to w itself: this is the least #{w : w . u > 0} over directions
+    u, with its witness.
+    """
+    m = len(ints) // dim
+    rows = [c for k in range(m) for c in (*ints[k * dim:(k + 1) * dim], 1)]
+    return dual_depth(Instance.from_rows(dim, int_array(rows, dim + 1), [1] * m), (0,) * dim)
+
+
 def dual_depth_reference(F: Instance, x):
     x = tuple(Fraction(c) for c in x)
     contained = 0
@@ -561,8 +584,8 @@ def max_depth_point_unpruned(F: Instance) -> DepthCertificate:
     n, d = F.n, F.dim
     A, max_abs = F.row_array()
     blocks = list(_edge_blocks(A[:, :d], max_abs))
-    dirs = np.concatenate([b[0] for b in blocks])
-    S = np.concatenate([b[1] for b in blocks])
+    dirs = np.concatenate([b[1] for b in blocks])
+    S = np.concatenate([b[2] for b in blocks])
     same = np.concatenate([S > 0, S < 0], axis=1).astype(np.float32).T
     opposite = np.concatenate([S < 0, S > 0], axis=1).astype(np.float32).T
     best_depth = -1

@@ -24,12 +24,12 @@ from dualdepth import (
     max_depth_point,
 )
 from dualdepth import depth, geometry, tverberg
-from dualdepth.depth import _hemisphere_ints
 from dualdepth.tverberg import _max_slack, form_simplex
 from dualdepth.geometry import (
     DegenerateSubfamilyError,
     int_array,
     scale_to_int,
+    solve_underdetermined,
     stacked_cofactors,
     vertex_blocks,
 )
@@ -40,6 +40,7 @@ from conftest import (
     dual_depth_reference,
     exact_dtype_of,
     form_simplex_reference,
+    hemisphere_at_origin,
     hemisphere_depth_reference,
     int_rows,
     margin_lp,
@@ -130,7 +131,7 @@ def test_pruning_with_few_probes_matches_vertex_loop(F, monkeypatch):
 @pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
 def test_full_counts_in_chunks_match_vertex_loop(F, monkeypatch):
     # one probe keeps many vertices, and they get their full counts three at a time
-    J = sum(len(dirs) for dirs, _ in depth._edge_blocks(*_normal_array(F)))
+    J = sum(len(dirs) for _, dirs, _ in depth._edge_blocks(*_normal_array(F)))
     ref = max_depth_point_unpruned(F)
     monkeypatch.setattr(depth, "_PROBES", 1)
     monkeypatch.setattr(geometry, "_BUDGET", 3 * J)
@@ -224,8 +225,7 @@ def test_hemisphere_depth_matches_direction_loop(scale):
             vecs = [v for v in vecs if any(v)]
             if vecs:
                 ints = [c for v in vecs for c in scale_to_int([Fraction(c) for c in v])]
-                assert _hemisphere_ints(*int_array(ints, dim)) \
-                    == hemisphere_depth_reference(vecs, dim)
+                assert hemisphere_at_origin(ints, dim) == hemisphere_depth_reference(vecs, dim)
 
 
 def test_hemisphere_depth_rank_deficient():
@@ -233,7 +233,7 @@ def test_hemisphere_depth_rank_deficient():
     plane = [(1, 2, 0), (-3, 1, 0), (2, -5, 0), (1, 1, 0)]
     line = [(2, 4, 6), (-1, -2, -3), (3, 6, 9)]
     for vecs in (plane, line, [(10**30, 0, 0), (-1, 0, 0)]):
-        got = _hemisphere_ints(*int_array([c for v in vecs for c in v], 3))
+        got = hemisphere_at_origin([c for v in vecs for c in v], 3)
         assert got == hemisphere_depth_reference(vecs, 3)
         assert got[0] == 0
 
@@ -560,8 +560,8 @@ def test_block_boundaries_keep_the_tables(F, size, monkeypatch):
     assert R.dtype == (np.float64 if exact_float else vertices.dtype)
 
     edges = list(depth._edge_blocks(*F.normal_ints()))
-    assert np.concatenate([e[0] for e in edges]).tolist() == dirs.tolist()
-    assert np.concatenate([e[1] for e in edges]).tolist() == (dirs @ A.T).tolist()
+    assert np.concatenate([e[1] for e in edges]).tolist() == dirs.tolist()
+    assert np.concatenate([e[2] for e in edges]).tolist() == (dirs @ A.T).tolist()
 
     fresh = Instance(d, F.hyperplanes)
     assert check_general_position(fresh) == check_general_position_reference(F)
@@ -610,7 +610,7 @@ def test_blocks_stay_within_the_budget(n, bound):
         assert R.dtype == (np.float64 if bound < 10**5 else object)
         count += len(subsets)
     assert count == math.comb(n, 2)
-    for dirs, D in depth._edge_blocks(*_normal_array(F)):
+    for _, dirs, D in depth._edge_blocks(*_normal_array(F)):
         assert D.size <= geometry._BUDGET
 
 
@@ -650,11 +650,13 @@ def _tables(F):
     vertices = [(s.tolist(), nums.tolist(), den.tolist(), R.tolist())
                 for s, nums, den, R in vertex_blocks(F)]
     A, max_abs = F.row_array()
-    edges = [(dirs.tolist(), D.tolist()) for dirs, D in depth._edge_blocks(A[:, :F.dim], max_abs)]
+    edges = [(dirs.tolist(), D.tolist())
+             for _, dirs, D in depth._edge_blocks(A[:, :F.dim], max_abs)]
     return vertices, edges
 
 
 def _answers(F, points):
+    F = Instance.from_rows(F.dim, F.row_array(), F.dens())  # builds its own edge table
     return max_depth_point(F), [dual_depth(F, x) for x in points]
 
 
@@ -666,7 +668,7 @@ def test_rung_edges_match_int64_object_and_references(d, width, M, monkeypatch):
     below = geometry._stage_bound(M, width) < geometry._FLOAT_SAFE
     # the product that this family's M puts at the edge runs in float64 below it only
     if width == d:
-        dtypes = {D.dtype for _, D in depth._edge_blocks(F.row_array()[0][:, :d], M)}
+        dtypes = {D.dtype for *_, D in depth._edge_blocks(F.row_array()[0][:, :d], M)}
     else:
         dtypes = {R.dtype for *_, R in vertex_blocks(F)}
     assert (dtypes == {np.dtype(np.float64)}) == below
@@ -697,7 +699,7 @@ def test_edge_products_are_bounded_by_the_normals_alone(monkeypatch):
     dtypes = []
     real = depth._edge_blocks
     monkeypatch.setattr(depth, "_edge_blocks",
-                        lambda *a: ((dirs, D) for dirs, D in real(*a) if not dtypes.append(D.dtype)))
+                        lambda *a: (b for b in real(*a) if not dtypes.append(b[-1].dtype)))
     points = [_meet(F.hyperplanes[:3]), (Fraction(10**20, 7), Fraction(-3), Fraction(1, 2))]
     assert _answers(F, points) == (max_depth_point_reference(F),
                                    [dual_depth_reference(F, x) for x in points])
@@ -721,3 +723,110 @@ def test_side_product_at_the_int64_edge(past):
 def test_side_of_a_huge_point_against_no_hyperplanes():
     assert depth.signature_of(Instance(2, []), (10**30, Fraction(1, 10**30))) == ()
     assert dual_depth(Instance(2, []), (10**30, 1)) == (0, (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# The edge table kept on the instance, and the blocks streamed past its cap
+# ---------------------------------------------------------------------------
+
+# the bounds that send every product to the int64 rung, then to Python ints
+RUNGS = [{}, {"_FLOAT_SAFE": 0}, {"_FLOAT_SAFE": 0, "_NUMPY_SAFE": 0}]
+
+
+def _on_hyperplanes(F):
+    """A point on the first k hyperplanes of F, for k = 1, ..., min(d, n), where they meet."""
+    rows, d = F.row_array()[0].tolist(), F.dim
+    points = [solve_underdetermined([r[:d] for r in rows[:k]], [r[d] for r in rows[:k]])
+              for k in range(1, min(d, F.n) + 1)]
+    return [p for p in points if p is not None]
+
+
+@pytest.mark.parametrize("F", [F for _, F in CASES], ids=[name for name, _ in CASES])
+def test_edge_table_matches_references_on_each_rung(F, monkeypatch):
+    points = _on_hyperplanes(F) + [tuple(Fraction(k - 1, 3) for k in range(F.dim))]
+    want = max_depth_point_reference(F), [dual_depth_reference(F, x) for x in points]
+    for bounds in RUNGS:
+        for name, value in bounds.items():
+            monkeypatch.setattr(geometry, name, value)
+        assert max_depth_point_unpruned(F) == want[0]
+        for cap in (depth._TABLE_CAP, 0):  # kept on the instance, then streamed
+            monkeypatch.setattr(depth, "_TABLE_CAP", cap)
+            assert _answers(F, points) == want
+
+
+def _low_rank_families():
+    """Normals spanning less than R^d, d = 1, and fewer hyperplanes than d."""
+    yield "parallel-d2", Instance(2, [Hyperplane((1, 2), k) for k in (-3, 0, 1, 4, 9)])
+    yield "plane-d3", Instance(3, [Hyperplane((a, b, 0), c) for a, b, c in
+                                   [(1, 2, 1), (-3, 1, 2), (2, -5, 0), (1, 1, -4), (4, 1, 3)]])
+    yield "line-d3", Instance(3, [Hyperplane((k, 2 * k, 3 * k), k + 1) for k in (1, -1, 3, 2)])
+    yield "object-plane-d4", Instance(4, [
+        Hyperplane((a * 10**20, b, c, 0), e) for a, b, c, e in
+        [(1, 2, 1, 5), (-3, 1, 2, 0), (2, -5, 0, 1), (1, 1, -4, 2), (4, 1, 3, -7)]])
+    yield from _d1_families()
+    for n, d in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
+        yield f"n{n}-d{d}", Instance(d, _random_planes(n, d, seed=n + d))
+
+
+LOW_RANK = list(_low_rank_families())
+
+
+@pytest.mark.parametrize("F", [F for _, F in LOW_RANK], ids=[name for name, _ in LOW_RANK])
+def test_edge_table_on_low_rank_and_small_families(F, monkeypatch):
+    rng = np.random.default_rng(F.n * 10 + F.dim)
+    points = _on_hyperplanes(F) + [
+        tuple(Fraction(int(v), int(q)) for v, q in zip(rng.integers(-20, 21, F.dim),
+                                                       rng.integers(1, 9, F.dim)))
+        for _ in range(3)
+    ]
+    want = [dual_depth_reference(F, x) for x in points]
+    for cap in (depth._TABLE_CAP, 0):
+        monkeypatch.setattr(depth, "_TABLE_CAP", cap)
+        fresh = Instance.from_rows(F.dim, F.row_array(), F.dens())
+        assert [dual_depth(fresh, x) for x in points] == want
+
+
+def test_edge_table_is_built_once_and_kept_only_under_the_cap(monkeypatch):
+    F = gen_instance("random-rational", 12, 3, seed=1)
+    builds = []
+    real = depth._edge_blocks
+    monkeypatch.setattr(depth, "_edge_blocks", lambda *a: builds.append(a) or real(*a))
+    points = [(Fraction(k, 3), Fraction(-1), Fraction(1, k + 1)) for k in range(8)]
+    answers = _answers(F, points)
+    fresh = Instance.from_rows(F.dim, F.row_array(), F.dens())
+    assert (max_depth_point(fresh), [dual_depth(fresh, x) for x in points]) == answers
+    assert len(builds) == 2  # one per instance
+    (subsets, dirs, T), = fresh._edges
+    assert subsets.shape == (66, 2) and dirs.shape == (66, 3) and T.shape == (66, 24)
+    # 66 directions times 12 normals past the cap: each call streams the blocks
+    monkeypatch.setattr(depth, "_TABLE_CAP", 66 * 12 - 1)
+    del builds[:]
+    assert _answers(F, points) == answers and len(builds) == 9
+
+
+def test_edge_table_is_kept_from_the_second_query(monkeypatch):
+    F = gen_instance("random-rational", 12, 3, seed=1)
+    builds = []
+    real = depth._edge_blocks
+    monkeypatch.setattr(depth, "_edge_blocks", lambda *a: builds.append(a) or real(*a))
+    points = [(Fraction(k, 3), Fraction(-1), Fraction(1, k + 1)) for k in range(8)]
+    want = [dual_depth_reference(F, x) for x in points]
+    assert dual_depth(F, points[0]) == want[0] and F._edges == () and len(builds) == 1
+    assert [dual_depth(F, x) for x in points] == want and len(builds) == 2
+    assert max_depth_point(F) == max_depth_point_reference(F) and len(builds) == 2
+
+
+def test_edge_table_of_many_blocks(monkeypatch):
+    F = gen_instance("random-rational", 20, 3, seed=2)
+    monkeypatch.setattr(geometry, "_BUDGET", 20 * 16)  # 190 subsets in 12 blocks
+    outside = (Fraction(10**6), Fraction(10**6 + 1), Fraction(-(10**6)))
+    inside = max_depth_point_reference(F).point
+    want = {x: dual_depth_reference(F, x) for x in (outside, inside)}
+    assert want[outside][0] == 0 < want[inside][0]
+    for first, second in ((outside, inside), (inside, outside), (outside, outside)):
+        fresh = Instance.from_rows(F.dim, F.row_array(), F.dens())
+        # the second query keeps every block, also one at depth 0
+        for x in (first, second, outside, inside):
+            assert dual_depth(fresh, x) == want[x]
+        assert len(fresh._edges) == 12
+        assert max_depth_point(fresh) == max_depth_point_reference(F)

@@ -17,12 +17,13 @@ from dualdepth import (
     Hyperplane,
     Instance,
     check_general_position,
+    dual_depth,
     gen_instance,
     parse_instance,
     verify_dual_cpt_measure,
     write_instance,
 )
-from dualdepth import cli, geometry, measures
+from dualdepth import cli, depth, geometry, measures
 from dualdepth.cli import main
 from dualdepth.depth import signature_of
 from dualdepth.geometry import DegenerateInstanceError
@@ -746,6 +747,72 @@ class TestCli:
         searched.pop("timing_s")
         fresh.pop("timing_s")
         assert searched == fresh
+
+    def test_center_and_depth_calls_parse_once_and_build_one_table(self, capsys, monkeypatch,
+                                                                    tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(write_instance(gen_instance("random-rational", 12, 3, seed=4)))
+        parses, builds = [], []
+        parse, blocks = cli.parse_instance, depth._edge_blocks
+        monkeypatch.setattr(cli, "parse_instance", lambda *a, **k: parses.append(a) or parse(*a, **k))
+        monkeypatch.setattr(depth, "_edge_blocks", lambda *a: builds.append(a) or blocks(*a))
+        calls = [["center"]] + [["depth", f"--point={k}/3,-1,{k - 4}"] for k in range(8)]
+        reports = []
+        for argv in calls:
+            code, report, _ = run_cli(capsys, argv[0], "--instance", str(path), *argv[1:])
+            assert code == 0
+            report.pop("timing_s")
+            reports.append(report)
+        assert len(parses) == 1 and len(builds) == 1
+        # each report is the one of a call that parses the file afresh
+        for argv, report in zip(calls, reports):
+            cli._parsed.clear()
+            code, fresh, _ = run_cli(capsys, argv[0], "--instance", str(path), *argv[1:])
+            fresh.pop("timing_s")
+            assert fresh == report
+        assert len(parses) == len(builds) == 10
+
+    def test_parse_cache_follows_the_bytes(self, capsys, monkeypatch, tmp_path):
+        parses = []
+        parse = cli.parse_instance
+        monkeypatch.setattr(cli, "parse_instance", lambda *a, **k: parses.append(a) or parse(*a, **k))
+        path = tmp_path / "f.json"
+        depths = []
+        for seed in (1, 2, 1):
+            F = gen_instance("random-rational", 9, 2, seed=seed)
+            path.write_bytes(write_instance(F))
+            code, report, _ = run_cli(capsys, "depth", "--instance", str(path), "--point", "1/3,2")
+            assert code == 0
+            assert report["result"]["depth"] == dual_depth(F, (Fraction(1, 3), Fraction(2)))[0]
+            depths.append(report["result"])
+        # changed bytes at the same path are parsed again, and one entry is kept
+        assert len(parses) == 3 and depths[0] == depths[2] and len(cli._parsed) == 1
+
+    def test_parse_cache_keys_on_strict(self, capsys, tmp_path, triangle):
+        obj = json.loads(write_instance(triangle))
+        obj["custom"] = {"a": 1}
+        path = tmp_path / "lenient.json"
+        path.write_text(json.dumps(obj))
+        validate = ["validate", "--instance", str(path)]
+        for _ in range(2):
+            code, report, _ = run_cli(capsys, *validate)
+            assert code == 0 and report["result"]["general_position"] is True
+            code, _, err = run_cli(capsys, *validate, "--strict")
+            assert code == 2 and "unknown" in err
+
+    def test_failed_parse_is_not_kept(self, capsys, monkeypatch, tmp_path, tri_file):
+        parses = []
+        parse = cli.parse_instance
+        monkeypatch.setattr(cli, "parse_instance", lambda *a, **k: parses.append(a) or parse(*a, **k))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format_version": 1, "dim": 2, "hyperplanes": [{"normal": [0, 0]}]}')
+        assert run_cli(capsys, "center", "--instance", tri_file)[0] == 0
+        kept = dict(cli._parsed)
+        for _ in range(2):
+            code, report, err = run_cli(capsys, "center", "--instance", str(bad))
+            assert code == 2 and report is None and err.startswith("error: ")
+            assert cli._parsed == kept
+        assert len(parses) == 3
 
     @pytest.mark.parametrize("measures", [[], 5], ids=["empty", "not-a-list"])
     def test_verify_transversal_bad_measures_exit_two(self, capsys, tmp_path, measures):
